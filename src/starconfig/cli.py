@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 from .codes import (LinearCode, CodeError, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
-from .fields import GF, QQ, ExactArithError, ExactMatrix, FieldSpec
+from .fields import (EXHAUSTIVE_CAP, GF, QQ, CapExceeded, ExactArithError,
+                     ExactMatrix, FieldSpec)
 from .hilbert import (WindowError, conjecture_report, fit_hilbert_polynomial,
                       mu_oracle, render_conjecture_matrix)
 from .star import (InternalInvariantError, binomial_identity_check,
                    full_profile, height_of_ideal)
-from .tutte import (canonical_key_string, tutte_deletion_contraction,
+from .tutte import (BivarPoly, poly_matches_key, tutte_deletion_contraction,
                     tutte_subset_sum, whitney_shift)
 
 EXIT_INPUT = 1
@@ -131,15 +132,24 @@ class TutteCache:
         return os.path.join(self.directory, digest + ".json")
 
     def get(self, key: str):
+        """The poly doc stored under key, or None on a miss.  An entry that
+        is not a {"key", "poly"} object for this key, or whose poly is
+        malformed or cannot belong to the key, is a miss, and the next put
+        overwrites it."""
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if doc.get("key") != key:
+        if not (isinstance(doc, dict) and doc.keys() == {"key", "poly"}
+                and doc["key"] == key):
             return None
-        return doc["poly"]
+        try:
+            poly = BivarPoly.from_json(doc["poly"])
+        except ExactArithError:
+            return None
+        return doc["poly"] if poly_matches_key(poly, key) else None
 
     def put(self, key: str, poly_doc: dict):
         path = self._path(key)
@@ -179,8 +189,7 @@ def load_code(args) -> LinearCode:
 def compute_tutte(code: LinearCode, args):
     cache = cache_from_args(args)
     t0 = time.monotonic()
-    by_subsets = tutte_subset_sum(code.matroid, cap=args.max_n,
-                                  threads=args.threads)
+    by_subsets = tutte_subset_sum(code.matroid, cap=args.max_n)
     t1 = time.monotonic()
     by_dc = tutte_deletion_contraction(code.matroid, cache=cache)
     t2 = time.monotonic()
@@ -401,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", help="lo:hi degree window")
         p.add_argument("--cache-dir")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--max-n", type=int, default=24)
+        p.add_argument("--max-n", type=int, default=EXHAUSTIVE_CAP)
     return parser
 
 
@@ -413,12 +421,11 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except (CodeError, ExactArithError, OSError, ValueError) as exc:
-        msg = str(exc)
-        if "exceeds" in msg and "cap" in msg:
-            print(f"error: {msg}", file=sys.stderr)
-            return EXIT_CAP
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .fields import (ExactArithError, ExactMatrix, FieldSpec,
                      left_kernel_basis, rref)
-from .matroid import Flat, VectorMatroid, bits_of
+from .matroid import Flat, VectorMatroid, bits_of, subset_sizes
 from .tutte import ShiftedCoeffs
 
 
@@ -98,14 +98,10 @@ class LinearCode:
 def _ghw_bruteforce_matroid(m: VectorMatroid, r: int) -> int:
     """d_r = n - max{|J| : rank(J) = k - r}, by exhaustive subset scan."""
     target = m.full_rank - r
-    best = -1
-    for mask in range(1 << m.n):
-        size = bin(mask).count("1")
-        if size > best and m.rank(mask) == target:
-            best = size
-    if best < 0:
+    sizes = subset_sizes(m.n)[m.rank_table() == target]
+    if not sizes.size:
         raise ExactArithError(f"no subset of rank {target}")
-    return m.n - best
+    return m.n - int(sizes.max())
 
 
 def ghw_bruteforce(code: LinearCode, r: int) -> int:
@@ -125,14 +121,12 @@ def ghw_from_dual_rank(code: LinearCode, r: int) -> int:
     if not 0 <= r <= code.k:
         raise ExactArithError(f"r={r} out of range")
     m = code.matroid
-    best = None
-    for mask in range(1 << m.n):
-        size = bin(mask).count("1")
-        if (best is None or size < best) and size - m.dual_rank(mask) == r:
-            best = size
-    if best is None:
+    # |I| - r*(I) = r(M) - r([n] \ I), and rank[full ^ I] = rank[::-1][I]
+    witness = m.rank_table()[::-1] == m.full_rank - r
+    sizes = subset_sizes(m.n)[witness]
+    if not sizes.size:
         raise ExactArithError(f"no witness subset for r={r}")
-    return best
+    return int(sizes.min())
 
 
 def weight_hierarchy(code: LinearCode) -> WeightHierarchy:
@@ -176,6 +170,8 @@ def wei_duality_check(code: LinearCode):
     else:
         h = dual_generator_matrix(code)
         dual_m = VectorMatroid(h)
+        # same ground set as the primal table, which passed its cap above
+        dual_m.rank_table(cap=n)
         dual_d = [_ghw_bruteforce_matroid(dual_m, s)
                   for s in range(1, n - k + 1)]
     removed = {n + 1 - ds for ds in dual_d}

@@ -12,13 +12,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 # Ground sets are encoded as bitmasks; exhaustive subset scans are only
-# advertised up to this many elements.
+# advertised up to this many elements.  At the cap the subset-rank table
+# and its id array take 48 MiB, and the build's time and index memory grow
+# with the number of flats (matroid.FLAT_CAP); README, "Flags and
+# environment", has the measured budget.
 MAX_GROUND_SET = 63
 EXHAUSTIVE_CAP = 24
 
 
 class ExactArithError(ValueError):
     pass
+
+
+class CapExceeded(ExactArithError):
+    """An input is larger than a documented size cap."""
 
 
 def is_prime(p: int) -> bool:
@@ -133,6 +140,32 @@ class FieldSpec:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    # -- vectors -------------------------------------------------------------
+
+    def sub_scaled(self, x, c, y) -> list:
+        """x - c*y entrywise, for equal-length vectors x and y."""
+        if self.kind == "gf":
+            p = self.modulus
+            return [(a - c * b) % p for a, b in zip(x, y)]
+        return [a - c * b for a, b in zip(x, y)]
+
+    def scale(self, c, x) -> list:
+        """c*x entrywise."""
+        if self.kind == "gf":
+            p = self.modulus
+            return [c * a % p for a in x]
+        return [c * a for a in x]
+
+    def pack(self, values):
+        """A compact hashable key for a sequence of elements.
+
+        One byte per element over GF(p) for p <= 256, else a tuple; either
+        way list(key[i:j]) gives back the elements.
+        """
+        if self.kind == "gf" and self.modulus <= 256:
+            return bytes(values)
+        return tuple(values)
 
     @property
     def _inv_cache(self) -> dict:
@@ -279,11 +312,3 @@ def left_kernel_basis(m: ExactMatrix, cols) -> list:
             v[c] = spec.neg(t_rows[r][f])
         basis.append(tuple(v))
     return basis
-
-
-def rank_of_vectors(vectors, spec: FieldSpec) -> int:
-    """Rank of a list of equal-length vectors."""
-    rows = [list(v) for v in vectors]
-    if not rows or not rows[0]:
-        return 0
-    return len(_eliminate(rows, spec))

@@ -616,10 +616,10 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                             lambda t: ring_dim(code.k, t)
                             - colon_dim_from_engine(engine, code.spec,
                                                     code.k, col, t),
-                            a - 1, *_window_pair(a - 1, code.k))
+                            a - 1, *default_windows(a - 1, code.k))
                         del_fit = fit_graded_quotient(
                             code.k, deleted.quotient_dim, a - 1,
-                            *_window_pair(a - 1, code.k))
+                            *default_windows(a - 1, code.k))
                         cell["colon_degree"] = str(colon_fit.degree_invariant)
                         cell["deleted_degree"] = str(del_fit.degree_invariant)
                         cell["degrees_equal"] = (
@@ -633,11 +633,6 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
             entry["columns"].append(cell)
         report["entries"].append(entry)
     return report
-
-
-def _window_pair(a, k):
-    lo, his = default_windows(a, k)
-    return lo, his
 
 
 def _degree_hypothesis(code, shifted, ell, r, j) -> str:

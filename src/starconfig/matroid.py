@@ -1,19 +1,33 @@
 """Column matroid of an exact matrix: rank, closure, flats, minors, duals.
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
-Ranks are memoized; an eager precompute pass over all 2^n subsets is
-available for small n so downstream subset sums run cache-hot.
+Point queries (rank, closure, coloops) run one elimination each behind a
+dict cache.  Exhaustive scans read the subset-rank table instead: r(S) for
+all 2^n masks, built on first use by a span-join pass (see rank_table).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 
-from .fields import (EXHAUSTIVE_CAP, MAX_GROUND_SET, ExactArithError,
-                     ExactMatrix, column_rank)
+import numpy as np
 
-PRECOMPUTE_CAP = 20
+from .fields import (EXHAUSTIVE_CAP, MAX_GROUND_SET, CapExceeded,
+                     ExactArithError, ExactMatrix)
+
+
+# masks per numpy pass over a table; numpy copies index arrays to intp,
+# so this bounds the temporaries of a pass
+CHUNK = 1 << 16
+
+# distinct subspaces (= flats) one rank-table build may key.  Each costs
+# about 250-400 B of index at k = 10..17, so this bounds the index to about
+# 400 MiB.  High-rank matroids, such as the duals of low-dimension codes,
+# have close to 2^n flats: the dual of a random [20,3] binary code has
+# 0.93 M and builds in 24 s.
+FLAT_CAP = 1 << 20
 
 
 def iter_bits(mask: int):
@@ -25,6 +39,15 @@ def iter_bits(mask: int):
 
 def bits_of(mask: int) -> list:
     return list(iter_bits(mask))
+
+
+def subset_sizes(n: int) -> np.ndarray:
+    """|S| for every mask S in [0, 2^n), as int8."""
+    sizes = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        lo = 1 << i
+        np.add(sizes[:lo], 1, out=sizes[lo:2 * lo])
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -47,7 +70,7 @@ class VectorMatroid:
 
     def __init__(self, matrix: ExactMatrix):
         if matrix.cols > MAX_GROUND_SET:
-            raise ExactArithError(
+            raise CapExceeded(
                 f"ground set of size {matrix.cols} exceeds bitmask cap "
                 f"{MAX_GROUND_SET}")
         self.matrix = matrix
@@ -56,6 +79,8 @@ class VectorMatroid:
         self.k = matrix.rows
         self._columns = matrix.columns()
         self._rank_cache = {0: 0}
+        self._rank_table = None
+        self._flat_masks = None
         self.full_rank = self.rank((1 << self.n) - 1)
 
     # -- rank ----------------------------------------------------------------
@@ -90,14 +115,20 @@ class VectorMatroid:
                     break
         return len(basis)
 
-    def precompute_all(self):
-        """Eagerly cache the rank of every subset (n <= 20 only)."""
-        if self.n > PRECOMPUTE_CAP:
-            raise ExactArithError(
-                f"precompute over 2^{self.n} subsets exceeds cap "
-                f"{PRECOMPUTE_CAP}")
-        for mask in range(1 << self.n):
-            self.rank(mask)
+    def rank_table(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+        """r(S) for every mask S in [0, 2^n), as a read-only int8 array.
+
+        Built on the first call and kept.  A call that would build it
+        raises CapExceeded, before allocating anything, when n exceeds cap.
+        """
+        if self._rank_table is None:
+            if self.n > cap:
+                raise CapExceeded(f"ground set of size {self.n} exceeds "
+                                  f"exhaustive cap {cap}")
+            table = _span_join_ranks(self._columns, self.spec, self.k)
+            table.flags.writeable = False
+            self._rank_table = table
+        return self._rank_table
 
     # -- closure and flats ---------------------------------------------------
 
@@ -115,23 +146,26 @@ class VectorMatroid:
         return self.closure(mask).members == mask
 
     def flats_of_rank(self, s: int) -> list:
-        """All flats of rank exactly s, sorted by bitmask.
-
-        Every rank-s flat is the closure of an independent s-subset, so
-        closing all s-subsets of full rank is exhaustive.
-        """
+        """All flats of rank exactly s, sorted by bitmask."""
         if not 0 <= s <= self.k:
             raise ExactArithError(f"flat rank {s} out of range")
-        seen = set()
-        for combo in combinations(range(self.n), s):
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            if self.rank(mask) == s:
-                seen.add(self.closure(mask).members)
-        if s == 0:
-            seen.add(self.closure(0).members)
-        return [Flat(m, s) for m in sorted(seen)]
+        flats = self._flats()
+        ranks = self.rank_table()[flats]
+        return [Flat(int(mask), s) for mask in flats[ranks == s]]
+
+    def _flats(self) -> np.ndarray:
+        """Every flat as a mask, ascending.  S is closed when adding any
+        element j outside S raises the rank: one table comparison per j."""
+        if self._flat_masks is None:
+            rank = self.rank_table()
+            closed = np.ones(len(rank), dtype=bool)
+            for j in range(self.n):
+                # axis 1 of the view splits the masks by bit j
+                r = rank.reshape(-1, 2, 1 << j)
+                c = closed.reshape(-1, 2, 1 << j)
+                c[:, 0, :] &= r[:, 1, :] != r[:, 0, :]
+            self._flat_masks = np.flatnonzero(closed)
+        return self._flat_masks
 
     # -- loops, coloops, duality ---------------------------------------------
 
@@ -181,6 +215,67 @@ class VectorMatroid:
             ExactMatrix.from_rows(spec, minor, cols=self.n - 1))
 
 
-def matroid_column_rank(matrix: ExactMatrix, mask: int) -> int:
-    """One-shot rank of a column subset without building a matroid."""
-    return column_rank(matrix, bits_of(mask))
+def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
+    """Subset-rank table of the given columns by a span-join pass.
+
+    Every mask below 2^(i+1) with bit i set is S | {i} for an S below 2^i,
+    and span(S + i) depends only on span(S) and i.  So ids[S] numbers the
+    subspace spanned by S, and each block is one gather through the join
+    of every subspace found so far with column i (each one is spanned by
+    some S below 2^i); the join is computed once per (subspace, i) by
+    exact elimination.  A subspace is keyed by its canonical RREF (rows
+    sorted by pivot, packed by the field), and the keys are dropped when
+    the pass ends.
+    """
+    n = len(columns)
+    ranks = np.zeros(1 << n, dtype=np.int8)
+    if n == 0 or k == 0:
+        return ranks
+    zero = spec.zero
+    ids = np.zeros(1 << (n - 1), dtype=np.int32)  # the top block is not read
+    empty = spec.pack(())
+    keys = [empty]  # subspace id -> packed RREF, r rows of k entries
+    pivots_of = [()]  # subspace id -> pivot columns of its RREF, ascending
+    index = {empty: 0}
+    shared = {(): ()}  # one tuple per distinct pivot set
+    for i, col in enumerate(columns):
+        lo = 1 << i
+        join = np.arange(len(keys), dtype=np.int32)
+        for f in range(len(keys)):
+            pivots = pivots_of[f]
+            if len(pivots) == k:
+                continue
+            key = keys[f]
+            rows = [list(key[j * k:(j + 1) * k]) for j in range(len(pivots))]
+            v = list(col)
+            for p, row in zip(pivots, rows):
+                if v[p] != zero:
+                    v = spec.sub_scaled(v, v[p], row)
+            p = next((t for t, x in enumerate(v) if x != zero), None)
+            if p is None:
+                continue  # column i lies in the subspace already
+            v = spec.scale(spec.inv(v[p]), v)
+            for j, row in enumerate(rows):
+                if row[p] != zero:
+                    rows[j] = spec.sub_scaled(row, row[p], v)
+            at = bisect(pivots, p)
+            rows.insert(at, v)
+            key = spec.pack(chain.from_iterable(rows))
+            g = index.get(key)
+            if g is None:
+                if len(keys) == FLAT_CAP:
+                    raise CapExceeded(f"number of flats exceeds flat cap "
+                                      f"{FLAT_CAP} of the rank table")
+                g = index[key] = len(keys)
+                keys.append(key)
+                pivots = pivots[:at] + (p,) + pivots[at:]
+                pivots_of.append(shared.setdefault(pivots, pivots))
+            join[f] = g
+        rank_of = np.fromiter(map(len, pivots_of), dtype=np.int8,
+                              count=len(keys))[join]
+        for c in range(0, lo, CHUNK):
+            part = ids[c:min(c + CHUNK, lo)]
+            ranks[lo + c:lo + c + len(part)] = rank_of[part]
+            if i < n - 1:
+                ids[lo + c:lo + c + len(part)] = join[part]
+    return ranks

@@ -11,8 +11,10 @@ import json
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .fields import EXHAUSTIVE_CAP, ExactArithError, ExactMatrix, rref
-from .matroid import VectorMatroid
+from .matroid import CHUNK, VectorMatroid, subset_sizes
 
 
 class BivarPoly:
@@ -107,8 +109,18 @@ class BivarPoly:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BivarPoly":
-        return cls({(t["x"], t["y"]): int(t["coeff"])
-                    for t in doc["terms"]})
+        """Inverse of to_json; raises ExactArithError on a malformed doc."""
+        terms = {}
+        try:
+            for t in doc["terms"]:
+                i, j, c = t["x"], t["y"], t["coeff"]
+                if not (type(i) is type(j) is int and min(i, j) >= 0
+                        and isinstance(c, str)):
+                    raise ValueError(f"bad term {t!r}")
+                terms[(i, j)] = int(c)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ExactArithError(f"malformed polynomial: {exc}") from exc
+        return cls(terms)
 
 
 def _expand_shifted(a: int, b: int) -> BivarPoly:
@@ -121,46 +133,26 @@ def _expand_shifted(a: int, b: int) -> BivarPoly:
     return BivarPoly(out)
 
 
-def tutte_subset_sum(m: VectorMatroid, cap: int = EXHAUSTIVE_CAP,
-                     threads: int = 1) -> BivarPoly:
-    """Exhaustive corank-nullity sum over all 2^n subsets."""
-    if m.n > cap:
-        raise ExactArithError(
-            f"ground set of size {m.n} exceeds exhaustive cap {cap}")
-    counts = _corank_nullity_counts(m, 0, 1 << m.n, threads)
+def tutte_subset_sum(m: VectorMatroid,
+                     cap: int = EXHAUSTIVE_CAP) -> BivarPoly:
+    """Exhaustive corank-nullity sum over all 2^n subsets, read off the
+    matroid's rank table (built here with the given cap if not built yet)."""
+    rank = m.rank_table(cap)
+    width = m.n + 1
+    # counts[r * width + s]: subsets of rank r and size s
+    counts = np.zeros((m.full_rank + 1) * width, dtype=np.int64)
+    step = min(len(rank), CHUNK)
+    low_sizes = subset_sizes(step.bit_length() - 1).astype(np.int16)
+    for lo in range(0, len(rank), step):
+        r = rank[lo:lo + step].astype(np.int16)
+        key = r * width + low_sizes + bin(lo).count("1")
+        counts += np.bincount(key, minlength=len(counts))
     poly = BivarPoly.zero()
-    for (a, b), mult in counts.items():
-        poly = poly + _expand_shifted(a, b).scale(mult)
+    for key in np.flatnonzero(counts).tolist():
+        r, size = divmod(key, width)
+        poly = poly + _expand_shifted(m.full_rank - r, size - r).scale(
+            int(counts[key]))
     return poly
-
-
-def _corank_nullity_counts(m: VectorMatroid, lo: int, hi: int,
-                           threads: int) -> dict:
-    if threads > 1 and hi - lo >= 1 << 10:
-        from concurrent.futures import ThreadPoolExecutor
-        step = (hi - lo + threads - 1) // threads
-        chunks = [(lo + i * step, min(hi, lo + (i + 1) * step))
-                  for i in range(threads)]
-        chunks = [c for c in chunks if c[0] < c[1]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: _count_chunk(m, c[0], c[1]), chunks))
-        total = {}
-        for part in parts:
-            for key, v in part.items():
-                total[key] = total.get(key, 0) + v
-        return total
-    return _count_chunk(m, lo, hi)
-
-
-def _count_chunk(m: VectorMatroid, lo: int, hi: int) -> dict:
-    counts = {}
-    rank = m.rank
-    for mask in range(lo, hi):
-        r = rank(mask)
-        key = (m.full_rank - r, bin(mask).count("1") - r)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
@@ -187,8 +179,20 @@ def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     return (kind, mod, matrix.rows, matrix.cols, tuple(cols))
 
 
-def canonical_key_string(matrix: ExactMatrix) -> str:
-    return json.dumps(canonical_matrix_key(matrix))
+def poly_matches_key(poly: BivarPoly, key: str) -> bool:
+    """Whether poly can be the Tutte polynomial cached under key.
+
+    A key made by json.dumps(canonical_matrix_key(...)) records the column
+    count n, and T(2, 2) = 2^n counts the subsets.  Keys of any other form
+    record no n, and every poly matches them.
+    """
+    try:
+        doc = json.loads(key)
+    except ValueError:
+        return True
+    if not (isinstance(doc, list) and len(doc) == 5 and type(doc[3]) is int):
+        return True
+    return poly.evaluate(2, 2) == 2 ** doc[3]
 
 
 def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,

@@ -8,7 +8,7 @@ from starconfig import cli
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
                             example_b3, example_e0, main, parse_input)
 from starconfig.fields import ExactArithError
-from starconfig.tutte import BivarPoly
+from starconfig.tutte import BivarPoly, canonical_matrix_key
 
 E0_TEXT = """\
 # a [3,2] example
@@ -167,7 +167,7 @@ def test_cap_exceeded_exit_code(capsys):
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "tutte_subset_sum",
-                        lambda m, cap=24, threads=1: BivarPoly({(0, 0): 1}))
+                        lambda m, cap=24: BivarPoly({(0, 0): 1}))
     rc, _, err = run_cli(capsys, "tutte", "--example", "e0")
     assert rc == EXIT_INTERNAL
     assert "disagree" in err
@@ -180,6 +180,53 @@ def test_tutte_cache_roundtrip(tmp_path):
     cache.put("some-key", poly.to_json())
     assert BivarPoly.from_json(cache.get("some-key")) == poly
     assert cache.get("other-key") is None
+
+
+E0_TUTTE = BivarPoly({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+
+
+def e0_cache_key() -> str:
+    return json.dumps(canonical_matrix_key(example_e0().matrix))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda key: [1, 2],
+    lambda key: {"key": key, "poly": BivarPoly({(0, 0): 7}).to_json()},
+], ids=["not-an-object", "wrong-poly"])
+def test_poisoned_cache_entry_is_a_miss_and_rewritten(capsys, tmp_path,
+                                                      entry):
+    cache = TutteCache(str(tmp_path / "cache"))
+    key = e0_cache_key()
+    with open(cache._path(key), "w", encoding="utf-8") as fh:
+        json.dump(entry(key), fh)
+    rc, out, err = run_cli(capsys, "tutte", "--example", "e0", "--json",
+                           "--cache-dir", cache.directory)
+    assert rc == 0, err
+    assert BivarPoly.from_json(json.loads(out)["tutte"]) == E0_TUTTE
+    assert BivarPoly.from_json(cache.get(key)) == E0_TUTTE
+
+
+def test_tutte_cache_rejects_malformed_entries(tmp_path):
+    cache = TutteCache(str(tmp_path / "cache"))
+    key = e0_cache_key()
+    good = E0_TUTTE.to_json()
+    bad = [
+        "text", None, {"key": key}, {"key": "other", "poly": good},
+        {"key": key, "poly": good, "extra": 1},
+        {"key": key, "poly": [good]},
+        {"key": key, "poly": {"terms": "x^2"}},
+        {"key": key, "poly": {"terms": [{"x": "2", "y": 0, "coeff": "1"}]}},
+        {"key": key, "poly": {"terms": [{"x": -1, "y": 0, "coeff": "1"}]}},
+        {"key": key, "poly": {"terms": [{"x": 2, "y": 0, "coeff": 1.5}]}},
+        {"key": key, "poly": {"terms": [{"x": 2, "y": 0, "coeff": "one"}]}},
+        {"key": key, "poly": {"terms": [{"x": 2, "y": 0}]}},
+    ]
+    for doc in bad:
+        with open(cache._path(key), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert cache.get(key) is None, doc
+    cache.put(key, good)
+    assert cache.get(key) == good
 
 
 def test_cache_flag_creates_entries_and_identical_output(capsys, tmp_path):

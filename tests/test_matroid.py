@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.fields import GF, ExactArithError, ExactMatrix
+from starconfig.fields import GF, QQ, CapExceeded, ExactArithError, ExactMatrix
+from starconfig import matroid
 from starconfig.matroid import Flat, VectorMatroid, bits_of
 
 from conftest import random_matrix
@@ -39,9 +42,94 @@ def test_rank_examples(m_e0, m_b3):
 
 
 def test_rank_cache_consistency(m_b3):
-    m_b3.precompute_all()
-    for sub in (0, mask(0), mask(0, 1, 3, 4), (1 << 9) - 1):
-        assert m_b3._rank_cache[sub] == m_b3._rank_by_elimination(sub)
+    table = m_b3.rank_table()
+    assert table.dtype == np.int8 and len(table) == 1 << 9
+    assert not table.flags.writeable
+    for sub in range(1 << 9):
+        assert table[sub] == m_b3._rank_by_elimination(sub)
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices over GF(2), GF(3), GF(5), GF(257) and Q, with zero
+    columns (loops), multiples of earlier columns (parallel elements),
+    n = 0 and zero-row shapes all reachable."""
+    spec = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(257), QQ]))
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 8))
+    if spec.kind == "gf":
+        entry = st.integers(0, spec.modulus - 1)
+    else:
+        entry = st.fractions(-3, 3, max_denominator=3)
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "zero", "parallel"]))
+        if kind == "zero":
+            col = [0] * k
+        elif kind == "parallel" and cols:
+            c = spec.coerce(draw(entry))
+            col = [spec.mul(c, spec.coerce(x))
+                   for x in draw(st.sampled_from(cols))]
+        else:
+            col = draw(st.lists(entry, min_size=k, max_size=k))
+        cols.append(col)
+    rows = [[col[i] for col in cols] for i in range(k)]
+    return ExactMatrix.from_rows(spec, rows, cols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_table_matches_elimination(matrix):
+    m = VectorMatroid(matrix)
+    table = m.rank_table()
+    assert len(table) == 1 << m.n
+    for sub in range(1 << m.n):
+        assert table[sub] == m._rank_by_elimination(sub)
+
+
+def closed_independent_subsets(m, s):
+    """Rank-s flats as the closures of all independent s-subsets, sorted:
+    the enumeration flats_of_rank used before the rank table."""
+    seen = set()
+    for combo in combinations(range(m.n), s):
+        sub = mask(*combo)
+        if m.rank(sub) == s:
+            seen.add(m.closure(sub).members)
+    if s == 0:
+        seen.add(m.closure(0).members)
+    return sorted(seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_flats_of_rank_matches_closure_enumeration(matrix):
+    m = VectorMatroid(matrix)
+    for s in range(m.k + 1):
+        flats = m.flats_of_rank(s)
+        assert all(f.rank == s for f in flats)
+        assert [f.members for f in flats] == closed_independent_subsets(m, s)
+
+
+def test_rank_table_is_lazy_and_capped(m_b3):
+    assert m_b3._rank_table is None
+    with pytest.raises(CapExceeded, match="exceeds"):
+        m_b3.rank_table(cap=8)
+    assert m_b3._rank_table is None
+    table = m_b3.rank_table(cap=9)
+    assert m_b3.rank_table() is table
+    assert m_b3.rank_table(cap=8) is table  # built already: nothing to cap
+
+
+def test_flat_cap_is_typed(m_b3, monkeypatch):
+    monkeypatch.setattr(matroid, "FLAT_CAP", 8)
+    with pytest.raises(CapExceeded, match="exceeds"):
+        m_b3.rank_table()
+    assert m_b3._rank_table is None
+
+
+def test_ground_set_cap_is_typed():
+    with pytest.raises(CapExceeded):
+        VectorMatroid(ExactMatrix.from_rows(GF(2), [[1] * 64]))
 
 
 def test_closure_examples(m_e0, m_b3):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.fields import GF, ExactArithError, ExactMatrix
+from starconfig.fields import GF, CapExceeded, ExactMatrix
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
                               tutte_deletion_contraction, tutte_subset_sum,
@@ -51,8 +51,18 @@ def test_deletion_contraction_small(m_e0):
 
 def test_exhaustive_cap():
     m = VectorMatroid(ExactMatrix.from_rows(GF(2), [[1, 0, 1], [0, 1, 1]]))
-    with pytest.raises(ExactArithError):
+    with pytest.raises(CapExceeded):
         tutte_subset_sum(m, cap=2)
+
+
+def test_deletion_contraction_never_reads_the_table(m_b3, monkeypatch):
+    expected = tutte_subset_sum(VectorMatroid(m_b3.matrix))
+
+    def refuse(self, cap=None):
+        raise AssertionError("deletion-contraction read the rank table")
+
+    monkeypatch.setattr(VectorMatroid, "rank_table", refuse)
+    assert tutte_deletion_contraction(m_b3) == expected
 
 
 @settings(max_examples=60, deadline=None)
