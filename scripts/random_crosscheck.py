@@ -9,7 +9,9 @@ independent computation routes agree:
   * coefficient-sum degree vs prime-sum degree vs fitted Hilbert degree,
   * the mu coefficient formula vs the generator-span rank.
 
-Exits nonzero on the first disagreement.
+Codes are drawn over GF(p) for the given primes and over the rationals,
+with rational entries in [-3, 3].  Exits nonzero on the first
+disagreement.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from starconfig.codes import (LinearCode, ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
-from starconfig.fields import GF, ExactMatrix
+from starconfig.fields import GF, QQ, ExactMatrix
 from starconfig.hilbert import fit_hilbert_polynomial, mu_oracle
 from starconfig.star import full_profile
 from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
@@ -41,7 +43,7 @@ class ExperimentConfig:
     fields: list = field(init=False)
 
     def __post_init__(self):
-        self.fields = [GF(p) for p in self.primes]
+        self.fields = [GF(p) for p in self.primes] + [QQ]
 
 
 def sample_code(rng: random.Random, config: ExperimentConfig) -> LinearCode:
@@ -49,8 +51,12 @@ def sample_code(rng: random.Random, config: ExperimentConfig) -> LinearCode:
         k = rng.randint(1, config.max_k)
         n = rng.randint(k, config.max_n)
         spec = rng.choice(config.fields)
-        rows = [[rng.randrange(spec.modulus) for _ in range(n)]
-                for _ in range(k)]
+        if spec.kind == "q":
+            rows = [[rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(k)]
+        else:
+            rows = [[rng.randrange(spec.modulus) for _ in range(n)]
+                    for _ in range(k)]
         try:
             return LinearCode(ExactMatrix.from_rows(spec, rows))
         except Exception:
@@ -95,8 +101,10 @@ def run(config: ExperimentConfig) -> int:
     for i in range(config.num_codes):
         code = sample_code(rng, config)
         failures = check_code(code, config)
+        over = ("Q" if code.spec.kind == "q"
+                else f"GF({code.spec.modulus})")
         tag = (f"[{i + 1:>3}/{config.num_codes}] "
-               f"[{code.n},{code.k}] over GF({code.spec.modulus})")
+               f"[{code.n},{code.k}] over {over}")
         if failures:
             print(f"{tag}  FAIL")
             for f in failures:

@@ -23,7 +23,7 @@ from .codes import (LinearCode, CodeError, weight_hierarchy, ghw_bruteforce,
 from .fields import (EXHAUSTIVE_CAP, GF, QQ, CapExceeded, ExactArithError,
                      ExactMatrix, FieldSpec)
 from .hilbert import (WindowError, conjecture_report, fit_hilbert_polynomial,
-                      mu_oracle, render_conjecture_matrix)
+                      ideal_engine, mu_oracle, render_conjecture_matrix)
 from .star import (InternalInvariantError, binomial_identity_check,
                    full_profile, height_of_ideal)
 from .tutte import (BivarPoly, poly_matches_key, tutte_deletion_contraction,
@@ -74,6 +74,8 @@ def parse_input(text: str) -> InputDocument:
     if size_parts[0] != "size" or len(size_parts) != 3:
         raise ExactArithError("second line must be 'size <k> <n>'")
     k, n = int(size_parts[1]), int(size_parts[2])
+    if k < 1 or n < 1:
+        raise ExactArithError(f"size {k} {n}: k and n must be at least 1")
     if len(lines) < 2 + k:
         raise ExactArithError(f"expected {k} matrix rows")
     rows = []
@@ -318,14 +320,16 @@ def cmd_verify(args) -> int:
     checks = []
     all_ok = True
     for p in profiles:
+        engine = ideal_engine(code, p.a)
         try:
-            fit = fit_hilbert_polynomial(code, p.a, window=window)
+            fit = fit_hilbert_polynomial(code, p.a, window=window,
+                                         engine=engine)
         except WindowError as exc:
             checks.append({"a": p.a, "status": "inconclusive",
                            "reason": str(exc)})
             all_ok = False
             continue
-        mu_o = mu_oracle(code, p.a)
+        mu_o = mu_oracle(code, p.a, engine=engine)
         ok = (fit.degree_invariant == p.degree
               and fit.implied_height == p.height
               and mu_o == p.mu)
@@ -358,7 +362,7 @@ def cmd_conjecture(args) -> int:
     if args.window:
         _, hi = args.window.split(":")
         t_max = int(hi)
-    report = conjecture_report(code, t_max)
+    report = conjecture_report(code, t_max, args.max_n)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")

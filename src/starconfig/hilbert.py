@@ -6,9 +6,13 @@ finite differences and interpolation, and recovers degree / height / mu
 with zero reliance on the Tutte route.
 
 Monomials of a fixed total degree are indexed in graded lexicographic
-order.  Over GF(p) (small p) ranks run on int64 numpy arrays with all
-arithmetic done mod p, which is still exact; over the rationals everything
-is Fraction-based.
+order.  Over GF(p) with p < 2^31 ranks run on int64 numpy arrays with all
+arithmetic done mod p, which is still exact.  Over the rationals, and over
+GF(p) for larger p, they run in one pure-Python kernel on plain ints:
+fraction-free elimination of primitive integer rows over Q, mod-p
+elimination otherwise.  Fractions appear in the rational generators and
+colon rows, whose denominators are cleared as a row enters the kernel, and
+in the fitted Hilbert polynomial, never in elimination.
 """
 
 from __future__ import annotations
@@ -16,16 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial
+from itertools import combinations, compress, islice
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
 from .codes import LinearCode
-from .fields import ExactArithError, FieldSpec
+from .fields import EXHAUSTIVE_CAP, ExactArithError, FieldSpec
 
-# int64 products of residues must not overflow: p^2 * rows margin
-_NUMPY_P_CAP = 1 << 20
+# _echelon_mod_p reduces mod p after every product, so its int64 values
+# stay below p^2 < 2^62; larger primes use the pure-Python kernel.
+_NUMPY_P_CAP = 1 << 31
+
+# Without the gcd passes of _echelon_int, a row's entries grow by every
+# multiplier applied to it: on a [8,4] code over Q the fit for a = 6 took
+# 3.4x as long.  One pass costs about one reduction step, so small
+# matrices, whose multipliers are mostly 1, rarely pay for one.
+_GROWTH_BITS = 64
 
 
 class WindowError(ExactArithError):
@@ -166,27 +177,72 @@ def _echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     return a[:r]
 
 
-def _echelon_generic(rows: list, spec: FieldSpec) -> list:
-    """Row echelon via FieldSpec arithmetic; returns nonzero echelon rows.
-
-    Used for the rationals and for GF(p) with p too large for the int64
-    fast path.
-    """
-    zero = spec.zero
-    out = []
-    for row in rows:
+def _primitive(row) -> list:
+    """row (ints and Fractions) scaled to a primitive integer vector: times
+    the lcm of its denominators, then divided by the gcd of its entries."""
+    try:
+        g = gcd(*row)  # ints only; a Fraction raises TypeError
         v = list(row)
-        for piv, basis_row in out:
-            c = v[piv]
-            if c != zero:
-                v = [spec.sub(x, spec.mul(c, y))
-                     for x, y in zip(v, basis_row)]
-        piv = next((i for i, x in enumerate(v) if x != zero), None)
-        if piv is not None:
-            inv = spec.inv(v[piv])
-            out.append((piv, [spec.mul(inv, x) for x in v]))
-    out.sort()
-    return [r for _, r in out]
+    except TypeError:
+        den = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _leading(v, start):
+    """Index of the first nonzero entry of v at or after start, or None."""
+    return next(compress(range(start, len(v)), islice(v, start, None)), None)
+
+
+def _echelon_int(rows, p=None) -> list:
+    """Row echelon form over Q (p None) or GF(p), on plain int rows; returns
+    the nonzero echelon rows sorted by pivot column.
+
+    A row v is reduced at its leading entry piv, against the basis row b
+    with that pivot, until its leading entry is no pivot; v is zero before
+    piv, so a step touches v[piv:] only.  Over Q the step is fraction-free,
+    after Bareiss (1968): v enters as a primitive integer vector, and
+    v <- (b[piv]/g) v - (v[piv]/g) b with g = gcd(v[piv], b[piv]).  The gcd
+    of v's entries is divided out whenever the multipliers b[piv]/g since
+    the last division exceed _GROWTH_BITS, and when v becomes a basis row,
+    with its pivot made positive.  Over GF(p) basis rows are scaled to
+    pivot 1 and the step is v <- v - v[piv] b mod p.  Only row operations
+    are used and the pivots are distinct, so the rows returned span the
+    input rows and their number is the rank.
+    """
+    basis = {}
+    for row in rows:
+        v = _primitive(row) if p is None else [int(x) % p for x in row]
+        piv = _leading(v, 0)
+        grown = 0
+        while piv in basis:
+            b, c = basis[piv], v[piv]
+            if p is None:
+                g = gcd(c, b[piv])
+                d, c = b[piv] // g, c // g
+                w = [d * x - c * y for x, y in zip(v[piv:], b[piv:])]
+                grown += d.bit_length()
+                if grown > _GROWTH_BITS:
+                    grown = 0
+                    g = gcd(*w)
+                    if g > 1:
+                        w = [x // g for x in w]
+            else:
+                w = [(x - c * y) % p for x, y in zip(v[piv:], b[piv:])]
+            v[piv:] = w
+            piv = _leading(v, piv + 1)
+        if piv is None:
+            continue
+        if p is None:
+            g = gcd(*v) if v[piv] > 0 else -gcd(*v)
+            if g != 1:
+                v = [x // g for x in v]
+        else:
+            inv = pow(v[piv], -1, p)
+            v = [x * inv % p for x in v]
+        basis[piv] = v
+    return [basis[piv] for piv in sorted(basis)]
 
 
 class GradedIdealEngine:
@@ -216,7 +272,7 @@ class GradedIdealEngine:
                 return np.zeros((0, ring_dim(self.k, t)), dtype=np.int64)
             return _echelon_mod_p(np.array(rows, dtype=np.int64),
                                   self.spec.modulus)
-        return _echelon_generic(rows, self.spec)
+        return _echelon_int(rows, self.spec.modulus)
 
     def basis(self, t: int):
         """Echelon basis rows of the degree-t piece of the ideal."""
@@ -227,29 +283,22 @@ class GradedIdealEngine:
             self._basis[t] = rows
             return rows
         prev = self.basis(t - 1)
+        width = ring_dim(self.k, t)
         rows = []
         if len(prev):
             for var in range(self.k):
                 mp = _mult_map(self.k, t - 1, var)
                 if self._gf:
-                    width = ring_dim(self.k, t)
                     shifted = np.zeros((len(prev), width), dtype=np.int64)
                     shifted[:, list(mp)] = prev
                     rows.extend(shifted)
                 else:
-                    width = ring_dim(self.k, t)
-                    zero = self.spec.zero
                     for row in prev:
-                        out = [zero] * width
+                        out = [0] * width
                         for src, dst in enumerate(mp):
                             out[dst] = row[src]
                         rows.append(out)
-        for g in self.by_degree.get(t, []):
-            if self._gf:
-                rows.append(np.array([int(c) for c in g.coeffs],
-                                     dtype=np.int64))
-            else:
-                rows.append(list(g.coeffs))
+        rows.extend(list(g.coeffs) for g in self.by_degree.get(t, []))
         result = self._echelonize(rows, t)
         self._basis[t] = result
         return result
@@ -262,13 +311,7 @@ class GradedIdealEngine:
 
     def rank_with_extra_rows(self, t: int, extra) -> int:
         """Rank of the degree-t ideal piece together with extra vectors."""
-        base = self.basis(t)
-        if self._gf:
-            stacked = list(base) + [np.array(r, dtype=np.int64)
-                                    for r in extra]
-            return len(self._echelonize(stacked, t))
-        stacked = [list(r) for r in base] + [list(r) for r in extra]
-        return len(self._echelonize(stacked, t))
+        return len(self._echelonize(list(self.basis(t)) + list(extra), t))
 
 
 def graded_dim_ideal(gens, t: int) -> int:
@@ -301,10 +344,9 @@ def graded_dim_ideal(gens, t: int) -> int:
     if not rows:
         return 0
     if spec.kind == "gf" and spec.modulus < _NUMPY_P_CAP:
-        return len(_echelon_mod_p(np.array([[int(x) for x in r]
-                                            for r in rows],
-                                           dtype=np.int64), spec.modulus))
-    return len(_echelon_generic(rows, spec))
+        return len(_echelon_mod_p(np.array(rows, dtype=np.int64),
+                                  spec.modulus))
+    return len(_echelon_int(rows, spec.modulus))
 
 
 # -- Hilbert polynomial fitting ----------------------------------------------
@@ -453,10 +495,15 @@ def ideal_engine(code: LinearCode, a: int) -> GradedIdealEngine:
     return GradedIdealEngine(code.spec, code.k, afold_generators(code, a))
 
 
-def fit_hilbert_polynomial(code: LinearCode, a: int,
-                           window=None) -> FittedHP:
-    """Hilbert polynomial of R / I_a, fitted from exact graded dimensions."""
-    engine = ideal_engine(code, a)
+def fit_hilbert_polynomial(code: LinearCode, a: int, window=None,
+                           engine=None) -> FittedHP:
+    """Hilbert polynomial of R / I_a, fitted from exact graded dimensions.
+
+    engine, if given, must be ideal_engine(code, a); its cached bases are
+    reused and extended.
+    """
+    if engine is None:
+        engine = ideal_engine(code, a)
     if window is not None:
         lo, hi = window
         if hi - lo < code.k + 1:
@@ -467,9 +514,14 @@ def fit_hilbert_polynomial(code: LinearCode, a: int,
     return fit_graded_quotient(code.k, engine.quotient_dim, a, lo, his)
 
 
-def mu_oracle(code: LinearCode, a: int) -> int:
-    """Rank of the generator span in degree a: the minimal generator count."""
-    return ideal_engine(code, a).ideal_dim(a)
+def mu_oracle(code: LinearCode, a: int, engine=None) -> int:
+    """Rank of the generator span in degree a: the minimal generator count.
+
+    engine, if given, must be ideal_engine(code, a).
+    """
+    if engine is None:
+        engine = ideal_engine(code, a)
+    return engine.ideal_dim(a)
 
 
 # -- colon ideals ------------------------------------------------------------
@@ -497,8 +549,6 @@ def colon_dim_from_engine(engine: GradedIdealEngine, spec, k, col,
     """dim (I : ell)_t = dim R_t - rank of the multiplication image
     modulo the degree-(t+1) piece of I."""
     extra = _linear_multiplication_rows(spec, k, col, t)
-    if spec.kind == "gf":
-        extra = [[int(x) for x in r] for r in extra]
     joint = engine.rank_with_extra_rows(t + 1, extra)
     image_mod_ideal = joint - engine.ideal_dim(t + 1)
     return ring_dim(k, t) - image_mod_ideal
@@ -550,18 +600,31 @@ def parallel_count(code: LinearCode, ell_index: int) -> int:
 
 # -- conjecture diagnostics --------------------------------------------------
 
-def conjecture_report(code: LinearCode, t_max: int) -> dict:
+def conjecture_report(code: LinearCode, t_max: int,
+                      cap: int = EXHAUSTIVE_CAP) -> dict:
     """Per-degree colon-equality tables plus Hilbert stabilization and
     degree diagnostics for the linear-resolution and colon conjectures.
 
     The per-degree equalities at t >= a are reported observations, never
     assertions; the t = a-1 slice and coloop columns are proved facts.
+    cap bounds the ground set of every exhaustive subset scan, the code's
+    and each deletion's, as --max-n does.
     """
     from .tutte import tutte_subset_sum, whitney_shift
     from .codes import weight_hierarchy
 
+    # the subset sum builds the rank table under cap; the hierarchy reads it
+    shifted = whitney_shift(tutte_subset_sum(code.matroid, cap), code.k)
     hierarchy = weight_hierarchy(code)
-    shifted = whitney_shift(tutte_subset_sum(code.matroid), code.k)
+
+    @lru_cache(maxsize=None)
+    def deleted_shift(ell):
+        """Shifted Tutte coefficients of M \\ ell; None for a coloop."""
+        deleted = code.matroid.delete(ell)
+        if deleted.full_rank < code.k:
+            return None
+        return whitney_shift(tutte_subset_sum(deleted, cap), code.k)
+
     report = {
         "n": code.n,
         "k": code.k,
@@ -578,7 +641,7 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
         engine = ideal_engine(code, a)
         entry = {"a": a, "columns": []}
         try:
-            fit = fit_hilbert_polynomial(code, a)
+            fit = fit_hilbert_polynomial(code, a, engine=engine)
             entry["stable_from"] = fit.stable_from
             entry["linear_resolution_consistent"] = fit.stable_from <= a
             entry["fit"] = fit.to_json()
@@ -600,10 +663,17 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                 cell["automatic"] = False
                 deleted = deleted_ideal_engine(code, ell, a - 1)
                 col = code.matrix.column(ell)
+                colon_dims = {}  # t -> dim (I_a : ell)_t, shared with the fit
+
+                def colon_dim(t):
+                    if t not in colon_dims:
+                        colon_dims[t] = colon_dim_from_engine(
+                            engine, code.spec, code.k, col, t)
+                    return colon_dims[t]
+
                 cells = {}
                 for t in range(a - 1, t_max + 1):
-                    lhs = colon_dim_from_engine(engine, code.spec, code.k,
-                                                col, t)
+                    lhs = colon_dim(t)
                     rhs = deleted.ideal_dim(t)
                     cells[t] = "=" if lhs == rhs else "!="
                 cell["cells"] = cells
@@ -613,9 +683,7 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                     try:
                         colon_fit = fit_graded_quotient(
                             code.k,
-                            lambda t: ring_dim(code.k, t)
-                            - colon_dim_from_engine(engine, code.spec,
-                                                    code.k, col, t),
+                            lambda t: ring_dim(code.k, t) - colon_dim(t),
                             a - 1, *default_windows(a - 1, code.k))
                         del_fit = fit_graded_quotient(
                             code.k, deleted.quotient_dim, a - 1,
@@ -629,22 +697,21 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                     except WindowError:
                         cell["degrees_equal"] = "inconclusive"
                     cell["degree_hypothesis"] = _degree_hypothesis(
-                        code, shifted, ell, r, j)
+                        shifted, deleted_shift, ell, r, j)
             entry["columns"].append(cell)
         report["entries"].append(entry)
     return report
 
 
-def _degree_hypothesis(code, shifted, ell, r, j) -> str:
+def _degree_hypothesis(shifted, deleted_shift, ell, r, j) -> str:
     """Whether the proved degree-equality hypothesis (j >= 2, or j = 1
-    with matching top y-degrees after deletion) applies."""
+    with matching top y-degrees after deletion) applies; deleted_shift(ell)
+    gives the shifted coefficients of M \\ ell, or None for a coloop."""
     if j >= 2:
         return "j>=2 (proved)"
-    from .tutte import tutte_subset_sum, whitney_shift
-    deleted = code.matroid.delete(ell)
-    if deleted.full_rank < code.k:
+    shifted_del = deleted_shift(ell)
+    if shifted_del is None:
         return "deleted column is a coloop (proved separately)"
-    shifted_del = whitney_shift(tutte_subset_sum(deleted), code.k)
     if shifted.p[r] == shifted_del.p[r]:
         return "j=1 with matching top coefficients (proved)"
     return "j=1 with shifted top coefficient (open)"

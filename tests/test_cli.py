@@ -1,10 +1,11 @@
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from starconfig import cli
+from starconfig import cli, hilbert
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
                             example_b3, example_e0, main, parse_input)
 from starconfig.fields import ExactArithError
@@ -127,6 +128,33 @@ def test_verify_ok(capsys):
     assert all(c["status"] == "ok" for c in doc["oracle"])
 
 
+def test_verify_builds_one_ideal_engine_per_a(capsys, monkeypatch):
+    built = []
+    init = hilbert.GradedIdealEngine.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(hilbert.GradedIdealEngine, "__init__", counted_init)
+    rc, out, _ = run_cli(capsys, "verify", "--example", "b3", "--json")
+    assert rc == 0 and json.loads(out)["all_ok"] is True
+    assert len(built) == 9
+
+
+def test_verify_over_q_matches_recorded_output(capsys, tmp_path):
+    # recorded with the Fraction eliminator: a reference independent of
+    # the integer kernel
+    data = Path(__file__).parent / "data" / "verify_q_3x5.json"
+    recorded = json.loads(data.read_text())
+    path = write_input(tmp_path, recorded["input"])
+    rc, out, _ = run_cli(capsys, "verify", path, "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    doc.pop("timings")
+    assert doc == recorded["verify"]
+
+
 def test_conjecture_json(capsys):
     rc, out, _ = run_cli(capsys, "conjecture", "--example", "e0", "--json",
                          "--window", "1:6")
@@ -163,6 +191,21 @@ def test_cap_exceeded_exit_code(capsys):
     rc, _, err = run_cli(capsys, "tutte", "--example", "b3", "--max-n", "4")
     assert rc == EXIT_CAP
     assert "exceeds" in err
+
+
+def test_conjecture_honours_max_n(capsys):
+    rc, _, err = run_cli(capsys, "conjecture", "--example", "b3",
+                         "--max-n", "3")
+    assert rc == EXIT_CAP
+    assert "exceeds exhaustive cap 3" in err
+
+
+@pytest.mark.parametrize("size", ["0 3", "0 0", "-1 3"])
+def test_size_below_one_is_input_error(capsys, tmp_path, size):
+    path = write_input(tmp_path, f"field gf 2\nsize {size}\n")
+    rc, out, err = run_cli(capsys, "profile", path)
+    assert rc == EXIT_INPUT
+    assert out == "" and "at least 1" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -1,12 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from starconfig import hilbert, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
-from starconfig.hilbert import (DensePoly, GradedIdealEngine, WindowError,
+from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
+                                WindowError, _echelon_int, _echelon_mod_p,
                                 afold_generators, colon_graded_dim,
                                 conjecture_report, deleted_ideal_engine,
                                 default_windows, fit_graded_quotient,
@@ -17,7 +23,73 @@ from starconfig.hilbert import (DensePoly, GradedIdealEngine, WindowError,
 from starconfig.star import (degree_from_tutte, height_of_ideal, mu_of_ideal)
 from starconfig.tutte import tutte_subset_sum, whitney_shift
 
-from conftest import random_code_any
+from conftest import FIELDS, random_code, random_code_any
+
+P_BELOW = (1 << 31) - 1   # largest prime below the numpy cap
+P_ABOVE = (1 << 31) + 11  # smallest prime above it
+
+
+def echelon_oracle(rows, spec):
+    """Row echelon form by FieldSpec arithmetic (Fractions over Q), kept as
+    the reference for the integer kernel; nonzero rows sorted by pivot."""
+    zero = spec.zero
+    out = []
+    for row in rows:
+        v = [spec.coerce(x) for x in row]
+        for piv, basis_row in out:
+            c = v[piv]
+            if c != zero:
+                v = [spec.sub(x, spec.mul(c, y))
+                     for x, y in zip(v, basis_row)]
+        piv = next((i for i, x in enumerate(v) if x != zero), None)
+        if piv is not None:
+            inv = spec.inv(v[piv])
+            out.append((piv, [spec.mul(inv, x) for x in v]))
+    out.sort()
+    return [r for _, r in out]
+
+
+@st.composite
+def row_lists(draw):
+    """Rational rows with zero rows, duplicates and negated or scaled
+    copies mixed in, in any order."""
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4),
+                      st.fractions(-3, 3, max_denominator=6))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=6))
+    for row in list(rows):
+        kind = draw(st.sampled_from(["none", "zero", "dup", "neg", "half"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "dup":
+            rows.append(list(row))
+        elif kind == "neg":
+            rows.append([-x for x in row])
+        elif kind == "half":
+            rows.append([Fraction(x) / 2 for x in row])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists(), st.sampled_from([None, 2, 7, P_ABOVE]))
+def test_int_kernel_matches_fraction_oracle(rows, p):
+    spec = QQ if p is None else GF(p)
+    if p is not None:
+        rows = [[Fraction(x).numerator for x in row] for row in rows]
+    got = _echelon_int(rows, p)
+    want = echelon_oracle(rows, spec)
+    assert len(got) == len(want)
+    # same row space: the oracle's rows add nothing to the kernel's
+    assert len(echelon_oracle(got + want, spec)) == len(want)
+    pivots = [next(i for i, x in enumerate(r) if x) for r in got]
+    assert pivots == sorted(set(pivots))
+    for row, piv in zip(got, pivots):
+        assert all(type(x) is int for x in row)
+        if p is None:
+            assert row[piv] > 0 and gcd(*row) == 1
+        else:
+            assert row[piv] == 1 and all(0 <= x < p for x in row)
 
 
 def test_monomials_graded_lex():
@@ -77,24 +149,66 @@ def test_graded_dims_b3_a5(b3):
 
 
 def test_engine_matches_reference_random(rng):
-    for _ in range(6):
-        code = random_code_any(rng, max_k=3, max_n=5)
+    for fields in (FIELDS, [QQ]):
+        for _ in range(6):
+            code = random_code_any(rng, max_k=3, max_n=5, fields=fields)
+            a = rng.randint(1, code.n)
+            gens = afold_generators(code, a)
+            engine = GradedIdealEngine(code.spec, code.k, gens)
+            for t in range(a + 3):
+                assert engine.ideal_dim(t) == graded_dim_ideal(gens, t)
+
+
+@pytest.mark.parametrize("spec", [QQ, GF(P_ABOVE)], ids=["Q", "GF(2^31+11)"])
+def test_engine_matches_fieldspec_oracle(rng, monkeypatch, spec):
+    # the pure-Python kernel serves Q and primes at or above the numpy cap;
+    # the reference is graded_dim_ideal's rows through the FieldSpec oracle
+    for _ in range(4):
+        k = rng.randint(2, 3)
+        code = random_code(rng, k, rng.randint(k, 5), spec)
         a = rng.randint(1, code.n)
         gens = afold_generators(code, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(hilbert, "_echelon_int",
+                          lambda rows, p=None: echelon_oracle(rows, spec))
+            want = [graded_dim_ideal(gens, t) for t in range(a + 3)]
         engine = GradedIdealEngine(code.spec, code.k, gens)
+        assert not engine._gf
+        assert [engine.ideal_dim(t) for t in range(a + 3)] == want
+
+
+def test_numpy_engine_at_prime_below_2_31(rng):
+    # residues below 2^31 keep every int64 product below 2^62
+    assert P_BELOW < _NUMPY_P_CAP <= P_ABOVE
+    spec = GF(P_BELOW)
+    for _ in range(4):
+        code = random_code(rng, 3, rng.randint(3, 5), spec)
+        a = rng.randint(1, code.n)
+        gens = afold_generators(code, a)
+        fast = GradedIdealEngine(spec, code.k, gens)
+        slow = GradedIdealEngine(spec, code.k, gens)
+        slow._gf = False
+        assert fast._gf
         for t in range(a + 3):
-            assert engine.ideal_dim(t) == graded_dim_ideal(gens, t)
+            assert fast.ideal_dim(t) == slow.ideal_dim(t)
+            both = [list(map(int, r)) for r in fast.basis(t)] + slow.basis(t)
+            assert len(_echelon_int(both, P_BELOW)) == slow.ideal_dim(t)
+    full = [[rng.randrange(P_BELOW) for _ in range(6)] for _ in range(4)]
+    rows = full + [[(x + y) % P_BELOW for x, y in zip(*full[:2])]]
+    assert len(_echelon_mod_p(np.array(rows, dtype=np.int64), P_BELOW)) \
+        == len(_echelon_int(rows, P_BELOW)) == 4
 
 
 def test_ideal_dims_monotone_in_a(rng):
     # I_{a+1} is contained in I_a degree by degree
-    for _ in range(6):
-        code = random_code_any(rng, max_k=3, max_n=5)
-        for a in range(1, code.n):
-            e_lo = ideal_engine(code, a)
-            e_hi = ideal_engine(code, a + 1)
-            for t in range(code.n + 2):
-                assert e_hi.ideal_dim(t) <= e_lo.ideal_dim(t)
+    for fields in (FIELDS, [QQ]):
+        for _ in range(6):
+            code = random_code_any(rng, max_k=3, max_n=5, fields=fields)
+            for a in range(1, code.n):
+                e_lo = ideal_engine(code, a)
+                e_hi = ideal_engine(code, a + 1)
+                for t in range(code.n + 2):
+                    assert e_hi.ideal_dim(t) <= e_lo.ideal_dim(t)
 
 
 def test_fit_e0_a2(e0):
@@ -246,3 +360,36 @@ def test_conjecture_report_degree_hypothesis(b3):
         # a=7 sits at j=2 inside its interval: the proved hypothesis holds
         assert cell["degree_hypothesis"] == "j>=2 (proved)"
         assert cell["degrees_equal"] is True
+
+
+def test_conjecture_report_computes_each_value_once(monkeypatch):
+    # hierarchy (0, 2, 4, 6): cells with j = 1 at a = 3 and a = 5, so the
+    # subset sum of each M \ ell is needed twice and memoized once
+    code = LinearCode(ExactMatrix.from_rows(GF(2), [[0, 0, 0, 1, 0, 1],
+                                                    [1, 0, 0, 0, 1, 1],
+                                                    [1, 1, 1, 0, 0, 1]]))
+    subset_sums = []
+    colon_calls = []
+    subset_sum = tutte.tutte_subset_sum
+    colon_dim = hilbert.colon_dim_from_engine
+
+    def counted_subset_sum(m, *args):
+        subset_sums.append(m)
+        return subset_sum(m, *args)
+
+    def counted_colon_dim(engine, spec, k, col, t):
+        colon_calls.append((engine, col, t))
+        return colon_dim(engine, spec, k, col, t)
+
+    monkeypatch.setattr(tutte, "tutte_subset_sum", counted_subset_sum)
+    monkeypatch.setattr(hilbert, "colon_dim_from_engine", counted_colon_dim)
+    report = conjecture_report(code, code.n + 2)
+    j1 = [c for e in report["entries"] for c in e["columns"]
+          if c.get("degree_hypothesis", "").startswith("j=1")]
+    assert len(j1) > code.n
+    assert len(subset_sums) <= code.n + 1
+    # columns 2 and 3 are equal, and each has cells of its own
+    columns = code.matrix.columns()
+    counts = Counter(colon_calls)
+    assert counts and all(calls <= columns.count(col)
+                          for (_, col, _), calls in counts.items())
