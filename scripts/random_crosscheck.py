@@ -4,7 +4,9 @@
 Samples random linear codes, then verifies on every sample that all
 independent computation routes agree:
 
-  * subset-sum Tutte vs deletion-contraction Tutte,
+  * subset-sum Tutte vs deletion-contraction Tutte, in memory and through
+    a fresh on-disk TutteCache, once cold and once warm (the warm run is
+    answered from the entry the cold run wrote under the canonical key),
   * the three generalized-Hamming-weight routes and Wei duality,
   * coefficient-sum degree vs prime-sum degree vs fitted Hilbert degree,
   * the mu coefficient formula vs the generator-span rank.
@@ -19,9 +21,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 
+from starconfig.cli import TutteCache
 from starconfig.codes import (LinearCode, ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
@@ -68,6 +72,12 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
     tutte = tutte_subset_sum(code.matroid)
     if tutte != tutte_deletion_contraction(code.matroid):
         failures.append("tutte engines disagree")
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = TutteCache(tmp)
+        for phase in ("cold", "warm"):
+            if tutte != tutte_deletion_contraction(code.matroid, cache=cache):
+                failures.append(f"deletion-contraction through a {phase} "
+                                f"disk cache disagrees with subset sum")
     shifted = whitney_shift(tutte, code.k)
     hierarchy = weight_hierarchy(code)
     for r in range(code.k + 1):

@@ -4,10 +4,17 @@ Elements of GF(p) are canonical residues (plain ints in [0, p)); rational
 elements are `fractions.Fraction` values, which are always reduced with a
 positive denominator.  There is no floating point anywhere and no rounding,
 ever.  All matrices are immutable after construction.
+
+Every Gauss-Jordan elimination over a FieldSpec, here and in the matroid
+module, goes through one kernel, rref_join: it joins one vector to a row
+space in reduced row echelon form.  rref, column_rank and left_kernel_basis
+fold rows through it.  The Hilbert oracle keeps its own integer and mod-p
+kernels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,6 +97,10 @@ class FieldSpec:
             if isinstance(x, Fraction):
                 if x.denominator == 1:
                     return x.numerator % self.modulus
+                if x.denominator % self.modulus == 0:
+                    raise ExactArithError(
+                        f"{x} has no value in GF({self.modulus}): its "
+                        f"denominator is divisible by {self.modulus}")
                 return self.div(x.numerator % self.modulus,
                                 x.denominator % self.modulus)
             return int(x) % self.modulus
@@ -129,11 +140,7 @@ class FieldSpec:
         if self.kind == "gf":
             if a % self.modulus == 0:
                 raise ZeroDivisionError("inverse of zero in GF(p)")
-            cached = self._inv_cache.get(a)
-            if cached is None:
-                cached = pow(a, self.modulus - 2, self.modulus)
-                self._inv_cache[a] = cached
-            return cached
+            return pow(a, -1, self.modulus)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
@@ -166,15 +173,6 @@ class FieldSpec:
         if self.kind == "gf" and self.modulus <= 256:
             return bytes(values)
         return tuple(values)
-
-    @property
-    def _inv_cache(self) -> dict:
-        # lazily attached; FieldSpec is frozen so go through __dict__
-        cache = self.__dict__.get("_inv_cache_dict")
-        if cache is None:
-            object.__setattr__(self, "_inv_cache_dict", {})
-            cache = self.__dict__["_inv_cache_dict"]
-        return cache
 
 
 QQ = FieldSpec("q")
@@ -231,55 +229,55 @@ class ExactMatrix:
         return ExactMatrix(self.spec, rows, len(cols) if not rows else 0)
 
 
-def _eliminate(rows: list, spec: FieldSpec):
-    """In-place forward + backward elimination; returns pivot column list."""
+def rref_join(rows, pivots: tuple, v, spec: FieldSpec):
+    """The RREF of span(rows) + span(v), or None when v lies in span(rows).
+
+    rows is a reduced row echelon basis whose pivot columns, ascending,
+    are pivots; rows and v are sequences of field elements (lists, tuples
+    or slices of a packed key).  Returns a new (rows, pivots) pair, rows
+    sorted by pivot.  Nothing passed in is mutated; rows that the join
+    leaves unchanged are shared with the result.
+    """
     zero = spec.zero
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    piv_cols = []
-    r = 0
-    for c in range(n_cols):
-        # first nonzero entry in column order, no magnitude pivoting
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = spec.inv(rows[r][c])
-        rows[r] = [spec.mul(inv, x) for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [spec.sub(x, spec.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return piv_cols
+    for p, row in zip(pivots, rows):
+        if v[p] != zero:
+            v = spec.sub_scaled(v, v[p], row)
+    p = next((t for t, x in enumerate(v) if x != zero), None)
+    if p is None:
+        return None
+    v = spec.scale(spec.inv(v[p]), v)
+    at = bisect(pivots, p)
+    # rows after `at` have their pivot right of p, so a zero at p
+    rows = [spec.sub_scaled(row, row[p], v) if row[p] != zero else row
+            for row in rows[:at]] + [v] + list(rows[at:])
+    return rows, pivots[:at] + (p,) + pivots[at:]
+
+
+def _rref_rows(rows, spec: FieldSpec):
+    """(basis, pivots): the nonzero rows of the RREF of rows, by rref_join."""
+    basis, pivots = [], ()
+    for row in rows:
+        joined = rref_join(basis, pivots, row, spec)
+        if joined is not None:
+            basis, pivots = joined
+    return basis, pivots
 
 
 def rref(m: ExactMatrix):
     """Reduced row echelon form.
 
     Returns (reduced, rank, pivot_cols); the row space is preserved and the
-    result is the unique RREF of the input.
+    result is the unique RREF of the input, zero rows last.
     """
-    rows = [list(row) for row in m.entries]
-    piv_cols = _eliminate(rows, m.spec)
-    reduced = ExactMatrix(m.spec, tuple(tuple(r) for r in rows))
-    return reduced, len(piv_cols), tuple(piv_cols)
+    basis, pivots = _rref_rows(m.entries, m.spec)
+    zero_rows = ((m.spec.zero,) * m.cols,) * (m.rows - len(pivots))
+    reduced = ExactMatrix(m.spec, tuple(map(tuple, basis)) + zero_rows)
+    return reduced, len(pivots), pivots
 
 
 def column_rank(m: ExactMatrix, cols) -> int:
     """Rank of the submatrix on the selected columns; 0 for the empty set."""
-    cols = list(cols)
-    if not cols:
-        return 0
-    sub = m.submatrix_cols(cols)
-    rows = [list(row) for row in sub.entries]
-    if not rows:
-        return 0
-    return len(_eliminate(rows, m.spec))
+    return len(_rref_rows(m.submatrix_cols(cols).entries, m.spec)[1])
 
 
 def left_kernel_basis(m: ExactMatrix, cols) -> list:
@@ -290,18 +288,8 @@ def left_kernel_basis(m: ExactMatrix, cols) -> list:
     """
     spec = m.spec
     k = m.rows
-    cols = list(cols)
-    if not cols:
-        basis = []
-        for i in range(k):
-            v = [spec.zero] * k
-            v[i] = spec.one
-            basis.append(tuple(v))
-        return basis
-    sub = m.submatrix_cols(cols)
-    # v . G_cols = 0  <=>  (G_cols)^T v = 0
-    t_rows = [[sub.entries[i][j] for i in range(k)] for j in range(len(cols))]
-    piv = _eliminate(t_rows, spec)
+    # v . G_cols = 0  <=>  (G_cols)^T v = 0: the RREF of the chosen columns
+    basis_rows, piv = _rref_rows(map(m.column, cols), spec)
     piv_set = set(piv)
     free = [c for c in range(k) if c not in piv_set]
     basis = []
@@ -309,6 +297,6 @@ def left_kernel_basis(m: ExactMatrix, cols) -> list:
         v = [spec.zero] * k
         v[f] = spec.one
         for r, c in enumerate(piv):
-            v[c] = spec.neg(t_rows[r][f])
+            v[c] = spec.neg(basis_rows[r][f])
         basis.append(tuple(v))
     return basis

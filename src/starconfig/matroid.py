@@ -1,21 +1,21 @@
 """Column matroid of an exact matrix: rank, closure, flats, minors, duals.
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
-Point queries (rank, closure, coloops) run one elimination each behind a
-dict cache.  Exhaustive scans read the subset-rank table instead: r(S) for
-all 2^n masks, built on first use by a span-join pass (see rank_table).
+Point queries (rank, closure, coloops) run one elimination each, through
+fields.rref_join.  Exhaustive scans read the subset-rank table instead:
+r(S) for all 2^n masks, built on first use by a span-join pass through the
+same kernel (see rank_table).
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .fields import (EXHAUSTIVE_CAP, MAX_GROUND_SET, CapExceeded,
-                     ExactArithError, ExactMatrix)
+                     ExactArithError, ExactMatrix, rref_join)
 
 
 # masks per numpy pass over a table; numpy copies index arrays to intp,
@@ -66,7 +66,7 @@ class Flat:
 
 
 class VectorMatroid:
-    """Matroid of the columns of a k x n matrix, with a lazy rank cache."""
+    """Matroid of the columns of a k x n matrix, with a lazy rank table."""
 
     def __init__(self, matrix: ExactMatrix):
         if matrix.cols > MAX_GROUND_SET:
@@ -78,7 +78,6 @@ class VectorMatroid:
         self.n = matrix.cols
         self.k = matrix.rows
         self._columns = matrix.columns()
-        self._rank_cache = {0: 0}
         self._rank_table = None
         self._flat_masks = None
         self.full_rank = self.rank((1 << self.n) - 1)
@@ -89,31 +88,18 @@ class VectorMatroid:
         """r(I) for the subset encoded by mask."""
         if not 0 <= mask < (1 << self.n):
             raise ExactArithError(f"subset mask {mask:#x} out of range")
-        cached = self._rank_cache.get(mask)
-        if cached is not None:
-            return cached
-        r = self._rank_by_elimination(mask)
-        self._rank_cache[mask] = r
-        return r
+        return self._rank_by_elimination(mask)
 
     def _rank_by_elimination(self, mask: int) -> int:
-        spec = self.spec
-        zero = spec.zero
-        basis = []  # rows of a reduced basis, paired with pivot positions
+        rows, pivots = [], ()
         for j in iter_bits(mask):
-            v = list(self._columns[j])
-            for piv, row in basis:
-                c = v[piv]
-                if c != zero:
-                    v = [spec.sub(x, spec.mul(c, y)) for x, y in zip(v, row)]
-            piv = next((i for i, x in enumerate(v) if x != zero), None)
-            if piv is not None:
-                inv = spec.inv(v[piv])
-                basis.append((piv, [spec.mul(inv, x) for x in v]))
-                if len(basis) == self.k:
+            joined = rref_join(rows, pivots, self._columns[j], self.spec)
+            if joined is not None:
+                rows, pivots = joined
+                if len(pivots) == self.k:
                     # remaining columns cannot raise the rank
                     break
-        return len(basis)
+        return len(pivots)
 
     def rank_table(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
         """r(S) for every mask S in [0, 2^n), as a read-only int8 array.
@@ -141,9 +127,6 @@ class VectorMatroid:
             if not mask & bit and self.rank(mask | bit) == base:
                 members |= bit
         return Flat(members, base)
-
-    def is_flat(self, mask: int) -> bool:
-        return self.closure(mask).members == mask
 
     def flats_of_rank(self, s: int) -> list:
         """All flats of rank exactly s, sorted by bitmask."""
@@ -200,17 +183,15 @@ class VectorMatroid:
             return self.delete(i)
         spec = self.spec
         zero = spec.zero
-        rows = [list(r) for r in self.matrix.entries]
+        rows = self.matrix.entries
         piv = next(r for r in range(self.k) if rows[r][i] != zero)
-        inv = spec.inv(rows[piv][i])
-        rows[piv] = [spec.mul(inv, x) for x in rows[piv]]
-        for r in range(self.k):
-            if r != piv and rows[r][i] != zero:
-                f = rows[r][i]
-                rows[r] = [spec.sub(x, spec.mul(f, y))
-                           for x, y in zip(rows[r], rows[piv])]
-        minor = tuple(tuple(x for j, x in enumerate(row) if j != i)
-                      for r, row in enumerate(rows) if r != piv)
+        unit = spec.scale(spec.inv(rows[piv][i]), rows[piv])
+        minor = []
+        for r, row in enumerate(rows):
+            if r != piv:
+                if row[i] != zero:
+                    row = spec.sub_scaled(row, row[i], unit)
+                minor.append(row[:i] + row[i + 1:])
         return VectorMatroid(
             ExactMatrix.from_rows(spec, minor, cols=self.n - 1))
 
@@ -223,7 +204,7 @@ def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
     subspace spanned by S, and each block is one gather through the join
     of every subspace found so far with column i (each one is spanned by
     some S below 2^i); the join is computed once per (subspace, i) by
-    exact elimination.  A subspace is keyed by its canonical RREF (rows
+    fields.rref_join.  A subspace is keyed by its canonical RREF (rows
     sorted by pivot, packed by the field), and the keys are dropped when
     the pass ends.
     """
@@ -231,7 +212,6 @@ def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
     ranks = np.zeros(1 << n, dtype=np.int8)
     if n == 0 or k == 0:
         return ranks
-    zero = spec.zero
     ids = np.zeros(1 << (n - 1), dtype=np.int32)  # the top block is not read
     empty = spec.pack(())
     keys = [empty]  # subspace id -> packed RREF, r rows of k entries
@@ -246,20 +226,12 @@ def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
             if len(pivots) == k:
                 continue
             key = keys[f]
-            rows = [list(key[j * k:(j + 1) * k]) for j in range(len(pivots))]
-            v = list(col)
-            for p, row in zip(pivots, rows):
-                if v[p] != zero:
-                    v = spec.sub_scaled(v, v[p], row)
-            p = next((t for t, x in enumerate(v) if x != zero), None)
-            if p is None:
+            joined = rref_join(
+                [key[j * k:(j + 1) * k] for j in range(len(pivots))],
+                pivots, col, spec)
+            if joined is None:
                 continue  # column i lies in the subspace already
-            v = spec.scale(spec.inv(v[p]), v)
-            for j, row in enumerate(rows):
-                if row[p] != zero:
-                    rows[j] = spec.sub_scaled(row, row[p], v)
-            at = bisect(pivots, p)
-            rows.insert(at, v)
+            rows, pivots = joined
             key = spec.pack(chain.from_iterable(rows))
             g = index.get(key)
             if g is None:
@@ -268,7 +240,6 @@ def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
                                       f"{FLAT_CAP} of the rank table")
                 g = index[key] = len(keys)
                 keys.append(key)
-                pivots = pivots[:at] + (p,) + pivots[at:]
                 pivots_of.append(shared.setdefault(pivots, pivots))
             join[f] = g
         rank_of = np.fromiter(map(len, pivots_of), dtype=np.int8,

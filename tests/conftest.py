@@ -34,6 +34,69 @@ def random_code_any(rng: random.Random, max_k=4, max_n=9,
     return random_code(rng, k, n, rng.choice(fields))
 
 
+# -- test-only elimination oracle ---------------------------------------------
+#
+# The Gauss-Jordan loop that fields.rref, column_rank and left_kernel_basis
+# ran before they shared fields.rref_join with the matroid: an independent
+# reference for that kernel, the rank table and the point ranks.
+
+def _eliminate(rows: list, spec):
+    """In-place forward + backward elimination; returns pivot column list."""
+    zero = spec.zero
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    piv_cols = []
+    r = 0
+    for c in range(n_cols):
+        # first nonzero entry in column order, no magnitude pivoting
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = spec.inv(rows[r][c])
+        rows[r] = [spec.mul(inv, x) for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [spec.sub(x, spec.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return piv_cols
+
+
+def oracle_rref(m: ExactMatrix):
+    """(reduced, rank, pivot_cols), as fields.rref returns them."""
+    rows = [list(row) for row in m.entries]
+    piv_cols = _eliminate(rows, m.spec)
+    reduced = ExactMatrix(m.spec, tuple(tuple(r) for r in rows))
+    return reduced, len(piv_cols), tuple(piv_cols)
+
+
+def oracle_column_rank(m: ExactMatrix, cols) -> int:
+    rows = [list(row) for row in m.submatrix_cols(list(cols)).entries]
+    return len(_eliminate(rows, m.spec)) if rows else 0
+
+
+def oracle_left_kernel_basis(m: ExactMatrix, cols) -> list:
+    spec = m.spec
+    k = m.rows
+    cols = list(cols)
+    sub = m.submatrix_cols(cols)
+    t_rows = [[sub.entries[i][j] for i in range(k)] for j in range(len(cols))]
+    piv = _eliminate(t_rows, spec)
+    basis = []
+    for f in (c for c in range(k) if c not in piv):
+        v = [spec.zero] * k
+        v[f] = spec.one
+        for r, c in enumerate(piv):
+            v[c] = spec.neg(t_rows[r][f])
+        basis.append(tuple(v))
+    return basis
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0DE)

@@ -1,9 +1,14 @@
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starconfig import cli, hilbert
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
@@ -206,6 +211,53 @@ def test_size_below_one_is_input_error(capsys, tmp_path, size):
     rc, out, err = run_cli(capsys, "profile", path)
     assert rc == EXIT_INPUT
     assert out == "" and "at least 1" in err
+
+
+def test_denominator_divisible_by_p_is_input_error(capsys, tmp_path):
+    text = "field gf 5\nsize 1 2\n1 1/5\n"
+    with pytest.raises(ExactArithError, match="denominator"):
+        parse_input(text)
+    rc, out, err = run_cli(capsys, "profile", write_input(tmp_path, text))
+    assert rc == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "divisible by 5" in err
+
+
+FUZZ_BASES = [
+    "field gf 5\nsize 2 4\n1 0 1 2\n0 1 1 3\nlabels a b c d\n",
+    "field q\nsize 2 4\n1 0 1/2 -3\n0 1 2/3 1\n",
+]
+FUZZ_TOKENS = ["0", "1", "-1", "2", "3", "5", "7", "1/5", "2/10", "1/0",
+               "-3/7", "1/", "/", "1.5", "x", "#", "field", "gf", "q",
+               "size", "labels", "4", "7919", "18446744073709551629"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZ_BASES), st.data())
+def test_mutated_input_never_raises(base, data):
+    """Replace, delete or insert tokens of a valid input file: the CLI
+    answers with exit 0, 1 or 2, never with an exception."""
+    lines = [ln.split() for ln in base.splitlines()]
+    token = st.one_of(st.sampled_from(FUZZ_TOKENS),
+                      st.text("0123456789-/#q", min_size=1, max_size=5))
+    for _ in range(data.draw(st.integers(1, 3))):
+        line = lines[data.draw(st.integers(0, len(lines) - 1))]
+        at = data.draw(st.integers(0, len(line)))
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "insert" or at == len(line):
+            line.insert(at, data.draw(token))
+        elif op == "replace":
+            line[at] = data.draw(token)
+        else:
+            del line[at]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(" ".join(line) for line in lines))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["profile", path, "--no-cache"])
+    assert rc in (0, EXIT_INPUT, EXIT_CAP)
+    assert rc == 0 or err.getvalue().startswith("error:")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

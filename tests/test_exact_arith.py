@@ -46,6 +46,16 @@ def test_gf_arithmetic_canonical():
     assert f5.parse("1/2") == f5.div(1, 2)
 
 
+def test_denominator_divisible_by_p_has_no_value():
+    with pytest.raises(ExactArithError, match="denominator"):
+        GF(5).coerce(Fraction(1, 10))
+    with pytest.raises(ExactArithError, match="denominator"):
+        ExactMatrix.from_rows(GF(5), [[Fraction(1, 10)]])
+    with pytest.raises(ExactArithError, match="denominator"):
+        GF(5).parse("1/5")
+    assert GF(5).coerce(Fraction(10, 5)) == 2  # 10/5 reduces to 2
+
+
 def test_rational_arithmetic_canonical():
     assert QQ.parse("2/4") == Fraction(1, 2)
     assert QQ.coerce(3) == Fraction(3)

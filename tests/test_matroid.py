@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.fields import GF, QQ, CapExceeded, ExactArithError, ExactMatrix
+from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
+                               ExactMatrix, column_rank, left_kernel_basis,
+                               rref, rref_join)
 from starconfig import matroid
 from starconfig.matroid import Flat, VectorMatroid, bits_of
 
-from conftest import random_matrix
+from conftest import (oracle_column_rank, oracle_left_kernel_basis,
+                      oracle_rref, random_matrix)
 
 
 def mask(*indices):
@@ -46,7 +49,8 @@ def test_rank_cache_consistency(m_b3):
     assert table.dtype == np.int8 and len(table) == 1 << 9
     assert not table.flags.writeable
     for sub in range(1 << 9):
-        assert table[sub] == m_b3._rank_by_elimination(sub)
+        expected = oracle_column_rank(m_b3.matrix, bits_of(sub))
+        assert table[sub] == m_b3._rank_by_elimination(sub) == expected
 
 
 @st.composite
@@ -84,7 +88,32 @@ def test_rank_table_matches_elimination(matrix):
     table = m.rank_table()
     assert len(table) == 1 << m.n
     for sub in range(1 << m.n):
-        assert table[sub] == m._rank_by_elimination(sub)
+        expected = oracle_column_rank(matrix, bits_of(sub))
+        assert table[sub] == m._rank_by_elimination(sub) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_rref_kernel_matches_oracle(matrix, data):
+    cols = data.draw(st.lists(st.integers(0, max(matrix.cols - 1, 0)),
+                              unique=True, max_size=matrix.cols))
+    assert rref(matrix) == oracle_rref(matrix)
+    assert column_rank(matrix, cols) == oracle_column_rank(matrix, cols)
+    assert (left_kernel_basis(matrix, cols)
+            == oracle_left_kernel_basis(matrix, cols))
+    # a fold of rref_join over the rows gives the oracle's nonzero rows;
+    # the arguments it is handed stay as they were
+    reduced, rank, pivots = oracle_rref(matrix)
+    rows, piv = [], ()
+    for row in matrix.entries:
+        before = [list(r) for r in rows]
+        v = list(row)
+        joined = rref_join(rows, piv, v, matrix.spec)
+        assert [list(r) for r in rows] == before and v == list(row)
+        if joined is not None:
+            rows, piv = joined
+    assert piv == pivots
+    assert [list(r) for r in rows] == [list(r) for r in reduced.entries[:rank]]
 
 
 def closed_independent_subsets(m, s):

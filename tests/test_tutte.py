@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.fields import GF, CapExceeded, ExactMatrix
+from starconfig.fields import GF, QQ, CapExceeded, ExactMatrix
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
                               tutte_deletion_contraction, tutte_subset_sum,
@@ -186,6 +188,46 @@ def test_memoization_key_collisions_share_tutte(rng):
         if key in seen:
             assert seen[key] == t
         seen[key] = t
+
+
+def key_cases():
+    """(name, matrix) pairs: e0, b3, seeded random matrices over GF(2),
+    GF(3), GF(257) and Q (zero entries, rational entries, rank-deficient
+    rows), and every contract(e) minor of each."""
+    rng = random.Random(2016)
+    b3 = [[1, 0, 0, 1, 1, 1, 1, 0, 0],
+          [0, 1, 0, 1, -1, 0, 0, 1, 1],
+          [0, 0, 1, 0, 0, 1, -1, 1, -1]]
+    cases = [("e0", ExactMatrix.from_rows(GF(2), [[1, 0, 1], [0, 1, 1]])),
+             ("b3", ExactMatrix.from_rows(GF(5), b3))]
+    for name, spec in (("gf2", GF(2)), ("gf3", GF(3)), ("gf257", GF(257)),
+                       ("q", QQ)):
+        for t in range(4):
+            k = rng.randint(1, 4)
+            n = rng.randint(k, 7)
+            if spec.kind == "q":
+                entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            else:
+                entry = lambda: rng.choice([0, rng.randrange(spec.modulus)])
+            rows = [[entry() for _ in range(n)] for _ in range(k)]
+            cases.append((f"{name}-{t}", ExactMatrix.from_rows(spec, rows)))
+    out = []
+    for name, matrix in cases:
+        out.append((name, matrix))
+        m = VectorMatroid(matrix)
+        out.extend((f"{name}/{e}", m.contract(e).matrix) for e in range(m.n))
+    return out
+
+
+def test_canonical_keys_match_recorded():
+    """Disk-cache entries are addressed by json.dumps of the canonical key,
+    so the keys must not change: tests/data/canonical_keys.json holds them
+    as computed by the elimination before fields.rref_join."""
+    data = Path(__file__).parent / "data" / "canonical_keys.json"
+    recorded = json.loads(data.read_text())
+    keys = {name: json.dumps(canonical_matrix_key(matrix))
+            for name, matrix in key_cases()}
+    assert keys == recorded
 
 
 def test_poly_json_roundtrip(m_b3):
