@@ -9,7 +9,10 @@ independent computation routes agree:
     answered from the entry the cold run wrote under the canonical key),
   * the three generalized-Hamming-weight routes and Wei duality,
   * coefficient-sum degree vs prime-sum degree vs fitted Hilbert degree,
-  * the mu coefficient formula vs the generator-span rank.
+  * the mu coefficient formula vs the generator-span rank,
+  * each colon dimension dim (I_a : ell)_t, a >= 2 and t = a-1 .. a+1, from
+    the cached-basis engine vs a from-scratch elimination of the degree-(t+1)
+    generator multiples and the multiplication rows.
 
 Codes are drawn over GF(p) for the given primes and over the rationals,
 with rational entries in [-3, 3].  Exits nonzero on the first
@@ -30,7 +33,9 @@ from starconfig.codes import (LinearCode, ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
 from starconfig.fields import GF, QQ, ExactMatrix
-from starconfig.hilbert import fit_hilbert_polynomial, mu_oracle
+from starconfig.hilbert import (afold_generators, colon_dim_reference,
+                                colon_graded_dim, fit_hilbert_polynomial,
+                                mu_oracle)
 from starconfig.star import full_profile
 from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
                               whitney_shift)
@@ -102,6 +107,22 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
                     f"!= interval height {p.height}")
             if mu_oracle(code, p.a) != p.mu:
                 failures.append(f"a={p.a}: mu oracle disagrees")
+        failures += check_colons(code)
+    return failures
+
+
+def check_colons(code: LinearCode) -> list:
+    failures = []
+    for a in range(2, code.n + 1):
+        gens = afold_generators(code, a)
+        for ell in range(code.n):
+            col = code.matrix.column(ell)
+            for t in range(a - 1, a + 2):
+                got = colon_graded_dim(code, ell, a, t)
+                want = colon_dim_reference(code.spec, code.k, gens, col, t)
+                if got != want:
+                    failures.append(f"a={a}, ell={ell + 1}, t={t}: colon "
+                                    f"dimension {got} != from scratch {want}")
     return failures
 
 

@@ -7,12 +7,21 @@ with zero reliance on the Tutte route.
 
 Monomials of a fixed total degree are indexed in graded lexicographic
 order.  Over GF(p) with p < 2^31 ranks run on int64 numpy arrays with all
-arithmetic done mod p, which is still exact.  Over the rationals, and over
-GF(p) for larger p, they run in one pure-Python kernel on plain ints:
-fraction-free elimination of primitive integer rows over Q, mod-p
-elimination otherwise.  Fractions appear in the rational generators and
-colon rows, whose denominators are cleared as a row enters the kernel, and
-in the fitted Hilbert polynomial, never in elimination.
+arithmetic done mod p, which is still exact, and each degree's basis is
+kept in reduced row echelon form (RREF) with its pivot columns.  Over the
+rationals, and over GF(p) for larger p, they run in one pure-Python kernel
+on plain ints: fraction-free elimination of primitive integer rows over Q,
+mod-p elimination otherwise, with each degree's echelon rows kept by
+pivot.  Fractions appear in the rational generators and colon rows, whose
+denominators are cleared as a row enters the kernel, and in the fitted
+Hilbert polynomial, never in elimination.
+
+The engine eliminates only what a cached basis does not already settle.
+The x_0 multiples of a degree's basis are the next degree's starting
+basis, unchanged; once a degree is full, every later degree is the
+identity, with no elimination; and a colon cell reduces only its own
+multiplication rows against the cached basis, over GF(p) down to the
+columns that carry no pivot.
 """
 
 from __future__ import annotations
@@ -28,8 +37,12 @@ import numpy as np
 from .codes import LinearCode
 from .fields import EXHAUSTIVE_CAP, ExactArithError, FieldSpec
 
-# _echelon_mod_p reduces mod p after every product, so its int64 values
-# stay below p^2 < 2^62; larger primes use the pure-Python kernel.
+# Below this prime ranks use int64 numpy arrays; larger primes use the
+# pure-Python kernel.  _echelon_mod_p reduces mod p after every product,
+# so its values stay below p^2 < 2^62.  A matrix product of residues, as in
+# a colon cell's reduction against an RREF basis, sums its inner products
+# in chunks of at most (2^63 - 1) // (p - 1)^2 - 1 terms and reduces after
+# each (_sub_mul_mod_p): one term per chunk for p near 2^31.
 _NUMPY_P_CAP = 1 << 31
 
 # Without the gcd passes of _echelon_int, a row's entries grow by every
@@ -112,27 +125,42 @@ class DensePoly:
 
 def expand_product(spec: FieldSpec, k: int, columns) -> dict:
     """Expand a product of linear forms (given as coefficient columns)
-    into an exponent-tuple -> coefficient table."""
-    acc = {(0,) * k: spec.one}
-    zero = spec.zero
-    for col in columns:
-        nxt = {}
-        for exps, c in acc.items():
-            for i in range(k):
-                ci = col[i]
-                if ci == zero:
-                    continue
-                bumped = list(exps)
-                bumped[i] += 1
-                key = tuple(bumped)
-                prev = nxt.get(key, zero)
-                val = spec.add(prev, spec.mul(c, ci))
-                if val == zero:
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = val
-        acc = nxt
-    return acc
+    into an exponent-tuple -> coefficient table of its nonzero terms."""
+    coeffs = _product_coeffs(spec, k, columns)
+    return {exps: c for exps, c in zip(monomials(k, len(columns)), coeffs)
+            if c}
+
+
+def _product_coeffs(spec: FieldSpec, k: int, columns) -> list:
+    """Graded-lex coefficient vector of a product of linear forms.
+
+    Each factor sum_i c_i x_i maps the degree-d vector v to the one of
+    degree d+1 with v[m] c_i added at x_i m.  All arithmetic is on plain
+    ints: reduced mod p after each factor over GF(p); over Q each column
+    is scaled by the lcm of its denominators, and the product divided by
+    the product of the scales at the end, as Fractions.
+    """
+    p = spec.modulus if spec.kind == "gf" else None
+    scale = 1
+    if p is None:
+        scaled = []
+        for col in columns:
+            den = lcm(*(x.denominator for x in col))
+            scaled.append([x.numerator * (den // x.denominator) for x in col])
+            scale *= den
+        columns = scaled
+    vec = [1]
+    for d, col in enumerate(columns):
+        nxt = [0] * ring_dim(k, d + 1)
+        for i in range(k):
+            ci = col[i]
+            if not ci:
+                continue
+            for x, dst in zip(vec, _mult_map(k, d, i)):
+                if x:
+                    nxt[dst] += x * ci
+        vec = nxt if p is None else [x % p for x in nxt]
+    return [Fraction(x, scale) for x in vec] if p is None else vec
 
 
 def afold_generators(code: LinearCode, a: int) -> list:
@@ -144,37 +172,64 @@ def afold_generators(code: LinearCode, a: int) -> list:
 
 
 def _afold_from_columns(spec, k, columns, a) -> list:
-    gens = []
-    for subset in combinations(range(len(columns)), a):
-        table = expand_product(spec, k, [columns[j] for j in subset])
-        gens.append(DensePoly.from_dict(spec, k, a, table))
-    return gens
+    return [DensePoly(spec, k, a, tuple(_product_coeffs(
+                spec, k, [columns[j] for j in subset])))
+            for subset in combinations(range(len(columns)), a)]
 
 
 # -- exact rank engines ------------------------------------------------------
 
 def _echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Row echelon form over GF(p); returns the nonzero echelon rows."""
+    """Reduced row echelon form over GF(p); returns the nonzero rows, each
+    with its pivot 1 and zeros above and below it, pivots increasing.
+
+    One any() over the rows not yet used lists the columns that can still
+    hold a pivot, so columns without one cost nothing; they are taken in
+    order, and the list is made again only when a listed column has lost
+    its last nonzero entry.  Each pivot clears its column in the rows where
+    it is nonzero.  Entries stay below p, so products stay below p^2.
+    """
     a = np.array(mat, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        r += 1
+    n_rows = len(a)
+    r = c = 0
+    while r < n_rows:
+        for c in c + a[r:, c:].any(axis=0).nonzero()[0]:
+            below = a[r:, c].nonzero()[0]
+            if not below.size:
+                break  # no pivot left in column c: list the columns again
+            i = r + int(below[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            row = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+            a[r, c:] = row
+            col = a[:, c].copy()
+            col[r] = 0
+            rows = col.nonzero()[0]
+            a[rows, c:] = (a[rows, c:] - col[rows, None] * row) % p
+            r += 1
+            if r == n_rows:
+                break
+        else:
+            break  # every listed column held a pivot
     return a[:r]
+
+
+def _sub_mul_mod_p(acc: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   p: int) -> np.ndarray:
+    """(acc - x @ y) mod p for int64 arrays with entries in [0, p).
+
+    Inner terms whose column of x or row of y is zero are dropped first.
+    The rest are summed in chunks of at most (2^63 - 1) // (p - 1)^2 - 1
+    terms, reduced mod p after each chunk, so no int64 value overflows:
+    for p near 2^31 a chunk is one term.
+    """
+    used = x.any(axis=0) & y.any(axis=1)  # the inner terms not all zero
+    if not used.all():
+        x, y = x[:, used], y[used]
+    step = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)
+    for s in range(0, x.shape[1], step):
+        acc = (acc - x[:, s:s + step] @ y[s:s + step]) % p
+    return acc
 
 
 def _primitive(row) -> list:
@@ -195,9 +250,14 @@ def _leading(v, start):
     return next(compress(range(start, len(v)), islice(v, start, None)), None)
 
 
-def _echelon_int(rows, p=None) -> list:
+def _echelon_int(rows, p=None, basis=None) -> list:
     """Row echelon form over Q (p None) or GF(p), on plain int rows; returns
     the nonzero echelon rows sorted by pivot column.
+
+    basis, if given, is a dict pivot column -> row of rows in the form this
+    function returns, with distinct pivots; the rows are reduced against it
+    and join it, so the dict is extended in place and its rows are reused,
+    never copied or changed.  The result then spans the basis rows too.
 
     A row v is reduced at its leading entry piv, against the basis row b
     with that pivot, until its leading entry is no pivot; v is zero before
@@ -211,7 +271,8 @@ def _echelon_int(rows, p=None) -> list:
     are used and the pivots are distinct, so the rows returned span the
     input rows and their number is the rank.
     """
-    basis = {}
+    if basis is None:
+        basis = {}
     for row in rows:
         v = _primitive(row) if p is None else [int(x) % p for x in row]
         piv = _leading(v, 0)
@@ -248,9 +309,16 @@ def _echelon_int(rows, p=None) -> list:
 class GradedIdealEngine:
     """Graded pieces of a homogeneous ideal given by generators.
 
-    Bases are built degree by degree: the degree-(t+1) piece is spanned by
-    the variable multiples of a degree-t basis plus any generators living
-    in degree t+1.  Echelon bases are cached per degree.
+    Bases are built degree by degree: the degree-t piece is spanned by the
+    variable multiples of the degree-(t-1) basis plus the generators of
+    degree t.  Multiplication by x_0 maps the degree-(t-1) monomials, in
+    order, onto the first ring_dim(k, t-1) monomials of degree t, so the
+    x_0 multiples are the previous basis padded with zero columns and stay
+    echelon; only the other multiples and the generators are reduced
+    against them, over GF(p) one variable's multiples at a time.  Once a
+    degree is full, every later degree is full too (I_t contains
+    R_1 R_{t-1} = R_t), and its basis is the identity with no elimination.
+    Bases and their pivots are cached per degree.
     """
 
     def __init__(self, spec: FieldSpec, k: int, gens):
@@ -264,44 +332,86 @@ class GradedIdealEngine:
                 self.by_degree.setdefault(g.degree, []).append(g)
         self.min_degree = min(self.by_degree, default=None)
         self._gf = spec.kind == "gf" and spec.modulus < _NUMPY_P_CAP
-        self._basis = {}
-
-    def _echelonize(self, rows, t):
-        if self._gf:
-            if len(rows) == 0:
-                return np.zeros((0, ring_dim(self.k, t)), dtype=np.int64)
-            return _echelon_mod_p(np.array(rows, dtype=np.int64),
-                                  self.spec.modulus)
-        return _echelon_int(rows, self.spec.modulus)
+        self._basis = {}   # t -> basis rows
+        self._pivots = {}  # t -> pivot columns (numpy), or pivot -> row
 
     def basis(self, t: int):
-        """Echelon basis rows of the degree-t piece of the ideal."""
+        """Basis rows of the degree-t piece of the ideal, sorted by pivot:
+        an int64 RREF array over GF(p) below _NUMPY_P_CAP, else echelon
+        int lists (primitive over Q, pivot 1 over GF(p))."""
         if t in self._basis:
             return self._basis[t]
-        if self.min_degree is None or t < self.min_degree:
-            rows = self._echelonize([], t)
-            self._basis[t] = rows
-            return rows
-        prev = self.basis(t - 1)
         width = ring_dim(self.k, t)
-        rows = []
-        if len(prev):
-            for var in range(self.k):
-                mp = _mult_map(self.k, t - 1, var)
-                if self._gf:
-                    shifted = np.zeros((len(prev), width), dtype=np.int64)
-                    shifted[:, list(mp)] = prev
-                    rows.extend(shifted)
-                else:
-                    for row in prev:
-                        out = [0] * width
-                        for src, dst in enumerate(mp):
-                            out[dst] = row[src]
-                        rows.append(out)
-        rows.extend(list(g.coeffs) for g in self.by_degree.get(t, []))
-        result = self._echelonize(rows, t)
-        self._basis[t] = result
-        return result
+        if self.min_degree is None or t < self.min_degree:
+            return self._store_unit_rows(t, width, 0)
+        prev = self.basis(t - 1)
+        if t > self.min_degree and len(prev) == ring_dim(self.k, t - 1):
+            return self._store_unit_rows(t, width, width)
+        blocks = [self._shift(prev, t, var) for var in range(1, self.k)]
+        gens = [list(g.coeffs) for g in self.by_degree.get(t, [])]
+        if self._gf:
+            p = self.spec.modulus
+            rows = np.zeros((len(prev), width), dtype=np.int64)
+            rows[:, :prev.shape[1]] = prev
+            pivots = self._pivots[t - 1]
+            blocks.append(np.array(gens, dtype=np.int64)
+                          .reshape(len(gens), width) % p)
+            # Block by block, each block is reduced against every pivot
+            # found so far by one product.  Stacked, the later blocks would
+            # be cleared of the earlier blocks' pivots one outer product at
+            # a time, which made [8,4] codes over GF(5) slower than before.
+            for block in blocks:
+                if len(block):
+                    rows, pivots = _extend_rref(rows, pivots, block, p)
+            self._basis[t], self._pivots[t] = rows, pivots
+        else:
+            pad = [0] * (width - ring_dim(self.k, t - 1))
+            start = {piv: row + pad
+                     for piv, row in self._pivots[t - 1].items()}
+            rows = [row for block in blocks for row in block] + gens
+            self._basis[t] = _echelon_int(rows, self.spec.modulus, start)
+            self._pivots[t] = start
+        return self._basis[t]
+
+    def _shift(self, prev, t, var):
+        """x_var times each degree-(t-1) basis row, as degree-t rows."""
+        mp = list(_mult_map(self.k, t - 1, var))
+        width = ring_dim(self.k, t)
+        if self._gf:
+            out = np.zeros((len(prev), width), dtype=np.int64)
+            out[:, mp] = prev
+            return out
+        out = []
+        for row in prev:
+            v = [0] * width
+            for src, dst in enumerate(mp):
+                v[dst] = row[src]
+            out.append(v)
+        return out
+
+    def _store_unit_rows(self, t, width, rank):
+        """Cache the unit rows e_0 .. e_{rank-1} as the degree-t basis: the
+        empty basis for rank 0, the full degree for rank width."""
+        if self._gf:
+            self._basis[t] = np.eye(rank, width, dtype=np.int64)
+            self._pivots[t] = np.arange(rank)
+        else:
+            rows = [[int(i == j) for j in range(width)] for i in range(rank)]
+            self._basis[t] = rows
+            self._pivots[t] = dict(enumerate(rows))
+        return self._basis[t]
+
+    def free_monomials(self, t: int) -> list:
+        """Indices of the degree-t monomials that are no pivot of the
+        degree-t basis; their unit vectors span R_t modulo I_t."""
+        width = ring_dim(self.k, t)
+        self.basis(t)
+        pivots = self._pivots[t]
+        if self._gf:
+            free = np.ones(width, dtype=bool)
+            free[pivots] = False
+            return free.nonzero()[0].tolist()
+        return [m for m in range(width) if m not in pivots]
 
     def ideal_dim(self, t: int) -> int:
         return len(self.basis(t))
@@ -310,8 +420,54 @@ class GradedIdealEngine:
         return ring_dim(self.k, t) - self.ideal_dim(t)
 
     def rank_with_extra_rows(self, t: int, extra) -> int:
-        """Rank of the degree-t ideal piece together with extra vectors."""
-        return len(self._echelonize(list(self.basis(t)) + list(extra), t))
+        """Rank of the degree-t ideal piece together with extra vectors.
+
+        Only the extra rows are reduced, against the cached basis: over
+        GF(p) below the cap to the quotient_dim(t) columns without a pivot,
+        whose rank is added to the basis's.
+        """
+        base = self.basis(t)
+        width = ring_dim(self.k, t)
+        if len(base) == width:
+            return width
+        if not self._gf:
+            return len(_echelon_int(extra, self.spec.modulus,
+                                    dict(self._pivots[t])))
+        p = self.spec.modulus
+        extra = np.array(extra, dtype=np.int64).reshape(len(extra), width)
+        _, rest = _reduce_mod_p(base, self._pivots[t], extra % p, p)
+        return len(base) + len(_echelon_mod_p(rest, p))
+
+
+def _reduce_mod_p(basis, piv, rows, p):
+    """Reduce rows against an RREF basis with pivot columns piv, all mod p
+    with entries in [0, p).  Returns the mask free of the columns without a
+    pivot, and rest = rows[:, free] - rows[:, piv] @ basis[:, free]: the
+    reduced rows, which are zero on the pivot columns, so the rank of basis
+    and rows together is len(basis) + rank(rest)."""
+    free = np.ones(basis.shape[1], dtype=bool)
+    free[piv] = False
+    return free, _sub_mul_mod_p(rows[:, free], rows[:, piv], basis[:, free], p)
+
+
+def _extend_rref(start, piv, extra, p):
+    """RREF (rows sorted by pivot, and their pivot columns) of the span of
+    start, an RREF array with pivot columns piv, and the rows of extra,
+    all mod p with entries in [0, p)."""
+    free, rest = _reduce_mod_p(start, piv, extra, p)
+    new = _echelon_mod_p(rest, p)
+    if not len(new):
+        return start, piv
+    # each row's pivot is its first nonzero entry
+    new_piv = np.flatnonzero(free)[(new != 0).argmax(axis=1)]
+    added = np.zeros((len(new), start.shape[1]), dtype=np.int64)
+    added[:, free] = new
+    # clear the new pivot columns in the old rows; added is zero at piv
+    start = _sub_mul_mod_p(start, start[:, new_piv], added, p)
+    rows = np.concatenate([start, added])
+    pivots = np.concatenate([piv, new_piv])
+    order = np.argsort(pivots)
+    return rows[order], pivots[order]
 
 
 def graded_dim_ideal(gens, t: int) -> int:
@@ -323,30 +479,36 @@ def graded_dim_ideal(gens, t: int) -> int:
     if not gens:
         return 0
     spec, k = gens[0].spec, gens[0].k
+    return len(_echelon_from_scratch(spec, _generator_multiples(spec, k, gens,
+                                                               t)))
+
+
+def _generator_multiples(spec, k, gens, t) -> list:
+    """Coefficient rows of every monomial multiple of degree t of the
+    generators."""
+    idx = monomial_index(k, t)
     rows = []
     for g in gens:
         if t < g.degree:
             continue
-        shift = t - g.degree
-        for mono in monomials(k, shift):
-            table = {}
-            idx_src = monomials(k, g.degree)
-            for src_exps, c in zip(idx_src, g.coeffs):
-                if c == spec.zero:
-                    continue
-                key = tuple(e + m for e, m in zip(src_exps, mono))
-                table[key] = c
-            idx = monomial_index(k, t)
+        terms = [(exps, c) for exps, c in zip(monomials(k, g.degree), g.coeffs)
+                 if c != spec.zero]
+        for mono in monomials(k, t - g.degree):
             row = [spec.zero] * ring_dim(k, t)
-            for exps, c in table.items():
-                row[idx[exps]] = c
+            for exps, c in terms:
+                row[idx[tuple(e + m for e, m in zip(exps, mono))]] = c
             rows.append(row)
+    return rows
+
+
+def _echelon_from_scratch(spec, rows) -> list:
+    """Echelon rows of the rows by one elimination, with no cached basis."""
     if not rows:
-        return 0
+        return []
     if spec.kind == "gf" and spec.modulus < _NUMPY_P_CAP:
-        return len(_echelon_mod_p(np.array(rows, dtype=np.int64),
-                                  spec.modulus))
-    return len(_echelon_int(rows, spec.modulus))
+        return _echelon_mod_p(np.array(rows, dtype=np.int64),
+                              spec.modulus).tolist()
+    return _echelon_int(rows, spec.modulus)
 
 
 # -- Hilbert polynomial fitting ----------------------------------------------
@@ -526,20 +688,21 @@ def mu_oracle(code: LinearCode, a: int, engine=None) -> int:
 
 # -- colon ideals ------------------------------------------------------------
 
-def _linear_multiplication_rows(spec, k, col, t):
+def _linear_multiplication_rows(spec, k, col, t, sources=None):
     """Rows of multiplication by the linear form of column col, mapping
-    the degree-t monomial basis into degree t+1."""
+    the degree-t monomials (by index: all, or those in sources) into
+    degree t+1."""
     width = ring_dim(k, t + 1)
     rows = []
     zero = spec.zero
-    maps = [_mult_map(k, t, var) for var in range(k)]
-    for src in range(ring_dim(k, t)):
+    terms = [(_mult_map(k, t, var), c) for var, c in enumerate(col[:k])
+             if c != zero]
+    if sources is None:
+        sources = range(ring_dim(k, t))
+    for src in sources:
         row = [zero] * width
-        for var in range(k):
-            c = col[var]
-            if c != zero:
-                dst = maps[var][src]
-                row[dst] = spec.add(row[dst], c)
+        for targets, c in terms:  # x_var * m differ for distinct var
+            row[targets[src]] = c
         rows.append(row)
     return rows
 
@@ -547,8 +710,14 @@ def _linear_multiplication_rows(spec, k, col, t):
 def colon_dim_from_engine(engine: GradedIdealEngine, spec, k, col,
                           t: int) -> int:
     """dim (I : ell)_t = dim R_t - rank of the multiplication image
-    modulo the degree-(t+1) piece of I."""
-    extra = _linear_multiplication_rows(spec, k, col, t)
+    modulo the degree-(t+1) piece of I.
+
+    ell I_t lies in I_{t+1}, and the degree-t monomials off the pivots of
+    the degree-t basis span R_t modulo I_t, so only their images can add
+    to the rank.
+    """
+    extra = _linear_multiplication_rows(spec, k, col, t,
+                                        engine.free_monomials(t))
     joint = engine.rank_with_extra_rows(t + 1, extra)
     image_mod_ideal = joint - engine.ideal_dim(t + 1)
     return ring_dim(k, t) - image_mod_ideal
@@ -564,6 +733,20 @@ def colon_graded_dim(code: LinearCode, ell_index: int, a: int,
     engine = ideal_engine(code, a)
     col = code.matrix.column(ell_index)
     return colon_dim_from_engine(engine, code.spec, code.k, col, t)
+
+
+def colon_dim_reference(spec, k, gens, col, t: int) -> int:
+    """dim (I : ell)_t from scratch: dim R_t minus the rank that the
+    multiplication image of R_t adds to the degree-(t+1) multiples of the
+    generators, by eliminations with no cached basis.
+
+    Reference implementation; agrees with colon_dim_from_engine by tests.
+    """
+    ideal = _echelon_from_scratch(
+        spec, _generator_multiples(spec, k, gens, t + 1))
+    image = _linear_multiplication_rows(spec, k, col, t)
+    added = len(_echelon_from_scratch(spec, ideal + image)) - len(ideal)
+    return ring_dim(k, t) - added
 
 
 def deleted_ideal_engine(code: LinearCode, ell_index: int,

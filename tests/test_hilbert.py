@@ -13,9 +13,12 @@ from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
                                 WindowError, _echelon_int, _echelon_mod_p,
-                                afold_generators, colon_graded_dim,
-                                conjecture_report, deleted_ideal_engine,
-                                default_windows, fit_graded_quotient,
+                                _linear_multiplication_rows, _mult_map,
+                                _sub_mul_mod_p, afold_generators,
+                                colon_dim_from_engine, colon_dim_reference,
+                                colon_graded_dim, conjecture_report,
+                                deleted_ideal_engine, default_windows,
+                                expand_product, fit_graded_quotient,
                                 fit_hilbert_polynomial, graded_dim_ideal,
                                 ideal_engine, monomial_index, monomials,
                                 mu_oracle, parallel_count,
@@ -27,6 +30,7 @@ from conftest import FIELDS, random_code, random_code_any
 
 P_BELOW = (1 << 31) - 1   # largest prime below the numpy cap
 P_ABOVE = (1 << 31) + 11  # smallest prime above it
+ORACLE_FIELDS = [GF(2), GF(5), GF(7), GF(P_BELOW), QQ]
 
 
 def echelon_oracle(rows, spec):
@@ -35,18 +39,59 @@ def echelon_oracle(rows, spec):
     zero = spec.zero
     out = []
     for row in rows:
+        if len(out) == len(row):
+            break  # the rows found span every column
         v = [spec.coerce(x) for x in row]
         for piv, basis_row in out:
             c = v[piv]
-            if c != zero:
-                v = [spec.sub(x, spec.mul(c, y))
-                     for x, y in zip(v, basis_row)]
+            if c != zero:  # basis_row is zero before piv
+                v[piv:] = [spec.sub(x, spec.mul(c, y))
+                           for x, y in zip(v[piv:], basis_row[piv:])]
         piv = next((i for i, x in enumerate(v) if x != zero), None)
         if piv is not None:
             inv = spec.inv(v[piv])
             out.append((piv, [spec.mul(inv, x) for x in v]))
     out.sort()
     return [r for _, r in out]
+
+
+def expand_product_oracle(spec, k, columns) -> dict:
+    """expand_product on FieldSpec arithmetic, as it was before it moved to
+    native ints and Fractions; kept as the reference for its tables."""
+    acc = {(0,) * k: spec.one}
+    zero = spec.zero
+    for col in columns:
+        nxt = {}
+        for exps, c in acc.items():
+            for i in range(k):
+                ci = col[i]
+                if ci == zero:
+                    continue
+                bumped = list(exps)
+                bumped[i] += 1
+                key = tuple(bumped)
+                prev = nxt.get(key, zero)
+                val = spec.add(prev, spec.mul(c, ci))
+                if val == zero:
+                    nxt.pop(key, None)
+                else:
+                    nxt[key] = val
+        acc = nxt
+    return acc
+
+
+def assert_rref(rows, p):
+    """rows (numpy) are nonzero RREF rows mod p: each pivot 1, its column
+    otherwise zero, pivots strictly increasing; returns the pivots."""
+    rows = np.asarray(rows)
+    assert rows.dtype == np.int64
+    assert ((0 <= rows) & (rows < p)).all()
+    pivots = [int(np.flatnonzero(r)[0]) for r in rows]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert rows[i, c] == 1
+        assert np.flatnonzero(rows[:, c]).tolist() == [i]
+    return pivots
 
 
 @st.composite
@@ -106,6 +151,39 @@ def test_ring_dim():
     assert ring_dim(3, 0) == 1
     assert ring_dim(3, -1) == 0
     assert ring_dim(1, 7) == 1
+
+
+@st.composite
+def column_lists(draw):
+    """A field, k, and columns of length k over it, zeros included."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS + [GF(P_ABOVE)]))
+    k = draw(st.integers(1, 4))
+    if spec.kind == "q":
+        entry = st.one_of(st.just(0), st.integers(-4, 4),
+                          st.fractions(-3, 3, max_denominator=6))
+    else:
+        entry = st.one_of(st.just(0), st.integers(0, spec.modulus - 1))
+    columns = draw(st.lists(st.lists(entry, min_size=k, max_size=k)
+                            .map(lambda c: tuple(map(spec.coerce, c))),
+                            max_size=5))
+    return spec, k, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists())
+def test_expand_product_matches_fieldspec_oracle(case):
+    spec, k, columns = case
+    got = expand_product(spec, k, columns)
+    want = expand_product_oracle(spec, k, columns)
+    assert got == want
+    assert {type(got[m]) for m in got} <= {type(spec.one)}
+    # the generators built from the products, coefficient by coefficient
+    a = len(columns)
+    gens = hilbert._afold_from_columns(spec, k, columns, a)
+    assert len(gens) == 1
+    ref = DensePoly.from_dict(spec, k, a, want).coeffs
+    assert gens[0].coeffs == ref
+    assert [type(c) for c in gens[0].coeffs] == [type(c) for c in ref]
 
 
 def test_afold_generators_e0(e0):
@@ -197,6 +275,140 @@ def test_numpy_engine_at_prime_below_2_31(rng):
     rows = full + [[(x + y) % P_BELOW for x, y in zip(*full[:2])]]
     assert len(_echelon_mod_p(np.array(rows, dtype=np.int64), P_BELOW)) \
         == len(_echelon_int(rows, P_BELOW)) == 4
+
+
+@st.composite
+def int64_matrices(draw):
+    """Matrices with int64 entries of any sign and size, with zeros and a
+    repeated row mixed in."""
+    n_rows = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.integers(-2**63, 2**63 - 1))
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int64_matrices(), st.sampled_from([2, 5, 7, P_BELOW]))
+def test_mod_p_kernel_returns_rref(mat, p):
+    rows = mat.tolist()
+    got = _echelon_mod_p(mat, p)
+    assert_rref(got, p)
+    want = _echelon_int(rows, p)
+    assert len(got) == len(want)
+    # same row space: the input rows add nothing to the kernel's
+    assert len(_echelon_int(got.tolist() + rows, p)) == len(want)
+
+
+@pytest.mark.parametrize("p", [2, 7, P_BELOW])
+def test_sub_mul_mod_p_is_exact(rng, p):
+    # at p = 2^31 - 1 each chunk holds one product of two residues; near
+    # p - 1 two such products overflow int64
+    def residue():
+        return p - 1 - rng.randrange(min(p, 1000))
+    x = [[residue() for _ in range(9)] for _ in range(4)]
+    y = [[residue() for _ in range(5)] for _ in range(9)]
+    acc = [[residue() for _ in range(5)] for _ in range(4)]
+    want = [[(acc[i][j] - sum(x[i][s] * y[s][j] for s in range(9))) % p
+             for j in range(5)] for i in range(4)]
+    got = _sub_mul_mod_p(*(np.array(m, dtype=np.int64) for m in (acc, x, y)),
+                         p)
+    assert got.tolist() == want
+
+
+def test_x0_shift_keeps_monomial_order():
+    # the engine pads the degree-(t-1) basis with zero columns for its x_0
+    # multiples: x_0 maps the degree-d monomials, in order, onto the first
+    # ring_dim(k, d) monomials of degree d+1
+    for k in range(1, 5):
+        for d in range(6):
+            assert _mult_map(k, d, 0) == tuple(range(ring_dim(k, d)))
+
+
+@st.composite
+def small_codes(draw):
+    """Random [n <= 6, k <= 3] codes over ORACLE_FIELDS; over Q at most
+    [4, 3], since the Fraction oracle takes 8 s on one [5, 3] code."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 4 if spec.kind == "q" and k == 3 else 6))
+    return random_code(random.Random(draw(st.integers(0, 2**32))), k, n, spec)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_codes(), st.data())
+def test_engine_and_colon_match_from_scratch_oracle(code, data):
+    # every rank of the references goes through the FieldSpec oracle, so
+    # neither the cached bases nor the numpy and integer kernels are shared
+    spec, k = code.spec, code.k
+    p = spec.modulus
+
+    def oracle_rank_rows(rows, p=None):
+        return echelon_oracle(rows, spec)
+
+    def oracle_rank_array(mat, p):
+        return np.array(echelon_oracle(mat.tolist(), spec),
+                        dtype=np.int64).reshape(-1, mat.shape[1])
+
+    ell = data.draw(st.integers(0, code.n - 1))
+    col = code.matrix.column(ell)
+    for a in range(1, code.n + 1):
+        gens = afold_generators(code, a)
+        engine = GradedIdealEngine(spec, k, gens)
+        ts = range(a - 1, a + k + 4)
+        dims = [engine.ideal_dim(t) for t in ts]
+        colons = [colon_dim_from_engine(engine, spec, k, col, t) for t in ts]
+        if engine._gf:
+            for t in ts:
+                pivots = assert_rref(engine.basis(t), p)
+                assert engine._pivots[t].tolist() == pivots
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hilbert, "_echelon_int", oracle_rank_rows)
+            patch.setattr(hilbert, "_echelon_mod_p", oracle_rank_array)
+            assert dims == [graded_dim_ideal(gens, t) for t in ts]
+            assert colons == [colon_dim_reference(spec, k, gens, col, t)
+                              for t in ts]
+
+
+def _counted_kernels(monkeypatch):
+    calls = []
+    for name in ("_echelon_mod_p", "_echelon_int"):
+        kernel = getattr(hilbert, name)
+
+        def counted(*args, kernel=kernel, name=name, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(hilbert, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("numpy_kernel", [True, False],
+                         ids=["mod-p", "int"])
+def test_full_degree_needs_no_elimination(b3, monkeypatch, numpy_kernel):
+    calls = _counted_kernels(monkeypatch)
+    engine = ideal_engine(b3, 2)
+    engine._gf = numpy_kernel
+    lo, his = default_windows(2, b3.k)
+    full = next(t for t in range(lo, his[0] + 1)
+                if engine.quotient_dim(t) == 0)
+    assert calls
+    calls.clear()
+    for t in range(full + 1, full + 4):
+        assert engine.quotient_dim(t) == 0
+        if numpy_kernel:
+            assert (engine.basis(t) == np.eye(ring_dim(3, t))).all()
+        else:
+            assert engine.basis(t) == np.eye(ring_dim(3, t), dtype=int).tolist()
+    col = b3.matrix.column(3)
+    extra = _linear_multiplication_rows(b3.spec, 3, col, full - 1)
+    assert engine.rank_with_extra_rows(full, extra) == ring_dim(3, full)
+    assert colon_dim_from_engine(engine, b3.spec, 3, col, full) \
+        == ring_dim(3, full)
+    assert calls == []
 
 
 def test_ideal_dims_monotone_in_a(rng):
