@@ -7,6 +7,8 @@ independent computation routes agree:
   * subset-sum Tutte vs deletion-contraction Tutte, in memory and through
     a fresh on-disk TutteCache, once cold and once warm (the warm run is
     answered from the entry the cold run wrote under the canonical key),
+  * Tutte duality, T of the dual generator matrix H by deletion-contraction
+    vs T of the code by subset sum with x and y swapped,
   * the three generalized-Hamming-weight routes and Wei duality,
   * coefficient-sum degree vs prime-sum degree vs fitted Hilbert degree,
   * the mu coefficient formula vs the generator-span rank,
@@ -29,16 +31,18 @@ import time
 from dataclasses import dataclass, field
 
 from starconfig.cli import TutteCache
-from starconfig.codes import (LinearCode, ghw_bruteforce, ghw_from_dual_rank,
+from starconfig.codes import (LinearCode, dual_generator_matrix,
+                              ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
 from starconfig.fields import GF, QQ, ExactMatrix
 from starconfig.hilbert import (afold_generators, colon_dim_reference,
                                 colon_graded_dim, fit_hilbert_polynomial,
                                 mu_oracle)
+from starconfig.matroid import VectorMatroid
 from starconfig.star import full_profile
-from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
-                              whitney_shift)
+from starconfig.tutte import (BivarPoly, tutte_deletion_contraction,
+                              tutte_subset_sum, whitney_shift)
 
 
 @dataclass
@@ -83,6 +87,10 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
             if tutte != tutte_deletion_contraction(code.matroid, cache=cache):
                 failures.append(f"deletion-contraction through a {phase} "
                                 f"disk cache disagrees with subset sum")
+    dual = tutte_deletion_contraction(
+        VectorMatroid(dual_generator_matrix(code)))
+    if dual != BivarPoly({(j, i): c for (i, j), c in tutte.terms.items()}):
+        failures.append("T of the dual generator matrix is not T(y, x)")
     shifted = whitney_shift(tutte, code.k)
     hierarchy = weight_hierarchy(code)
     for r in range(code.k + 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .fields import (ExactArithError, ExactMatrix, FieldSpec,
                      left_kernel_basis, rref)
 from .matroid import Flat, VectorMatroid, bits_of, subset_sizes
-from .tutte import ShiftedCoeffs
+from .tutte import ShiftedCoeffs, tutte_deletion_contraction, whitney_shift
 
 
 class CodeError(ExactArithError):
@@ -162,17 +162,24 @@ def dual_generator_matrix(code: LinearCode) -> ExactMatrix:
 
 def wei_duality_check(code: LinearCode):
     """Check {d_r(C)} = {1..n} minus {n+1-d_s(dual)}; returns
-    (holds, primal_set, dual_complement_set, dual_hierarchy)."""
+    (holds, primal_set, dual_complement_set, dual_hierarchy).
+
+    The primal side is the exhaustive scan of the code's rank table.  The
+    dual side never reads that table: d_s(dual) = n - p_s - (n-k) + s,
+    with p the Whitney shift of the deletion-contraction Tutte polynomial
+    of the dual generator matrix H, which is worked out from H alone.
+    (Reading it off the primal's T with x and y swapped would restate the
+    primal.)  H has zero columns where the code has coloops, so it is not
+    a LinearCode.
+    """
     n, k = code.n, code.k
     primal = {ghw_bruteforce(code, r) for r in range(1, k + 1)}
     if n == k:
         dual_d = []
     else:
-        h = dual_generator_matrix(code)
-        dual_m = VectorMatroid(h)
-        # same ground set as the primal table, which passed its cap above
-        dual_m.rank_table(cap=n)
-        dual_d = [_ghw_bruteforce_matroid(dual_m, s)
+        shifted = whitney_shift(tutte_deletion_contraction(
+            VectorMatroid(dual_generator_matrix(code))), n - k)
+        dual_d = [n - shifted.p[s] - (n - k) + s
                   for s in range(1, n - k + 1)]
     removed = {n + 1 - ds for ds in dual_d}
     rhs = set(range(1, n + 1)) - removed

@@ -749,15 +749,30 @@ def colon_dim_reference(spec, k, gens, col, t: int) -> int:
     return ring_dim(k, t) - added
 
 
+def deleted_generators(code: LinearCode, ell_index: int, a: int,
+                       gens=None) -> list:
+    """The a-fold products of the code's columns other than ell_index, in
+    the order of combinations of those columns.
+
+    gens, if given, must be afold_generators(code, a): the products that
+    avoid the column are then picked out of it, in that order, instead of
+    being expanded again.
+    """
+    if gens is not None:
+        return [g for subset, g in zip(combinations(range(code.n), a), gens)
+                if ell_index not in subset]
+    columns = [code.matrix.column(j) for j in range(code.n)
+               if j != ell_index]
+    return _afold_from_columns(code.spec, code.k, columns, a) if \
+        1 <= a <= len(columns) else []
+
+
 def deleted_ideal_engine(code: LinearCode, ell_index: int,
                          a: int) -> GradedIdealEngine:
     """Engine for the (a)-fold ideal of the code with one column removed
     (same ambient ring, even if the remaining columns span less)."""
-    columns = [code.matrix.column(j) for j in range(code.n)
-               if j != ell_index]
-    gens = _afold_from_columns(code.spec, code.k, columns, a) if \
-        1 <= a <= len(columns) else []
-    return GradedIdealEngine(code.spec, code.k, gens)
+    return GradedIdealEngine(code.spec, code.k,
+                             deleted_generators(code, ell_index, a))
 
 
 def parallel_count(code: LinearCode, ell_index: int) -> int:
@@ -820,8 +835,11 @@ def conjecture_report(code: LinearCode, t_max: int,
         "t_max": t_max,
         "entries": [],
     }
+    gens = afold_generators(code, 1)
     for a in range(2, code.n + 1):
-        engine = ideal_engine(code, a)
+        # each deleted engine for a picks its products out of prev_gens
+        prev_gens, gens = gens, afold_generators(code, a)
+        engine = GradedIdealEngine(code.spec, code.k, gens)
         entry = {"a": a, "columns": []}
         try:
             fit = fit_hilbert_polynomial(code, a, engine=engine)
@@ -844,7 +862,9 @@ def conjecture_report(code: LinearCode, t_max: int,
                 cell["automatic"] = True
             else:
                 cell["automatic"] = False
-                deleted = deleted_ideal_engine(code, ell, a - 1)
+                deleted = GradedIdealEngine(
+                    code.spec, code.k,
+                    deleted_generators(code, ell, a - 1, prev_gens))
                 col = code.matrix.column(ell)
                 colon_dims = {}  # t -> dim (I_a : ell)_t, shared with the fit
 

@@ -1,8 +1,17 @@
 """Sparse bivariate polynomials and two independent Tutte engines.
 
-Engine one is the exhaustive corank-nullity subset sum; engine two is
-memoized deletion-contraction.  They must agree coefficient for
-coefficient, which the test suite enforces on randomized inputs.
+Engine one is the exhaustive corank-nullity subset sum, read off the
+matroid's subset-rank table; engine two is memoized deletion-contraction.
+They must agree coefficient for coefficient, which the test suite enforces
+on randomized inputs.
+
+Deletion-contraction eliminates once, at the root: each minor is carried
+down the recursion as its RREF, and deleting or contracting an element
+costs at most one row step (see _dc).  Its memo keys are
+canonical_matrix_key of each minor, read off the carried RREF by the same
+helper that canonical_matrix_key uses, so the keys and the entries of a
+persistent cache are byte for byte those of a recursion that builds and
+reduces every minor.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import EXHAUSTIVE_CAP, ExactArithError, ExactMatrix, rref
+from .fields import (EXHAUSTIVE_CAP, ExactArithError, ExactMatrix, rref,
+                     rref_join)
 from .matroid import CHUNK, VectorMatroid, subset_sizes
 
 
@@ -163,20 +173,32 @@ def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     nonzero entry is one, columns sorted with multiplicity.
     """
     reduced, rank, _ = rref(matrix)
-    spec = matrix.spec
-    zero = spec.zero
+    return _rref_key(matrix.spec, reduced.entries[:rank], matrix.rows,
+                     matrix.cols)
+
+
+def _rref_key(spec, rows, k: int, n: int) -> tuple:
+    """canonical_matrix_key of a k x n matrix whose RREF has the nonzero
+    rows given.
+
+    A column is read with the k - rank zero rows of the RREF below it, and
+    its entries are written by str, as FieldSpec.to_str writes them.  A
+    matrix with no rows lists no columns, as rref's 0 x 0 result of such a
+    matrix does; the key still records n.
+    """
     cols = []
-    for j in range(reduced.cols):
-        col = reduced.column(j)
-        lead = next((x for x in col if x != zero), None)
-        if lead is not None and lead != spec.one:
-            inv = spec.inv(lead)
-            col = tuple(spec.mul(inv, x) for x in col)
-        cols.append(tuple(spec.to_str(x) for x in col))
-    cols.sort()
-    kind = matrix.spec.kind
-    mod = matrix.spec.modulus
-    return (kind, mod, matrix.rows, matrix.cols, tuple(cols))
+    if k:
+        one = spec.one
+        pad = (str(spec.zero),) * (k - len(rows))
+        for col in (zip(*rows) if rows else [()] * n):
+            for lead in col:
+                if lead:  # field elements are falsy exactly when zero
+                    if lead != one:
+                        col = spec.scale(spec.inv(lead), col)
+                    break
+            cols.append(tuple(map(str, col)) + pad)
+        cols.sort()
+    return (spec.kind, spec.modulus, k, n, tuple(cols))
 
 
 def poly_matches_key(poly: BivarPoly, key: str) -> bool:
@@ -203,16 +225,25 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
     lowest-index ordinary element e gives T = T(M \\ e) + T(M / e).  An
     optional external cache (get/put of key string -> poly) persists
     results across runs.
+
+    The matrix is brought to RREF once, here; every minor is carried down
+    the recursion as its RREF (nonzero rows, pivot columns, row count), so
+    no node eliminates.  Memo keys are canonical_matrix_key of each minor's
+    matrix, read off the carried RREF, so they and the cache entries are
+    the same as those of a recursion through VectorMatroid minors.
     """
     if memo is None:
         memo = {}
-    return _dc(m, memo, cache)
+    reduced, rank, pivots = rref(m.matrix)
+    return _dc(m.spec, reduced.entries[:rank], pivots, m.k, m.n, memo, cache)
 
 
-def _dc(m: VectorMatroid, memo: dict, cache) -> BivarPoly:
-    if m.n == 0:
+def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
+        cache) -> BivarPoly:
+    """T of the k x n matrix with RREF rows (sorted by pivot) and pivots."""
+    if n == 0:
         return BivarPoly.one()
-    key = canonical_matrix_key(m.matrix)
+    key = _rref_key(spec, rows, k, n)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -222,15 +253,29 @@ def _dc(m: VectorMatroid, memo: dict, cache) -> BivarPoly:
             poly = BivarPoly.from_json(stored)
             memo[key] = poly
             return poly
-    loops = sum(1 for i in range(m.n) if m.is_loop(i))
-    ordinary = next((i for i in range(m.n)
-                     if not m.is_loop(i) and not m.is_coloop(i)), None)
-    if ordinary is None:
-        coloops = m.n - loops
-        poly = BivarPoly.monomial(coloops, loops)
+    # loops are zero columns; coloops are pivots whose row is a unit vector
+    live = [any(col) for col in zip(*rows)] if rows else [False] * n
+    for p, row in zip(pivots, rows):
+        if not any(row[p + 1:]):
+            live[p] = False
+    e = next((j for j in range(n) if live[j]), None)
+    if e is None:
+        # every nonzero column is a coloop, so every pivot is one
+        loops = n - len(pivots)
+        poly = BivarPoly.monomial(n - loops, loops)
     else:
-        poly = (_dc(m.delete(ordinary), memo, cache)
-                + _dc(m.contract(ordinary), memo, cache))
+        # e is a pivot: columns left of e are loops or coloops, and a row
+        # nonzero at a non-pivot e would make its own pivot, left of e,
+        # ordinary.  Rows other than e's are zero at e, so contracting e
+        # drops its row; deleting e joins its row back at its next nonzero
+        # entry, which exists since e is no coloop.
+        at = pivots.index(e)
+        rows = [row[:e] + row[e + 1:] for row in rows]
+        pivots = pivots[:at] + tuple(p - 1 for p in pivots[at + 1:])
+        rest = rows[:at] + rows[at + 1:]
+        poly = (_dc(spec, *rref_join(rest, pivots, rows[at], spec), k,
+                    n - 1, memo, cache)
+                + _dc(spec, rest, pivots, k - 1, n - 1, memo, cache))
     memo[key] = poly
     if cache is not None:
         cache.put(json.dumps(key), poly.to_json())

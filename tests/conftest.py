@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from starconfig.fields import GF, QQ, ExactMatrix
+from starconfig.fields import GF, QQ, ExactMatrix, rref
 from starconfig.codes import LinearCode
+from starconfig.tutte import BivarPoly
 
 FIELDS = [GF(2), GF(3), GF(5)]
 
@@ -32,6 +35,34 @@ def random_code_any(rng: random.Random, max_k=4, max_n=9,
     k = rng.randint(1, max_k)
     n = rng.randint(k, max_n)
     return random_code(rng, k, n, rng.choice(fields))
+
+
+@st.composite
+def matrices(draw, specs=(GF(2), GF(3), GF(5), GF(257), QQ)):
+    """Small matrices over the given fields, with zero columns (loops),
+    multiples of earlier columns (parallel elements), n = 0 and zero-row
+    shapes all reachable."""
+    spec = draw(st.sampled_from(specs))
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 8))
+    if spec.kind == "gf":
+        entry = st.integers(0, spec.modulus - 1)
+    else:
+        entry = st.fractions(-3, 3, max_denominator=3)
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "zero", "parallel"]))
+        if kind == "zero":
+            col = [0] * k
+        elif kind == "parallel" and cols:
+            c = spec.coerce(draw(entry))
+            col = [spec.mul(c, spec.coerce(x))
+                   for x in draw(st.sampled_from(cols))]
+        else:
+            col = draw(st.lists(entry, min_size=k, max_size=k))
+        cols.append(col)
+    rows = [[col[i] for col in cols] for i in range(k)]
+    return ExactMatrix.from_rows(spec, rows, cols=n)
 
 
 # -- test-only elimination oracle ---------------------------------------------
@@ -95,6 +126,81 @@ def oracle_left_kernel_basis(m: ExactMatrix, cols) -> list:
             v[c] = spec.neg(t_rows[r][f])
         basis.append(tuple(v))
     return basis
+
+
+# -- test-only deletion-contraction oracle ------------------------------------
+#
+# The recursion tutte_deletion_contraction ran before it carried each minor's
+# RREF down: every node builds VectorMatroid minors, keys them by
+# canonical_matrix_key (as it was then) and probes loops and coloops by
+# elimination.  An independent reference for the polynomial, the memo keys
+# and the cache traffic.
+
+def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
+    reduced, rank, _ = rref(matrix)
+    spec = matrix.spec
+    zero = spec.zero
+    cols = []
+    for j in range(reduced.cols):
+        col = reduced.column(j)
+        lead = next((x for x in col if x != zero), None)
+        if lead is not None and lead != spec.one:
+            inv = spec.inv(lead)
+            col = tuple(spec.mul(inv, x) for x in col)
+        cols.append(tuple(spec.to_str(x) for x in col))
+    cols.sort()
+    kind = matrix.spec.kind
+    mod = matrix.spec.modulus
+    return (kind, mod, matrix.rows, matrix.cols, tuple(cols))
+
+
+def _dc(m, memo: dict, cache) -> BivarPoly:
+    if m.n == 0:
+        return BivarPoly.one()
+    key = canonical_matrix_key(m.matrix)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if cache is not None:
+        stored = cache.get(json.dumps(key))
+        if stored is not None:
+            poly = BivarPoly.from_json(stored)
+            memo[key] = poly
+            return poly
+    loops = sum(1 for i in range(m.n) if m.is_loop(i))
+    ordinary = next((i for i in range(m.n)
+                     if not m.is_loop(i) and not m.is_coloop(i)), None)
+    if ordinary is None:
+        coloops = m.n - loops
+        poly = BivarPoly.monomial(coloops, loops)
+    else:
+        poly = (_dc(m.delete(ordinary), memo, cache)
+                + _dc(m.contract(ordinary), memo, cache))
+    memo[key] = poly
+    if cache is not None:
+        cache.put(json.dumps(key), poly.to_json())
+    return poly
+
+
+def oracle_dc(m, memo: dict | None = None, cache=None) -> BivarPoly:
+    """tutte_deletion_contraction as it was before the carried RREF."""
+    return _dc(m, {} if memo is None else memo, cache)
+
+
+class DictCache:
+    """A TutteCache stand-in in memory that logs every get and put."""
+
+    def __init__(self):
+        self.entries = {}
+        self.log = []
+
+    def get(self, key):
+        self.log.append(("get", key))
+        return self.entries.get(key)
+
+    def put(self, key, doc):
+        self.log.append(("put", key, json.dumps(doc)))
+        self.entries[key] = doc
 
 
 @pytest.fixture

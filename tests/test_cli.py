@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from starconfig import cli, hilbert
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
                             example_b3, example_e0, main, parse_input)
-from starconfig.fields import ExactArithError
+from starconfig.fields import GF, ExactArithError
 from starconfig.tutte import BivarPoly, canonical_matrix_key
+
+from conftest import random_code
 
 E0_TEXT = """\
 # a [3,2] example
@@ -108,6 +111,22 @@ def test_ghw_routes_and_duality(capsys):
     for row in doc["routes"]:
         assert row["bruteforce"] == row["tutte"] == row["dual_rank"]
     assert doc["wei_duality"]["holds"] is True
+
+
+def test_ghw_low_dimension_code_with_n_21(capsys, tmp_path):
+    # the dual of a [21,3] binary code has too many flats for a rank
+    # table (matroid.FLAT_CAP); Wei duality reads the dual's hierarchy
+    # from its deletion-contraction Tutte polynomial instead
+    code = random_code(random.Random(21), 3, 21, GF(2))
+    rows = "\n".join(" ".join(map(str, row)) for row in code.matrix.entries)
+    path = write_input(tmp_path, f"field gf 2\nsize 3 21\n{rows}\n")
+    rc, out, _ = run_cli(capsys, "ghw", path, "--json", "--no-cache")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["wei_duality"]["holds"] is True
+    assert len(doc["dual_hierarchy"]) == 18
+    for row in doc["routes"]:
+        assert row["bruteforce"] == row["tutte"] == row["dual_rank"]
 
 
 def test_primes_table(capsys):

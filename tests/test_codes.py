@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starconfig.codes import (CodeError, LinearCode, WeightHierarchy,
+                              _ghw_bruteforce_matroid,
                               dual_generator_matrix, form_label,
                               ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, minimal_support_subcode_count,
                               subcode_from_flat, weight_hierarchy,
                               wei_duality_check)
-from starconfig.fields import GF, ExactArithError, ExactMatrix
+from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import tutte_subset_sum, whitney_shift
 
@@ -181,6 +182,42 @@ def test_wei_duality_random(seed):
     code = random_code_any(rng, max_k=3, max_n=7)
     holds, _, _, _ = wei_duality_check(code)
     assert holds
+
+
+def dual_hierarchy_by_rank_table(code):
+    """d_1..d_{n-k} of the dual code by the exhaustive scan of the dual
+    matroid's rank table, the route wei_duality_check took before."""
+    if code.n == code.k:
+        return []
+    dual = VectorMatroid(dual_generator_matrix(code))
+    return [_ghw_bruteforce_matroid(dual, s)
+            for s in range(1, code.n - code.k + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31))
+def test_dual_hierarchy_matches_dual_rank_table(seed):
+    rng = random.Random(seed)
+    code = random_code_any(rng, max_k=4, max_n=9, fields=FIELDS + [QQ])
+    holds, _, _, dual_d = wei_duality_check(code)
+    assert holds
+    assert dual_d == dual_hierarchy_by_rank_table(code)
+
+
+@pytest.mark.parametrize("spec", FIELDS + [QQ],
+                         ids=lambda spec: str(spec.modulus or "q"))
+def test_dual_hierarchy_with_coloop_and_square_code(spec):
+    # column 3 is a coloop, so the dual generator has a zero column there
+    code = LinearCode(ExactMatrix.from_rows(
+        spec, [[1, 0, 1, 0, 1], [0, 1, 1, 0, 2], [0, 0, 0, 1, 0]]))
+    h = dual_generator_matrix(code)
+    assert all(x == spec.zero for x in h.column(3))
+    holds, _, _, dual_d = wei_duality_check(code)
+    assert holds
+    assert dual_d == dual_hierarchy_by_rank_table(code)
+    square = LinearCode(ExactMatrix.from_rows(
+        spec, [[1, 0, 0], [1, 1, 0], [0, 2, 1]]))
+    assert wei_duality_check(square) == (True, [1, 2, 3], [1, 2, 3], [])
 
 
 def test_subcode_from_flat_e0(e0):

@@ -17,7 +17,8 @@ from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
                                 _sub_mul_mod_p, afold_generators,
                                 colon_dim_from_engine, colon_dim_reference,
                                 colon_graded_dim, conjecture_report,
-                                deleted_ideal_engine, default_windows,
+                                deleted_generators, deleted_ideal_engine,
+                                default_windows,
                                 expand_product, fit_graded_quotient,
                                 fit_hilbert_polynomial, graded_dim_ideal,
                                 ideal_engine, monomial_index, monomials,
@@ -526,6 +527,38 @@ def test_colon_coloop_full_equality():
         deleted = deleted_ideal_engine(code, ell, a - 1)
         for t in range(a - 1, a + 4):
             assert colon_graded_dim(code, ell, a, t) == deleted.ideal_dim(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(ORACLE_FIELDS))
+def test_deleted_generators_picked_from_afold_list(seed, spec):
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    code = random_code(rng, k, rng.randint(k, 6), spec)
+    for a in range(1, code.n + 1):
+        gens = afold_generators(code, a)
+        for ell in range(code.n):
+            rest = [code.matrix.column(j) for j in range(code.n) if j != ell]
+            picked = deleted_generators(code, ell, a, gens)
+            assert picked == deleted_generators(code, ell, a)
+            if a < code.n:
+                assert picked == hilbert._afold_from_columns(
+                    spec, code.k, rest, a)
+            else:
+                assert picked == []
+
+
+def test_conjecture_report_expands_each_afold_list_once(b3, monkeypatch):
+    expanded = []
+    afold = hilbert._afold_from_columns
+
+    def counted(spec, k, columns, a):
+        expanded.append((len(columns), a))
+        return afold(spec, k, columns, a)
+
+    monkeypatch.setattr(hilbert, "_afold_from_columns", counted)
+    conjecture_report(b3, 4)
+    assert sorted(expanded) == [(b3.n, a) for a in range(1, b3.n + 1)]
 
 
 def test_parallel_count():

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
+from starconfig.fields import (GF, CapExceeded, ExactArithError,
                                ExactMatrix, column_rank, left_kernel_basis,
                                rref, rref_join)
 from starconfig import matroid
 from starconfig.matroid import Flat, VectorMatroid, bits_of
 
-from conftest import (oracle_column_rank, oracle_left_kernel_basis,
-                      oracle_rref, random_matrix)
+from conftest import (matrices, oracle_column_rank,
+                      oracle_left_kernel_basis, oracle_rref, random_matrix)
 
 
 def mask(*indices):
@@ -51,34 +51,6 @@ def test_rank_cache_consistency(m_b3):
     for sub in range(1 << 9):
         expected = oracle_column_rank(m_b3.matrix, bits_of(sub))
         assert table[sub] == m_b3._rank_by_elimination(sub) == expected
-
-
-@st.composite
-def matrices(draw):
-    """Small matrices over GF(2), GF(3), GF(5), GF(257) and Q, with zero
-    columns (loops), multiples of earlier columns (parallel elements),
-    n = 0 and zero-row shapes all reachable."""
-    spec = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(257), QQ]))
-    k = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 8))
-    if spec.kind == "gf":
-        entry = st.integers(0, spec.modulus - 1)
-    else:
-        entry = st.fractions(-3, 3, max_denominator=3)
-    cols = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["random", "zero", "parallel"]))
-        if kind == "zero":
-            col = [0] * k
-        elif kind == "parallel" and cols:
-            c = spec.coerce(draw(entry))
-            col = [spec.mul(c, spec.coerce(x))
-                   for x in draw(st.sampled_from(cols))]
-        else:
-            col = draw(st.lists(entry, min_size=k, max_size=k))
-        cols.append(col)
-    rows = [[col[i] for col in cols] for i in range(k)]
-    return ExactMatrix.from_rows(spec, rows, cols=n)
 
 
 @settings(max_examples=150, deadline=None)

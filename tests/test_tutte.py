@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starconfig import fields, tutte
 from starconfig.fields import GF, QQ, CapExceeded, ExactMatrix
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
                               tutte_deletion_contraction, tutte_subset_sum,
                               whitney_shift)
 
-from conftest import random_matrix
+from conftest import DictCache, matrices, oracle_dc, random_matrix
+
+DC_FIELDS = (GF(2), GF(3), GF(257), GF(2**61 - 1), QQ)
 
 
 def poly(terms):
@@ -74,6 +77,76 @@ def test_engine_equivalence(seed, k, n):
     spec = rng.choice([GF(2), GF(3), GF(5)])
     m = VectorMatroid(random_matrix(rng, k, n, spec))
     assert tutte_subset_sum(m) == tutte_deletion_contraction(m)
+
+
+def assert_dc_matches_oracle(matrix):
+    """Same polynomial, memo keys and cache traffic (cold, then warm
+    through the same cache) as the recursion through VectorMatroid
+    minors; returns the memo keys."""
+    memo, cache = {}, DictCache()
+    o_memo, o_cache = {}, DictCache()
+    poly = tutte_deletion_contraction(VectorMatroid(matrix), memo, cache)
+    assert poly == oracle_dc(VectorMatroid(matrix), o_memo, o_cache)
+    assert list(memo) == list(o_memo)
+    assert tutte_deletion_contraction(VectorMatroid(matrix), {}, cache) == \
+        oracle_dc(VectorMatroid(matrix), {}, o_cache) == poly
+    assert cache.log == o_cache.log
+    return list(memo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(DC_FIELDS))
+def test_carried_rref_matches_oracle(matrix):
+    assert_dc_matches_oracle(matrix)
+
+
+@pytest.mark.parametrize("spec", DC_FIELDS,
+                         ids=lambda spec: str(spec.modulus or "q"))
+def test_carried_rref_matches_oracle_on_degenerate_minors(spec):
+    c = spec.coerce
+
+    def matrix(rows, cols=None):
+        return ExactMatrix.from_rows(
+            spec, [[c(x) for x in row] for row in rows], cols)
+
+    # 4 x 7 of rank 2: a loop (column 2), a parallel pair (0 and 5) and a
+    # scaled copy (4 = 3 * 1), so every minor has more rows than its rank
+    deficient = matrix([[1, 0, 0, 2, 0, 1, 1],
+                        [0, 1, 0, 1, 3, 0, 4],
+                        [1, 1, 0, 3, 3, 1, 5],
+                        [2, 0, 0, 4, 0, 2, 2]])
+    assert VectorMatroid(deficient).full_rank == 2
+    keys = assert_dc_matches_oracle(deficient)
+    # key = (kind, modulus, rows, n, columns); each contraction drops one
+    # row and one rank, and a loop's column is all "0"
+    assert {key[2] for key in keys} == {2, 3, 4}
+    assert any(all(x == "0" for x in col) for key in keys for col in key[4])
+    # 2 x 5 of full rank, with a parallel pair: contracting twice leaves
+    # zero-row minors, whose keys list no columns
+    keys = assert_dc_matches_oracle(matrix([[1, 0, 1, 1, 2],
+                                            [0, 1, 1, 2, 0]]))
+    assert any(key[2] == 0 and key[3] > 0 and key[4] == () for key in keys)
+    assert_dc_matches_oracle(matrix([], cols=3))
+
+
+def test_deletion_contraction_eliminates_once(m_b3, monkeypatch):
+    calls = {"rref": 0, "rank": 0}
+    rref, rank = fields.rref, VectorMatroid._rank_by_elimination
+
+    def counted_rref(matrix):
+        calls["rref"] += 1
+        return rref(matrix)
+
+    def counted_rank(self, mask):
+        calls["rank"] += 1
+        return rank(self, mask)
+
+    monkeypatch.setattr(fields, "rref", counted_rref)
+    monkeypatch.setattr(tutte, "rref", counted_rref)
+    monkeypatch.setattr(VectorMatroid, "_rank_by_elimination", counted_rank)
+    poly = tutte_deletion_contraction(m_b3)
+    assert calls == {"rref": 1, "rank": 0}
+    assert poly == oracle_dc(VectorMatroid(m_b3.matrix))
 
 
 def test_deletion_contraction_any_ordinary_element(rng):
