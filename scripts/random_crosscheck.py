@@ -5,8 +5,10 @@ Samples random linear codes, then verifies on every sample that all
 independent computation routes agree:
 
   * subset-sum Tutte vs deletion-contraction Tutte, in memory and through
-    a fresh on-disk TutteCache, once cold and once warm (the warm run is
-    answered from the entry the cold run wrote under the canonical key),
+    an on-disk TutteCache in a fresh directory, once cold and once warm
+    (the warm run opens the directory again after the cold run closed it,
+    and is answered from the entry the cold run wrote under the canonical
+    key),
   * Tutte duality, T of the dual generator matrix H by deletion-contraction
     vs T of the code by subset sum with x and y swapped,
   * the three generalized-Hamming-weight routes and Wei duality,
@@ -82,9 +84,10 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
     if tutte != tutte_deletion_contraction(code.matroid):
         failures.append("tutte engines disagree")
     with tempfile.TemporaryDirectory() as tmp:
-        cache = TutteCache(tmp)
         for phase in ("cold", "warm"):
-            if tutte != tutte_deletion_contraction(code.matroid, cache=cache):
+            with TutteCache(tmp) as cache:
+                poly = tutte_deletion_contraction(code.matroid, cache=cache)
+            if tutte != poly:
                 failures.append(f"deletion-contraction through a {phase} "
                                 f"disk cache disagrees with subset sum")
     dual = tutte_deletion_contraction(

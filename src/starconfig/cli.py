@@ -10,12 +10,12 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
+import weakref
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .codes import (LinearCode, CodeError, weight_hierarchy, ghw_bruteforce,
@@ -121,60 +121,89 @@ EXAMPLES = {"e0": example_e0, "b3": example_b3}
 # -- persistent Tutte cache --------------------------------------------------
 
 class TutteCache:
-    """Content-addressed polynomial cache; writes are atomic
-    (write-temp-then-rename), so concurrent runs can only race on
-    identical-content entries."""
+    """Persistent Tutte polynomial cache: one SQLite database,
+    tutte.sqlite3, in the cache directory, with one row per key.
+
+    The database runs in WAL mode with synchronous=NORMAL and autocommits
+    each put, so concurrent runs on one directory read while another
+    writes and queue their writes behind SQLite's lock; a put still locked
+    out after the busy timeout is skipped.  WAL needs shared memory, so the
+    directory must be on a local file system.  An entry whose text does
+    not parse, or whose polynomial is malformed or cannot belong to its
+    key, is a miss, and the next put overwrites it.  A sqlite3.Error in
+    get is a miss and in put skips the entry."""
 
     def __init__(self, directory: str):
+        import sqlite3  # here, so that runs without a cache never load it
         self.directory = directory
+        self.path = os.path.join(directory, "tutte.sqlite3")
+        self._error = sqlite3.Error
         os.makedirs(directory, exist_ok=True)
+        db = sqlite3.connect(self.path, isolation_level=None)
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute("CREATE TABLE IF NOT EXISTS entry "
+                       "(key TEXT PRIMARY KEY, poly TEXT NOT NULL)")
+        except BaseException:
+            db.close()
+            raise
+        self._db = db
+        # a Connection waits for the cyclic GC; close it with the cache
+        self._finalizer = weakref.finalize(self, db.close)
 
     def _path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return os.path.join(self.directory, digest + ".json")
+        """The file that holds key's entry: the database, for every key.
+        perfbench/tracer.py reads its size after each put."""
+        return self.path
+
+    def close(self):
+        self._finalizer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def get(self, key: str):
-        """The poly doc stored under key, or None on a miss.  An entry that
-        is not a {"key", "poly"} object for this key, or whose poly is
-        malformed or cannot belong to the key, is a miss, and the next put
-        overwrites it."""
-        path = self._path(key)
+        """The poly doc stored under key, or None on a miss."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            row = self._db.execute("SELECT poly FROM entry WHERE key = ?",
+                                   (key,)).fetchone()
+        except self._error:
             return None
-        if not (isinstance(doc, dict) and doc.keys() == {"key", "poly"}
-                and doc["key"] == key):
+        if row is None:
             return None
         try:
-            poly = BivarPoly.from_json(doc["poly"])
-        except ExactArithError:
-            return None
-        return doc["poly"] if poly_matches_key(poly, key) else None
+            doc = json.loads(row[0])
+            poly = BivarPoly.from_json(doc)
+        except (TypeError, ValueError, RecursionError):
+            return None  # ValueError covers from_json's ExactArithError
+        return doc if poly_matches_key(poly, key) else None
 
     def put(self, key: str, poly_doc: dict):
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"key": key, "poly": poly_doc}, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            self._db.execute("INSERT OR REPLACE INTO entry VALUES (?, ?)",
+                             (key, json.dumps(poly_doc)))
+        except self._error:
+            pass
 
 
 def cache_from_args(args) -> TutteCache | None:
+    """The cache the arguments name, or None.  A cache that SQLite cannot
+    open is a warning, and the run goes on without it."""
     if args.no_cache:
         return None
     directory = args.cache_dir or os.environ.get(CACHE_ENV)
     if directory is None:
         return None
-    return TutteCache(directory)
+    import sqlite3
+    try:
+        return TutteCache(directory)
+    except sqlite3.Error as exc:
+        print(f"warning: cache {directory} not used: {exc}", file=sys.stderr)
+        return None
 
 
 # -- shared computation ------------------------------------------------------
@@ -189,11 +218,11 @@ def load_code(args) -> LinearCode:
 
 
 def compute_tutte(code: LinearCode, args):
-    cache = cache_from_args(args)
     t0 = time.monotonic()
     by_subsets = tutte_subset_sum(code.matroid, cap=args.max_n)
     t1 = time.monotonic()
-    by_dc = tutte_deletion_contraction(code.matroid, cache=cache)
+    with cache_from_args(args) or nullcontext() as cache:
+        by_dc = tutte_deletion_contraction(code.matroid, cache=cache)
     t2 = time.monotonic()
     if by_subsets != by_dc:
         raise InternalInvariantError(

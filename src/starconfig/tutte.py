@@ -9,9 +9,11 @@ Deletion-contraction eliminates once, at the root: each minor is carried
 down the recursion as its RREF, and deleting or contracting an element
 costs at most one row step (see _dc).  Its memo keys are
 canonical_matrix_key of each minor, read off the carried RREF by the same
-helper that canonical_matrix_key uses, so the keys and the entries of a
-persistent cache are byte for byte those of a recursion that builds and
-reduces every minor.
+helper that canonical_matrix_key uses, so the keys, and the gets and puts
+of a persistent cache (json.dumps of the key, BivarPoly.to_json of the
+polynomial), are byte for byte those of a recursion that builds and
+reduces every minor.  How the cache stores them is up to the cache:
+cli.TutteCache keeps them as rows of one SQLite database.
 """
 
 from __future__ import annotations
@@ -248,7 +250,8 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
     if hit is not None:
         return hit
     if cache is not None:
-        stored = cache.get(json.dumps(key))
+        text = json.dumps(key)
+        stored = cache.get(text)
         if stored is not None:
             poly = BivarPoly.from_json(stored)
             memo[key] = poly
@@ -278,7 +281,7 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
                 + _dc(spec, rest, pivots, k - 1, n - 1, memo, cache))
     memo[key] = poly
     if cache is not None:
-        cache.put(json.dumps(key), poly.to_json())
+        cache.put(text, poly.to_json())
     return poly
 
 

@@ -2,8 +2,11 @@ import io
 import json
 import os
 import random
+import sqlite3
+import subprocess
+import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import closing, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +17,12 @@ from hypothesis import strategies as st
 from starconfig import cli, hilbert
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
                             example_b3, example_e0, main, parse_input)
-from starconfig.fields import GF, ExactArithError
-from starconfig.tutte import BivarPoly, canonical_matrix_key
+from starconfig.fields import GF, QQ, ExactArithError
+from starconfig.matroid import VectorMatroid
+from starconfig.tutte import (BivarPoly, canonical_matrix_key,
+                              tutte_deletion_contraction)
 
-from conftest import random_code
+from conftest import DictCache, random_code
 
 E0_TEXT = """\
 # a [3,2] example
@@ -303,19 +308,38 @@ def e0_cache_key() -> str:
     return json.dumps(canonical_matrix_key(example_e0().matrix))
 
 
-@pytest.mark.parametrize("entry", [
-    lambda key: [1, 2],
-    lambda key: {"key": key, "poly": BivarPoly({(0, 0): 7}).to_json()},
+def write_entry(cache: TutteCache, key: str, text: str):
+    """Store text as key's entry, through a connection of its own."""
+    with closing(sqlite3.connect(cache.path)) as db:
+        db.execute("INSERT OR REPLACE INTO entry VALUES (?, ?)", (key, text))
+        db.commit()
+
+
+def cache_rows(cache_dir: str) -> dict:
+    with closing(sqlite3.connect(os.path.join(cache_dir,
+                                              "tutte.sqlite3"))) as db:
+        return dict(db.execute("SELECT key, poly FROM entry"))
+
+
+def without_timings(out: str) -> dict:
+    doc = json.loads(out)
+    doc.pop("timings")
+    return doc
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    json.dumps(BivarPoly({(0, 0): 7}).to_json()),
 ], ids=["not-an-object", "wrong-poly"])
 def test_poisoned_cache_entry_is_a_miss_and_rewritten(capsys, tmp_path,
-                                                      entry):
+                                                      text):
     cache = TutteCache(str(tmp_path / "cache"))
     key = e0_cache_key()
-    with open(cache._path(key), "w", encoding="utf-8") as fh:
-        json.dump(entry(key), fh)
+    write_entry(cache, key, text)
+    assert cache.get(key) is None
     rc, out, err = run_cli(capsys, "tutte", "--example", "e0", "--json",
                            "--cache-dir", cache.directory)
-    assert rc == 0, err
+    assert rc == 0 and err == ""
     assert BivarPoly.from_json(json.loads(out)["tutte"]) == E0_TUTTE
     assert BivarPoly.from_json(cache.get(key)) == E0_TUTTE
 
@@ -324,43 +348,148 @@ def test_tutte_cache_rejects_malformed_entries(tmp_path):
     cache = TutteCache(str(tmp_path / "cache"))
     key = e0_cache_key()
     good = E0_TUTTE.to_json()
+
+    def term(**t):
+        return json.dumps({"terms": [t]})
+
     bad = [
-        "text", None, {"key": key}, {"key": "other", "poly": good},
-        {"key": key, "poly": good, "extra": 1},
-        {"key": key, "poly": [good]},
-        {"key": key, "poly": {"terms": "x^2"}},
-        {"key": key, "poly": {"terms": [{"x": "2", "y": 0, "coeff": "1"}]}},
-        {"key": key, "poly": {"terms": [{"x": -1, "y": 0, "coeff": "1"}]}},
-        {"key": key, "poly": {"terms": [{"x": 2, "y": 0, "coeff": 1.5}]}},
-        {"key": key, "poly": {"terms": [{"x": 2, "y": 0, "coeff": "one"}]}},
-        {"key": key, "poly": {"terms": [{"x": 2, "y": 0}]}},
+        "text", "null", json.dumps("text"), json.dumps([good]), "{}",
+        "[" * 100000,
+        json.dumps({"terms": "x^2"}),
+        term(x="2", y=0, coeff="1"),
+        term(x=-1, y=0, coeff="1"),
+        term(x=2, y=0, coeff=1.5),
+        term(x=2, y=0, coeff="one"),
+        term(x=2, y=0),
+        json.dumps(BivarPoly({(0, 0): 7}).to_json()),  # T(2, 2) != 2^3
     ]
-    for doc in bad:
-        with open(cache._path(key), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        assert cache.get(key) is None, doc
+    for text in bad:
+        write_entry(cache, key, text)
+        assert cache.get(key) is None, text
     cache.put(key, good)
     assert cache.get(key) == good
+    assert cache_rows(cache.directory) == {key: json.dumps(good)}
+
+
+def test_tutte_cache_skips_a_locked_or_closed_database(tmp_path):
+    cache = TutteCache(str(tmp_path / "cache"))
+    cache._db.execute("PRAGMA busy_timeout = 0")
+    key, good = e0_cache_key(), E0_TUTTE.to_json()
+    with closing(sqlite3.connect(cache.path, isolation_level=None)) as other:
+        other.execute("BEGIN IMMEDIATE")
+        cache.put(key, good)  # database is locked: the entry is skipped
+        assert cache.get(key) is None
+        other.execute("COMMIT")
+    cache.put(key, good)
+    assert cache.get(key) == good
+    cache.close()
+    cache.put(key, good)
+    assert cache.get(key) is None
+
+
+@pytest.mark.parametrize("command", ["profile", "tutte"])
+@pytest.mark.parametrize("damage", ["garbage", "directory"])
+def test_unusable_cache_database_is_a_warning(capsys, tmp_path, command,
+                                              damage):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    db = cache_dir / "tutte.sqlite3"
+    if damage == "garbage":
+        db.write_bytes(bytes(range(256)) * 16)
+    else:
+        db.mkdir()
+    rc, out, err = run_cli(capsys, command, "--example", "b3", "--json",
+                           "--cache-dir", str(cache_dir))
+    assert rc == 0
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:"), err
+    _, plain, _ = run_cli(capsys, command, "--example", "b3", "--json",
+                          "--no-cache")
+    assert without_timings(out) == without_timings(plain)
+    if damage == "garbage":
+        assert db.read_bytes() == bytes(range(256)) * 16
 
 
 def test_cache_flag_creates_entries_and_identical_output(capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
     rc1, out1, _ = run_cli(capsys, "profile", "--example", "b3",
                            "--json", "--cache-dir", cache_dir)
-    files = os.listdir(cache_dir)
-    assert files and all(f.endswith(".json") for f in files)
+    # the run closed the database, which folds the WAL file into it
+    assert os.listdir(cache_dir) == ["tutte.sqlite3"]
+    rows = cache_rows(cache_dir)
+    assert rows
+    for key, text in rows.items():
+        assert text == json.dumps(BivarPoly.from_json(
+            json.loads(text)).to_json())
     # second run hits the cache and must emit byte-identical values
     rc2, out2, _ = run_cli(capsys, "profile", "--example", "b3",
                            "--json", "--cache-dir", cache_dir)
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    doc1.pop("timings"), doc2.pop("timings")
-    assert rc1 == rc2 == 0 and doc1 == doc2
+    assert rc1 == rc2 == 0
+    assert without_timings(out1) == without_timings(out2)
+    assert cache_rows(cache_dir) == rows
     # uncached run agrees as well
     _, out3, _ = run_cli(capsys, "profile", "--example", "b3",
                          "--json", "--no-cache")
-    doc3 = json.loads(out3)
-    doc3.pop("timings")
-    assert doc3 == doc1
+    assert without_timings(out3) == without_timings(out1)
+
+
+class LoggingTutteCache(TutteCache):
+    """A TutteCache that logs its gets and puts as conftest.DictCache
+    does."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.log = []
+
+    def get(self, key):
+        self.log.append(("get", key))
+        return super().get(key)
+
+    def put(self, key, doc):
+        self.log.append(("put", key, json.dumps(doc)))
+        super().put(key, doc)
+
+
+@pytest.mark.parametrize("spec", [GF(2), GF(3), QQ], ids=["gf2", "gf3", "q"])
+def test_disk_cache_traffic_and_persistence(tmp_path, spec):
+    """Cold, DC makes the same gets and puts through the database as
+    through a dict, and stores each put's text; a second cache on the
+    directory answers a warm run with no put."""
+    m = VectorMatroid(random_code(random.Random(5), 4, 11, spec).matrix)
+    reference = DictCache()
+    poly = tutte_deletion_contraction(m, cache=reference)
+    cache_dir = str(tmp_path / "cache")
+    with LoggingTutteCache(cache_dir) as cold:
+        assert tutte_deletion_contraction(m, cache=cold) == poly
+    assert cold.log == reference.log
+    puts = [entry for entry in cold.log if entry[0] == "put"]
+    assert cache_rows(cache_dir) == {key: text for _, key, text in puts}
+    with LoggingTutteCache(cache_dir) as warm:
+        assert tutte_deletion_contraction(m, cache=warm) == poly
+    assert warm.log == reference.log[:1]  # the root's entry answers it
+
+
+def test_two_processes_share_one_cache(tmp_path):
+    code = random_code(random.Random(7), 4, 14, GF(3))
+    rows = "\n".join(" ".join(map(str, row)) for row in code.matrix.entries)
+    path = write_input(tmp_path, f"field gf 3\nsize 4 14\n{rows}\n")
+    cache_dir = str(tmp_path / "cache")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "starconfig.cli", "tutte", path, "--json",
+            "--cache-dir", cache_dir]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, text=True)
+             for _ in range(2)]
+    results = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], results
+    assert [err for _, err in results] == ["", ""]
+    first, second = (without_timings(out) for out, _ in results)
+    assert first == second
+    with closing(sqlite3.connect(os.path.join(cache_dir,
+                                              "tutte.sqlite3"))) as db:
+        assert db.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+    assert cache_rows(cache_dir)
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
