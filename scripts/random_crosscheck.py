@@ -6,9 +6,9 @@ independent computation routes agree:
 
   * subset-sum Tutte vs deletion-contraction Tutte, in memory and through
     an on-disk TutteCache in a fresh directory, once cold and once warm
-    (the warm run opens the directory again after the cold run closed it,
-    and is answered from the entry the cold run wrote under the canonical
-    key),
+    (the warm run opens the directory again while the cold run's cache is
+    still open, and must be answered from the entry the cold run wrote
+    under the canonical key, which is committed when that call returns),
   * Tutte duality, T of the dual generator matrix H by deletion-contraction
     vs T of the code by subset sum with x and y swapped,
   * the three generalized-Hamming-weight routes and Wei duality,
@@ -83,13 +83,21 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
     tutte = tutte_subset_sum(code.matroid)
     if tutte != tutte_deletion_contraction(code.matroid):
         failures.append("tutte engines disagree")
-    with tempfile.TemporaryDirectory() as tmp:
-        for phase in ("cold", "warm"):
-            with TutteCache(tmp) as cache:
-                poly = tutte_deletion_contraction(code.matroid, cache=cache)
-            if tutte != poly:
-                failures.append(f"deletion-contraction through a {phase} "
-                                f"disk cache disagrees with subset sum")
+    with tempfile.TemporaryDirectory() as tmp, TutteCache(tmp) as cold:
+        if tutte != tutte_deletion_contraction(code.matroid, cache=cold):
+            failures.append("deletion-contraction through a cold disk "
+                            "cache disagrees with subset sum")
+        # a second cache, opened while the first is still open, sees the
+        # entries the cold call wrote, so the root's entry answers it
+        memo = {}
+        with TutteCache(tmp) as warm:
+            poly = tutte_deletion_contraction(code.matroid, memo, warm)
+        if tutte != poly:
+            failures.append("deletion-contraction through a warm disk "
+                            "cache disagrees with subset sum")
+        if len(memo) != 1:
+            failures.append("the cold call's entries were not committed "
+                            "when it returned")
     dual = tutte_deletion_contraction(
         VectorMatroid(dual_generator_matrix(code)))
     if dual != BivarPoly({(j, i): c for (i, j), c in tutte.terms.items()}):

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 import weakref
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from .codes import (LinearCode, CodeError, weight_hierarchy, ghw_bruteforce,
@@ -122,16 +122,29 @@ EXAMPLES = {"e0": example_e0, "b3": example_b3}
 
 class TutteCache:
     """Persistent Tutte polynomial cache: one SQLite database,
-    tutte.sqlite3, in the cache directory, with one row per key.
+    tutte.sqlite3, in the cache directory, with one row per key holding
+    the text json.dumps(BivarPoly.to_json()) gives (written by
+    poly_text).
 
-    The database runs in WAL mode with synchronous=NORMAL and autocommits
-    each put, so concurrent runs on one directory read while another
-    writes and queue their writes behind SQLite's lock; a put still locked
-    out after the busy timeout is skipped.  WAL needs shared memory, so the
-    directory must be on a local file system.  An entry whose text does
-    not parse, or whose polynomial is malformed or cannot belong to its
-    key, is a miss, and the next put overwrites it.  A sqlite3.Error in
-    get is a miss and in put skips the entry."""
+    get and put take and return BivarPoly.  Inside batch(), put only
+    records the entry in memory, and get answers recorded keys first; the
+    recorded rows are written in one short transaction once FLUSH_ROWS are
+    recorded and when the outermost batch exits, with or without an
+    exception.  Outside a batch, put writes its row at once.  So the write
+    lock is held only while rows are written, never while a caller
+    computes, and a run killed inside a batch loses at most the
+    FLUSH_ROWS - 1 rows not yet written.
+
+    The database runs in WAL mode with synchronous=NORMAL, so concurrent
+    runs on one directory read while another writes and queue their
+    writes behind SQLite's lock; rows still locked out after the busy
+    timeout are skipped.  WAL needs shared memory, so the directory must
+    be on a local file system.  An entry whose text does not parse, or
+    whose polynomial is malformed or cannot belong to its key, is a miss,
+    and the next put overwrites it.  A sqlite3.Error in get is a miss and
+    in a write skips its rows."""
+
+    FLUSH_ROWS = 256
 
     def __init__(self, directory: str):
         import sqlite3  # here, so that runs without a cache never load it
@@ -141,7 +154,7 @@ class TutteCache:
         os.makedirs(directory, exist_ok=True)
         db = sqlite3.connect(self.path, isolation_level=None)
         try:
-            db.execute("PRAGMA journal_mode=WAL")
+            _switch_to_wal(db)
             db.execute("PRAGMA synchronous=NORMAL")
             db.execute("CREATE TABLE IF NOT EXISTS entry "
                        "(key TEXT PRIMARY KEY, poly TEXT NOT NULL)")
@@ -151,6 +164,8 @@ class TutteCache:
         self._db = db
         # a Connection waits for the cyclic GC; close it with the cache
         self._finalizer = weakref.finalize(self, db.close)
+        self._pending = {}
+        self._depth = 0
 
     def _path(self, key: str) -> str:
         """The file that holds key's entry: the database, for every key.
@@ -166,8 +181,23 @@ class TutteCache:
     def __exit__(self, *exc):
         self.close()
 
-    def get(self, key: str):
-        """The poly doc stored under key, or None on a miss."""
+    @contextmanager
+    def batch(self):
+        """Hold puts back until FLUSH_ROWS are held or the outermost
+        batch exits."""
+        self._depth += 1
+        try:
+            yield self
+        finally:
+            self._depth -= 1
+            if not self._depth:
+                self._flush()
+
+    def get(self, key: str) -> BivarPoly | None:
+        """The polynomial stored under key, or None on a miss."""
+        poly = self._pending.get(key)
+        if poly is not None:
+            return poly
         try:
             row = self._db.execute("SELECT poly FROM entry WHERE key = ?",
                                    (key,)).fetchone()
@@ -176,23 +206,65 @@ class TutteCache:
         if row is None:
             return None
         try:
-            doc = json.loads(row[0])
-            poly = BivarPoly.from_json(doc)
+            poly = BivarPoly.from_json(json.loads(row[0]))
         except (TypeError, ValueError, RecursionError):
             return None  # ValueError covers from_json's ExactArithError
-        return doc if poly_matches_key(poly, key) else None
+        return poly if poly_matches_key(poly, key) else None
 
-    def put(self, key: str, poly_doc: dict):
+    def put(self, key: str, poly: BivarPoly):
+        self._pending[key] = poly
+        if not self._depth or len(self._pending) >= self.FLUSH_ROWS:
+            self._flush()
+
+    def _flush(self):
+        """Write the held rows in one transaction, or skip them all."""
+        pending, self._pending = self._pending, {}
+        if not pending:
+            return
+        rows = [(key, poly_text(poly)) for key, poly in pending.items()]
         try:
-            self._db.execute("INSERT OR REPLACE INTO entry VALUES (?, ?)",
-                             (key, json.dumps(poly_doc)))
+            with self._db:  # commits, or rolls back on an error
+                self._db.execute("BEGIN IMMEDIATE")
+                self._db.executemany(
+                    "INSERT OR REPLACE INTO entry VALUES (?, ?)", rows)
         except self._error:
             pass
 
 
+def _switch_to_wal(db):
+    """PRAGMA journal_mode=WAL, retried while SQLite answers SQLITE_BUSY,
+    for up to 5 s, the busy timeout.
+
+    Switching a new database to WAL takes the write lock while holding a
+    read lock, so SQLite fails the switch at once, without waiting, while
+    another connection holds the write lock: two runs that create one
+    cache at the same moment would otherwise leave one of them uncached.
+    Once the database is in WAL, the pragma writes nothing."""
+    import sqlite3
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if (exc.sqlite_errorcode & 0xFF != sqlite3.SQLITE_BUSY
+                    or time.monotonic() > deadline):
+                raise
+        time.sleep(0.01)
+
+
+def poly_text(poly: BivarPoly) -> str:
+    """json.dumps(poly.to_json()), byte for byte, without building the
+    doc: coefficients are ints, whose str needs no escaping."""
+    return '{"terms": [' + ", ".join(
+        f'{{"x": {i}, "y": {j}, "coeff": "{c}"}}'
+        for (i, j), c in sorted(poly.terms.items())) + "]}"
+
+
 def cache_from_args(args) -> TutteCache | None:
-    """The cache the arguments name, or None.  A cache that SQLite cannot
-    open is a warning, and the run goes on without it."""
+    """The cache the arguments name, or None.  A cache directory that
+    cannot be made, or a database that SQLite cannot open, is a warning,
+    and the run goes on without it."""
     if args.no_cache:
         return None
     directory = args.cache_dir or os.environ.get(CACHE_ENV)
@@ -201,7 +273,7 @@ def cache_from_args(args) -> TutteCache | None:
     import sqlite3
     try:
         return TutteCache(directory)
-    except sqlite3.Error as exc:
+    except (OSError, sqlite3.Error) as exc:
         print(f"warning: cache {directory} not used: {exc}", file=sys.stderr)
         return None
 

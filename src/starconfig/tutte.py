@@ -10,15 +10,18 @@ down the recursion as its RREF, and deleting or contracting an element
 costs at most one row step (see _dc).  Its memo keys are
 canonical_matrix_key of each minor, read off the carried RREF by the same
 helper that canonical_matrix_key uses, so the keys, and the gets and puts
-of a persistent cache (json.dumps of the key, BivarPoly.to_json of the
-polynomial), are byte for byte those of a recursion that builds and
-reduces every minor.  How the cache stores them is up to the cache:
-cli.TutteCache keeps them as rows of one SQLite database.
+of a persistent cache (json.dumps of the key, and the polynomial), are
+byte for byte those of a recursion that builds and reduces every minor.
+Polynomials go into the cache and come out of it as BivarPoly; the text
+they are stored as is the cache's: cli.TutteCache keeps each as the text
+json.dumps(BivarPoly.to_json()) gives, in a row of one SQLite database,
+and writes the rows of one deletion-contraction call in a few batches.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
 
@@ -207,8 +210,11 @@ def poly_matches_key(poly: BivarPoly, key: str) -> bool:
     """Whether poly can be the Tutte polynomial cached under key.
 
     A key made by json.dumps(canonical_matrix_key(...)) records the column
-    count n, and T(2, 2) = 2^n counts the subsets.  Keys of any other form
-    record no n, and every poly matches them.
+    count n; every term x^i y^j of a Tutte polynomial on n elements has
+    i + j <= n, and T(2, 2) = 2^n counts the subsets.  The degrees are
+    checked first, so that a poly with huge exponents is rejected before
+    it is evaluated.  Keys of any other form record no n, and every poly
+    matches them.
     """
     try:
         doc = json.loads(key)
@@ -216,7 +222,9 @@ def poly_matches_key(poly: BivarPoly, key: str) -> bool:
         return True
     if not (isinstance(doc, list) and len(doc) == 5 and type(doc[3]) is int):
         return True
-    return poly.evaluate(2, 2) == 2 ** doc[3]
+    n = doc[3]
+    return (all(i + j <= n for i, j in poly.terms)
+            and poly.evaluate(2, 2) == 2 ** n)
 
 
 def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
@@ -225,8 +233,12 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
 
     Loops contribute a factor y and coloops a factor x; otherwise the
     lowest-index ordinary element e gives T = T(M \\ e) + T(M / e).  An
-    optional external cache (get/put of key string -> poly) persists
-    results across runs.
+    optional external cache persists results across runs: get(key) returns
+    the BivarPoly stored under a key string or None, put(key, poly) stores
+    one, and batch() is a context manager that the whole recursion runs
+    in, so that the cache may hold puts back and write them together; the
+    batch exits, and the cache writes what it held, before this returns,
+    an exception included.
 
     The matrix is brought to RREF once, here; every minor is carried down
     the recursion as its RREF (nonzero rows, pivot columns, row count), so
@@ -237,7 +249,9 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
     if memo is None:
         memo = {}
     reduced, rank, pivots = rref(m.matrix)
-    return _dc(m.spec, reduced.entries[:rank], pivots, m.k, m.n, memo, cache)
+    with nullcontext() if cache is None else cache.batch():
+        return _dc(m.spec, reduced.entries[:rank], pivots, m.k, m.n, memo,
+                   cache)
 
 
 def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
@@ -251,9 +265,8 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
         return hit
     if cache is not None:
         text = json.dumps(key)
-        stored = cache.get(text)
-        if stored is not None:
-            poly = BivarPoly.from_json(stored)
+        poly = cache.get(text)
+        if poly is not None:
             memo[key] = poly
             return poly
     # loops are zero columns; coloops are pivots whose row is a unit vector
@@ -281,7 +294,7 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
                 + _dc(spec, rest, pivots, k - 1, n - 1, memo, cache))
     memo[key] = poly
     if cache is not None:
-        cache.put(text, poly.to_json())
+        cache.put(text, poly)
     return poly
 
 

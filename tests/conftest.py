@@ -1,5 +1,6 @@
 import json
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import strategies as st
@@ -188,19 +189,25 @@ def oracle_dc(m, memo: dict | None = None, cache=None) -> BivarPoly:
 
 
 class DictCache:
-    """A TutteCache stand-in in memory that logs every get and put."""
+    """A TutteCache stand-in in memory that logs every get and put and
+    returns what was put under a key."""
 
     def __init__(self):
         self.entries = {}
         self.log = []
 
+    def batch(self):
+        return nullcontext()
+
     def get(self, key):
         self.log.append(("get", key))
         return self.entries.get(key)
 
-    def put(self, key, doc):
+    def put(self, key, entry):
+        # tutte_deletion_contraction puts a BivarPoly, oracle_dc a doc
+        doc = entry.to_json() if isinstance(entry, BivarPoly) else entry
         self.log.append(("put", key, json.dumps(doc)))
-        self.entries[key] = doc
+        self.entries[key] = entry
 
 
 @pytest.fixture

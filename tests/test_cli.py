@@ -6,21 +6,23 @@ import sqlite3
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import closing, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starconfig import cli, hilbert
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
-                            example_b3, example_e0, main, parse_input)
+                            example_b3, example_e0, main, parse_input,
+                            poly_text)
 from starconfig.fields import GF, QQ, ExactArithError
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
-                              tutte_deletion_contraction)
+                              poly_matches_key, tutte_deletion_contraction)
 
 from conftest import DictCache, random_code
 
@@ -296,8 +298,8 @@ def test_tutte_cache_roundtrip(tmp_path):
     cache = TutteCache(str(tmp_path / "cache"))
     assert cache.get("missing") is None
     poly = BivarPoly({(2, 0): 1, (0, 1): 3})
-    cache.put("some-key", poly.to_json())
-    assert BivarPoly.from_json(cache.get("some-key")) == poly
+    cache.put("some-key", poly)
+    assert cache.get("some-key") == poly
     assert cache.get("other-key") is None
 
 
@@ -341,19 +343,20 @@ def test_poisoned_cache_entry_is_a_miss_and_rewritten(capsys, tmp_path,
                            "--cache-dir", cache.directory)
     assert rc == 0 and err == ""
     assert BivarPoly.from_json(json.loads(out)["tutte"]) == E0_TUTTE
-    assert BivarPoly.from_json(cache.get(key)) == E0_TUTTE
+    assert cache.get(key) == E0_TUTTE
 
 
 def test_tutte_cache_rejects_malformed_entries(tmp_path):
     cache = TutteCache(str(tmp_path / "cache"))
     key = e0_cache_key()
-    good = E0_TUTTE.to_json()
+    good = E0_TUTTE
 
     def term(**t):
         return json.dumps({"terms": [t]})
 
     bad = [
-        "text", "null", json.dumps("text"), json.dumps([good]), "{}",
+        "text", "null", json.dumps("text"), json.dumps([good.to_json()]),
+        "{}",
         "[" * 100000,
         json.dumps({"terms": "x^2"}),
         term(x="2", y=0, coeff="1"),
@@ -368,13 +371,32 @@ def test_tutte_cache_rejects_malformed_entries(tmp_path):
         assert cache.get(key) is None, text
     cache.put(key, good)
     assert cache.get(key) == good
-    assert cache_rows(cache.directory) == {key: json.dumps(good)}
+    assert cache_rows(cache.directory) == {key: json.dumps(good.to_json())}
+
+
+@pytest.mark.parametrize("x, y", [(10**9, 10**9), (10**9, 0), (0, 4)])
+def test_tutte_cache_rejects_high_degrees_unevaluated(tmp_path, monkeypatch,
+                                                      x, y):
+    """A term with x + y above the key's n is a miss before T(2, 2) is
+    evaluated, however large its exponents."""
+    cache = TutteCache(str(tmp_path / "cache"))
+    key = e0_cache_key()
+    assert poly_matches_key(BivarPoly({(3, 0): 1}), key)
+    assert poly_matches_key(BivarPoly({(0, 3): 1}), key)
+
+    def evaluate(poly, x, y):
+        raise AssertionError("evaluated a poly of too high a degree")
+
+    monkeypatch.setattr(BivarPoly, "evaluate", evaluate)
+    write_entry(cache, key, json.dumps(
+        {"terms": [{"x": x, "y": y, "coeff": "3"}]}))
+    assert cache.get(key) is None
 
 
 def test_tutte_cache_skips_a_locked_or_closed_database(tmp_path):
     cache = TutteCache(str(tmp_path / "cache"))
     cache._db.execute("PRAGMA busy_timeout = 0")
-    key, good = e0_cache_key(), E0_TUTTE.to_json()
+    key, good = e0_cache_key(), E0_TUTTE
     with closing(sqlite3.connect(cache.path, isolation_level=None)) as other:
         other.execute("BEGIN IMMEDIATE")
         cache.put(key, good)  # database is locked: the entry is skipped
@@ -385,6 +407,27 @@ def test_tutte_cache_skips_a_locked_or_closed_database(tmp_path):
     cache.close()
     cache.put(key, good)
     assert cache.get(key) is None
+
+
+def test_cache_open_waits_for_a_database_being_created(tmp_path):
+    """Switching a new database to WAL fails at once, without SQLite's
+    busy wait, while another connection holds the write lock; opening the
+    cache retries until that lock is released."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    other = sqlite3.connect(cache_dir / "tutte.sqlite3", isolation_level=None,
+                            check_same_thread=False)
+    other.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, other.execute, ("COMMIT",))
+    release.start()
+    try:
+        with TutteCache(str(cache_dir)) as cache:
+            cache.put("key", E0_TUTTE)
+            assert cache.get("key") == E0_TUTTE
+    finally:
+        release.join(timeout=10)
+        other.close()
+    assert not release.is_alive()
 
 
 @pytest.mark.parametrize("command", ["profile", "tutte"])
@@ -398,16 +441,42 @@ def test_unusable_cache_database_is_a_warning(capsys, tmp_path, command,
         db.write_bytes(bytes(range(256)) * 16)
     else:
         db.mkdir()
+    assert_uncached_with_a_warning(capsys, command, "--cache-dir",
+                                   str(cache_dir))
+    if damage == "garbage":
+        assert db.read_bytes() == bytes(range(256)) * 16
+
+
+@pytest.mark.parametrize("command", ["profile", "tutte"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_unusable_cache_directory_is_a_warning(capsys, tmp_path, monkeypatch,
+                                               command, source, where):
+    """A cache directory that cannot be made (a regular file, or a path
+    under one) is a warning, as an unusable database is."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    directory = str(blocker if where == "file" else blocker / "cache")
+    if source == "flag":
+        assert_uncached_with_a_warning(capsys, command, "--cache-dir",
+                                       directory)
+    else:
+        monkeypatch.setenv(cli.CACHE_ENV, directory)
+        assert_uncached_with_a_warning(capsys, command)
+    assert blocker.read_text() == "not a directory"
+
+
+def assert_uncached_with_a_warning(capsys, command, *cache_args):
+    """command on b3 exits 0 with one warning line and the output of an
+    uncached run."""
     rc, out, err = run_cli(capsys, command, "--example", "b3", "--json",
-                           "--cache-dir", str(cache_dir))
+                           *cache_args)
     assert rc == 0
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning:"), err
     _, plain, _ = run_cli(capsys, command, "--example", "b3", "--json",
                           "--no-cache")
     assert without_timings(out) == without_timings(plain)
-    if damage == "garbage":
-        assert db.read_bytes() == bytes(range(256)) * 16
 
 
 def test_cache_flag_creates_entries_and_identical_output(capsys, tmp_path):
@@ -445,9 +514,9 @@ class LoggingTutteCache(TutteCache):
         self.log.append(("get", key))
         return super().get(key)
 
-    def put(self, key, doc):
-        self.log.append(("put", key, json.dumps(doc)))
-        super().put(key, doc)
+    def put(self, key, poly):
+        self.log.append(("put", key, json.dumps(poly.to_json())))
+        super().put(key, poly)
 
 
 @pytest.mark.parametrize("spec", [GF(2), GF(3), QQ], ids=["gf2", "gf3", "q"])
@@ -461,12 +530,84 @@ def test_disk_cache_traffic_and_persistence(tmp_path, spec):
     cache_dir = str(tmp_path / "cache")
     with LoggingTutteCache(cache_dir) as cold:
         assert tutte_deletion_contraction(m, cache=cold) == poly
+        puts = [entry for entry in cold.log if entry[0] == "put"]
+        # committed when the call returns, before the cache is closed
+        assert cache_rows(cache_dir) == {key: text for _, key, text in puts}
     assert cold.log == reference.log
-    puts = [entry for entry in cold.log if entry[0] == "put"]
     assert cache_rows(cache_dir) == {key: text for _, key, text in puts}
     with LoggingTutteCache(cache_dir) as warm:
         assert tutte_deletion_contraction(m, cache=warm) == poly
     assert warm.log == reference.log[:1]  # the root's entry answers it
+
+
+def put_rows(cache: LoggingTutteCache) -> dict:
+    """The rows the logged puts should have written."""
+    return {entry[1]: entry[2] for entry in cache.log if entry[0] == "put"}
+
+
+def test_dc_call_writes_in_batches_before_it_returns(tmp_path):
+    """Puts are held back and written FLUSH_ROWS at a time while DC runs,
+    and the rest when the call returns, the cache still open."""
+    m = VectorMatroid(random_code(random.Random(1), 4, 18, GF(2)).matrix)
+    cache_dir = str(tmp_path / "cache")
+    committed = []
+
+    class Watched(LoggingTutteCache):
+        def put(self, key, poly):
+            super().put(key, poly)
+            committed.append(len(cache_rows(cache_dir)))
+
+    cache = Watched(cache_dir)
+    tutte_deletion_contraction(m, cache=cache)
+    flush = TutteCache.FLUSH_ROWS
+    assert len(committed) > flush
+    assert committed == [(i + 1) // flush * flush
+                         for i in range(len(committed))]
+    assert cache_rows(cache_dir) == put_rows(cache)
+    cache.close()
+
+
+def test_puts_before_an_exception_are_written(tmp_path):
+    m = VectorMatroid(random_code(random.Random(1), 4, 18, GF(2)).matrix)
+    cache_dir = str(tmp_path / "cache")
+
+    class Failing(LoggingTutteCache):
+        def put(self, key, poly):
+            super().put(key, poly)
+            if len(put_rows(self)) == 10:
+                raise RuntimeError("stop")
+
+    with Failing(cache_dir) as cache:
+        with pytest.raises(RuntimeError, match="stop"):
+            tutte_deletion_contraction(m, cache=cache)
+        assert len(put_rows(cache)) == 10
+        assert cache_rows(cache_dir) == put_rows(cache)
+
+
+def test_nested_batches_write_at_the_outer_exit(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    key = e0_cache_key()
+    with TutteCache(cache_dir) as cache:
+        with cache.batch():
+            with cache.batch():
+                cache.put(key, E0_TUTTE)
+            assert cache_rows(cache_dir) == {}
+            assert cache.get(key) is E0_TUTTE  # the held poly itself
+        assert cache_rows(cache_dir) == {key: json.dumps(E0_TUTTE.to_json())}
+        poly = BivarPoly({(0, 3): 1})
+        cache.put("other", poly)  # outside a batch: written at once
+        assert cache_rows(cache_dir)["other"] == json.dumps(poly.to_json())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 10**12),
+                                 st.integers(0, 10**12)),
+                       st.integers(-10**100, 10**100), max_size=12))
+@example({})
+@example({(0, 0): -10**99 - 1, (10**30, 7): 10**99, (7, 10**30): -1})
+def test_poly_text_is_json_dumps_of_to_json(terms):
+    poly = BivarPoly(terms)
+    assert poly_text(poly) == json.dumps(poly.to_json())
 
 
 def test_two_processes_share_one_cache(tmp_path):
