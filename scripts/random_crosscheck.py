@@ -8,7 +8,8 @@ independent computation routes agree:
     an on-disk TutteCache in a fresh directory, once cold and once warm
     (the warm run opens the directory again while the cold run's cache is
     still open, and must be answered from the entry the cold run wrote
-    under the canonical key, which is committed when that call returns),
+    under the canonical key, which is committed when that call returns;
+    its one memo key is json.dumps of canonical_matrix_key),
   * Tutte duality, T of the dual generator matrix H by deletion-contraction
     vs T of the code by subset sum with x and y swapped,
   * the three generalized-Hamming-weight routes and Wei duality,
@@ -26,6 +27,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import tempfile
@@ -43,8 +45,9 @@ from starconfig.hilbert import (afold_generators, colon_dim_reference,
                                 mu_oracle)
 from starconfig.matroid import VectorMatroid
 from starconfig.star import full_profile
-from starconfig.tutte import (BivarPoly, tutte_deletion_contraction,
-                              tutte_subset_sum, whitney_shift)
+from starconfig.tutte import (BivarPoly, canonical_matrix_key,
+                              tutte_deletion_contraction, tutte_subset_sum,
+                              whitney_shift)
 
 
 @dataclass
@@ -98,6 +101,9 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
         if len(memo) != 1:
             failures.append("the cold call's entries were not committed "
                             "when it returned")
+        elif list(memo) != [json.dumps(canonical_matrix_key(code.matrix))]:
+            failures.append("the warm call's memo key is not the text of "
+                            "the canonical key")
     dual = tutte_deletion_contraction(
         VectorMatroid(dual_generator_matrix(code)))
     if dual != BivarPoly({(j, i): c for (i, j), c in tutte.terms.items()}):

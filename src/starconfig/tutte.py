@@ -7,11 +7,13 @@ on randomized inputs.
 
 Deletion-contraction eliminates once, at the root: each minor is carried
 down the recursion as its RREF, and deleting or contracting an element
-costs at most one row step (see _dc).  Its memo keys are
-canonical_matrix_key of each minor, read off the carried RREF by the same
-helper that canonical_matrix_key uses, so the keys, and the gets and puts
-of a persistent cache (json.dumps of the key, and the polynomial), are
-byte for byte those of a recursion that builds and reduces every minor.
+costs at most one row step (see _dc).  Its memo and a persistent cache are
+keyed by one string per minor: the text json.dumps(canonical_matrix_key)
+of the minor's matrix, written straight from the carried RREF by
+key_text_writer, with no key tuple built and no json.dumps per node.
+canonical_matrix_key is the tuple form of that text.  The keys, and the
+gets and puts of the cache, are byte for byte those of a recursion that
+builds and reduces every minor.
 Polynomials go into the cache and come out of it as BivarPoly; the text
 they are stored as is the cache's: cli.TutteCache keeps each as the text
 json.dumps(BivarPoly.to_json()) gives, in a row of one SQLite database,
@@ -57,6 +59,8 @@ class BivarPoly:
         return cls({(0, 0): 1})
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
+        # both operands hold nonzero ints only, and so does the sum: it
+        # needs neither the constructor's copy nor its int() pass
         out = dict(self.terms)
         for key, c in other.terms.items():
             new = out.get(key, 0) + c
@@ -64,7 +68,9 @@ class BivarPoly:
                 out[key] = new
             else:
                 out.pop(key, None)
-        return BivarPoly(out)
+        poly = object.__new__(BivarPoly)
+        poly.terms = out
+        return poly
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         out = {}
@@ -175,35 +181,80 @@ def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     and column order; equal keys imply equal Tutte polynomials.
 
     Built from the RREF with each nonzero column scaled so its first
-    nonzero entry is one, columns sorted with multiplicity.
+    nonzero entry is one, columns sorted with multiplicity.  A column is
+    read with the k - rank zero rows of the RREF below it, and its entries
+    are written by str, as FieldSpec.to_str writes them.  A matrix with no
+    rows lists no columns, as rref's 0 x 0 result of such a matrix does;
+    the key still records n.  json.dumps of the key is the memo and cache
+    key of deletion-contraction, which key_text_writer writes directly.
     """
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
     reduced, rank, _ = rref(matrix)
-    return _rref_key(matrix.spec, reduced.entries[:rank], matrix.rows,
-                     matrix.cols)
-
-
-def _rref_key(spec, rows, k: int, n: int) -> tuple:
-    """canonical_matrix_key of a k x n matrix whose RREF has the nonzero
-    rows given.
-
-    A column is read with the k - rank zero rows of the RREF below it, and
-    its entries are written by str, as FieldSpec.to_str writes them.  A
-    matrix with no rows lists no columns, as rref's 0 x 0 result of such a
-    matrix does; the key still records n.
-    """
+    rows = reduced.entries[:rank]
     cols = []
     if k:
-        one = spec.one
-        pad = (str(spec.zero),) * (k - len(rows))
+        pad = (str(spec.zero),) * (k - rank)
         for col in (zip(*rows) if rows else [()] * n):
-            for lead in col:
-                if lead:  # field elements are falsy exactly when zero
-                    if lead != one:
-                        col = spec.scale(spec.inv(lead), col)
-                    break
-            cols.append(tuple(map(str, col)) + pad)
+            cols.append(tuple(map(str, _scaled(spec, col))) + pad)
         cols.sort()
     return (spec.kind, spec.modulus, k, n, tuple(cols))
+
+
+def _scaled(spec, col: tuple) -> tuple:
+    """col scaled so that its first nonzero entry is one; a zero column,
+    or one that already leads with one, is col itself."""
+    for lead in col:
+        if lead:  # field elements are falsy exactly when zero
+            # the one of either field equals the int 1
+            return col if lead == 1 else spec.scale(spec.inv(lead), col)
+    return col
+
+
+def key_text_writer(spec):
+    """A function text(rows, k, n) returning, byte for byte,
+    json.dumps(canonical_matrix_key(M)) of a k x n matrix M over spec
+    whose RREF has the nonzero rows given, written straight from the rows.
+
+    Each column is scaled and written by str as in canonical_matrix_key,
+    and padded with k - rank "0" entries.  Every column has k entries, and
+    the closing quote sorts below every character an entry holds (digits,
+    "-" and "/"), so the column texts sort as their tuples do.  The head
+    [kind, modulus is dumped once per writer.  Over GF(p) each
+    column's text is kept, by pad and column tuple, for the writer's
+    lifetime; over Q it is not, as hashing a tuple of Fractions costs
+    more than writing it.
+    """
+    prefix = json.dumps([spec.kind, spec.modulus])[:-1]
+    tables = {} if spec.kind == "gf" else None
+
+    def column(col, tail: str) -> str:
+        return '["' + '", "'.join(map(str, _scaled(spec, col))) + tail
+
+    def text(rows, k: int, n: int) -> str:
+        head = f"{prefix}, {k}, {n}, ["
+        if not k:
+            return head + "]]"
+        if not rows:
+            return head + ", ".join(['["' + '", "'.join(("0",) * k) + '"]']
+                                    * n) + "]]"
+        pad = k - len(rows)
+        tail = '", "0' * pad + '"]'
+        if tables is None:
+            texts = [column(col, tail) for col in zip(*rows)]
+        else:
+            table = tables.get(pad)
+            if table is None:
+                table = tables[pad] = {}
+            texts = []
+            for col in zip(*rows):
+                t = table.get(col)
+                if t is None:
+                    t = table[col] = column(col, tail)
+                texts.append(t)
+        texts.sort()
+        return head + ", ".join(texts) + "]]"
+
+    return text
 
 
 def poly_matches_key(poly: BivarPoly, key: str) -> bool:
@@ -242,30 +293,32 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
 
     The matrix is brought to RREF once, here; every minor is carried down
     the recursion as its RREF (nonzero rows, pivot columns, row count), so
-    no node eliminates.  Memo keys are canonical_matrix_key of each minor's
-    matrix, read off the carried RREF, so they and the cache entries are
-    the same as those of a recursion through VectorMatroid minors.
+    no node eliminates.  The memo and the cache are keyed by the same
+    string, json.dumps(canonical_matrix_key) of each minor's matrix,
+    written from the carried RREF by one key_text_writer per call, so the
+    keys and the cache entries are those of a recursion through
+    VectorMatroid minors.
     """
     if memo is None:
         memo = {}
     reduced, rank, pivots = rref(m.matrix)
+    key_text = key_text_writer(m.spec)
     with nullcontext() if cache is None else cache.batch():
         return _dc(m.spec, reduced.entries[:rank], pivots, m.k, m.n, memo,
-                   cache)
+                   cache, key_text)
 
 
-def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
-        cache) -> BivarPoly:
+def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
+        key_text) -> BivarPoly:
     """T of the k x n matrix with RREF rows (sorted by pivot) and pivots."""
     if n == 0:
         return BivarPoly.one()
-    key = _rref_key(spec, rows, k, n)
+    key = key_text(rows, k, n)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if cache is not None:
-        text = json.dumps(key)
-        poly = cache.get(text)
+        poly = cache.get(key)
         if poly is not None:
             memo[key] = poly
             return poly
@@ -290,11 +343,12 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict,
         pivots = pivots[:at] + tuple(p - 1 for p in pivots[at + 1:])
         rest = rows[:at] + rows[at + 1:]
         poly = (_dc(spec, *rref_join(rest, pivots, rows[at], spec), k,
-                    n - 1, memo, cache)
-                + _dc(spec, rest, pivots, k - 1, n - 1, memo, cache))
+                    n - 1, memo, cache, key_text)
+                + _dc(spec, rest, pivots, k - 1, n - 1, memo, cache,
+                      key_text))
     memo[key] = poly
     if cache is not None:
-        cache.put(text, poly)
+        cache.put(key, poly)
     return poly
 
 

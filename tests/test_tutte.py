@@ -11,8 +11,8 @@ from starconfig import fields, tutte
 from starconfig.fields import GF, QQ, CapExceeded, ExactMatrix
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
-                              tutte_deletion_contraction, tutte_subset_sum,
-                              whitney_shift)
+                              key_text_writer, tutte_deletion_contraction,
+                              tutte_subset_sum, whitney_shift)
 
 from conftest import DictCache, matrices, oracle_dc, random_matrix
 
@@ -80,18 +80,18 @@ def test_engine_equivalence(seed, k, n):
 
 
 def assert_dc_matches_oracle(matrix):
-    """Same polynomial, memo keys and cache traffic (cold, then warm
-    through the same cache) as the recursion through VectorMatroid
-    minors; returns the memo keys."""
+    """Same polynomial, memo keys (the text of the oracle's keys) and cache
+    traffic (cold, then warm through the same cache) as the recursion
+    through VectorMatroid minors; returns the oracle's memo keys."""
     memo, cache = {}, DictCache()
     o_memo, o_cache = {}, DictCache()
     poly = tutte_deletion_contraction(VectorMatroid(matrix), memo, cache)
     assert poly == oracle_dc(VectorMatroid(matrix), o_memo, o_cache)
-    assert list(memo) == list(o_memo)
+    assert list(memo) == [json.dumps(key) for key in o_memo]
     assert tutte_deletion_contraction(VectorMatroid(matrix), {}, cache) == \
         oracle_dc(VectorMatroid(matrix), {}, o_cache) == poly
     assert cache.log == o_cache.log
-    return list(memo)
+    return list(o_memo)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,6 +147,26 @@ def test_deletion_contraction_eliminates_once(m_b3, monkeypatch):
     poly = tutte_deletion_contraction(m_b3)
     assert calls == {"rref": 1, "rank": 0}
     assert poly == oracle_dc(VectorMatroid(m_b3.matrix))
+
+
+def test_deletion_contraction_dumps_no_key_per_node(m_b3, monkeypatch):
+    # keys are written as text: json.dumps runs at most once per (k, n),
+    # for the head of a key, never per node (DictCache dumps only its dict
+    # docs)
+    heads = []
+    dumps = json.dumps
+
+    def counted_dumps(obj, *args, **kwargs):
+        if not isinstance(obj, dict):
+            heads.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    memo, cache = {}, DictCache()
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    tutte_deletion_contraction(m_b3, memo, cache)
+    shapes = {tuple(json.loads(key)[2:4]) for key in memo}
+    assert len(memo) > len(shapes)
+    assert len(heads) <= len(shapes)
 
 
 def test_deletion_contraction_any_ordinary_element(rng):
@@ -301,6 +321,64 @@ def test_canonical_keys_match_recorded():
     keys = {name: json.dumps(canonical_matrix_key(matrix))
             for name, matrix in key_cases()}
     assert keys == recorded
+
+
+def writer_text(writer, matrix):
+    reduced, rank, _ = fields.rref(matrix)
+    return writer(reduced.entries[:rank], matrix.rows, matrix.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DC_FIELDS).flatmap(
+    lambda spec: st.lists(matrices((spec,)), min_size=1, max_size=6)))
+def test_key_text_is_json_dump_of_key(batch):
+    # one writer, and so one column table, across matrices of any k
+    writer = key_text_writer(batch[0].spec)
+    for matrix in batch:
+        assert writer_text(writer, matrix) == \
+            json.dumps(canonical_matrix_key(matrix))
+
+
+def test_key_text_sorts_columns_as_tuples():
+    """An entry that is a prefix of another ("1" of "10", "-1" of "-1/2")
+    sorts first in the text, as in the tuple; and the writer gives the
+    recorded text of every key case."""
+    gf257 = ExactMatrix.from_rows(GF(257), [[1, 0, 1, 1, 1],
+                                            [0, 1, 10, 1, 100]])
+    q = ExactMatrix.from_rows(QQ, [[1, 0, 1, 1],
+                                   [0, 1, Fraction(-1, 2), -1]])
+    for matrix in (gf257, q):
+        text = writer_text(key_text_writer(matrix.spec), matrix)
+        assert text == json.dumps(canonical_matrix_key(matrix))
+    assert '["1", "1"], ["1", "10"], ["1", "100"]' in \
+        writer_text(key_text_writer(GF(257)), gf257)
+    assert '["1", "-1"], ["1", "-1/2"], ["1", "0"]' in \
+        writer_text(key_text_writer(QQ), q)
+    data = Path(__file__).parent / "data" / "canonical_keys.json"
+    recorded = json.loads(data.read_text())
+    writers = {}
+    for name, matrix in key_cases():
+        writer = writers.setdefault(matrix.spec, key_text_writer(matrix.spec))
+        assert writer_text(writer, matrix) == recorded[name]
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        st.integers(-3, 3), max_size=8).map(BivarPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys)
+def test_poly_sum(p, q):
+    summed = dict(p.terms)
+    for key, c in q.terms.items():
+        summed[key] = summed.get(key, 0) + c
+    total = p + q
+    assert total.terms == BivarPoly(summed).terms
+    assert all(type(c) is int and c for c in total.terms.values())
+    assert total == BivarPoly(summed)
+    assert hash(total) == hash(BivarPoly(summed))
+    assert p + p.scale(-1) == BivarPoly.zero()
+    assert (p + p.scale(-1)).terms == {}
 
 
 def test_poly_json_roundtrip(m_b3):
