@@ -271,7 +271,8 @@ def rref(m: ExactMatrix):
     """
     basis, pivots = _rref_rows(m.entries, m.spec)
     zero_rows = ((m.spec.zero,) * m.cols,) * (m.rows - len(pivots))
-    reduced = ExactMatrix(m.spec, tuple(map(tuple, basis)) + zero_rows)
+    entries = tuple(map(tuple, basis)) + zero_rows
+    reduced = ExactMatrix(m.spec, entries, 0 if entries else m.cols)
     return reduced, len(pivots), pivots
 
 

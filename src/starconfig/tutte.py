@@ -7,13 +7,16 @@ on randomized inputs.
 
 Deletion-contraction eliminates once, at the root: each minor is carried
 down the recursion as its RREF, and deleting or contracting an element
-costs at most one row step (see _dc).  Its memo and a persistent cache are
-keyed by one string per minor: the text json.dumps(canonical_matrix_key)
+costs at most one row step (see _dc).  Loops and coloops factor out of
+T, so each minor sheds them before it is keyed, and only loop- and
+coloop-free minors are keyed.  Its memo and a persistent cache are keyed
+by one string per such minor: the text json.dumps(canonical_matrix_key)
 of the minor's matrix, written straight from the carried RREF by
 key_text_writer, with no key tuple built and no json.dumps per node.
 canonical_matrix_key is the tuple form of that text.  The keys, and the
 gets and puts of the cache, are byte for byte those of a recursion that
-builds and reduces every minor.
+builds every minor, strips its loops and coloops, and reduces what is
+left.
 Polynomials go into the cache and come out of it as BivarPoly; the text
 they are stored as is the cache's: cli.TutteCache keeps each as the text
 json.dumps(BivarPoly.to_json()) gives, in a row of one SQLite database,
@@ -23,6 +26,8 @@ and writes the rows of one deletion-contraction call in a few batches.
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect
 from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
@@ -84,8 +89,13 @@ class BivarPoly:
         return BivarPoly({key: c * v for key, v in self.terms.items()})
 
     def shift_degrees(self, dx: int, dy: int) -> "BivarPoly":
-        return BivarPoly({(i + dx, j + dy): c
-                          for (i, j), c in self.terms.items()})
+        """x^dx y^dy times self; self itself when both are 0."""
+        if not (dx or dy):
+            return self
+        # the terms stay distinct nonzero ints, as in __add__
+        poly = object.__new__(BivarPoly)
+        poly.terms = {(i + dx, j + dy): c for (i, j), c in self.terms.items()}
+        return poly
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BivarPoly) and self.terms == other.terms
@@ -184,9 +194,9 @@ def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     nonzero entry is one, columns sorted with multiplicity.  A column is
     read with the k - rank zero rows of the RREF below it, and its entries
     are written by str, as FieldSpec.to_str writes them.  A matrix with no
-    rows lists no columns, as rref's 0 x 0 result of such a matrix does;
-    the key still records n.  json.dumps of the key is the memo and cache
-    key of deletion-contraction, which key_text_writer writes directly.
+    rows lists no columns, which keeps cached keys valid; the key still
+    records n.  json.dumps of the key is the memo and cache key of
+    deletion-contraction, which key_text_writer writes directly.
     """
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     reduced, rank, _ = rref(matrix)
@@ -257,23 +267,25 @@ def key_text_writer(spec):
     return text
 
 
+# the head [kind, modulus, k, n, [ of a canonical key's text
+_KEY_HEAD = re.compile(r'\["[a-z]+", (?:null|[0-9]+), [0-9]+, ([0-9]+), \[')
+
+
 def poly_matches_key(poly: BivarPoly, key: str) -> bool:
     """Whether poly can be the Tutte polynomial cached under key.
 
     A key made by json.dumps(canonical_matrix_key(...)) records the column
-    count n; every term x^i y^j of a Tutte polynomial on n elements has
-    i + j <= n, and T(2, 2) = 2^n counts the subsets.  The degrees are
-    checked first, so that a poly with huge exponents is rejected before
-    it is evaluated.  Keys of any other form record no n, and every poly
-    matches them.
+    count n, the fourth number of its head; every term x^i y^j of a
+    Tutte polynomial on n elements has i + j <= n, and T(2, 2) = 2^n
+    counts the subsets.  n is read from the head alone, without parsing
+    the columns.  The degrees are checked first, so that a poly with huge
+    exponents is rejected before it is evaluated.  Keys of any other form
+    record no n, and every poly matches them.
     """
-    try:
-        doc = json.loads(key)
-    except ValueError:
+    head = _KEY_HEAD.match(key)
+    if head is None:
         return True
-    if not (isinstance(doc, list) and len(doc) == 5 and type(doc[3]) is int):
-        return True
-    n = doc[3]
+    n = int(head[1])
     return (all(i + j <= n for i, j in poly.terms)
             and poly.evaluate(2, 2) == 2 ** n)
 
@@ -282,35 +294,43 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
                                cache=None) -> BivarPoly:
     """Deletion-contraction recursion with memoization on canonical minors.
 
-    Loops contribute a factor y and coloops a factor x; otherwise the
-    lowest-index ordinary element e gives T = T(M \\ e) + T(M / e).  An
-    optional external cache persists results across runs: get(key) returns
-    the BivarPoly stored under a key string or None, put(key, poly) stores
-    one, and batch() is a context manager that the whole recursion runs
-    in, so that the cache may hold puts back and write them together; the
-    batch exits, and the cache writes what it held, before this returns,
-    an exception included.
+    Every minor is first stripped of its loops and coloops, which factor
+    out: T(M) = x^c y^l T(M') for M' the minor M with its l loops deleted
+    and its c coloops contracted.  Every element of M' is ordinary, and
+    its first element e gives T(M') = T(M' \\ e) + T(M' / e).  Only M' is
+    keyed, so minors that differ only in their loops and coloops share
+    one entry.  An optional external cache persists results across runs:
+    get(key) returns the BivarPoly stored under a key string or None,
+    put(key, poly) stores one, and batch() is a context manager that the
+    whole recursion runs in, so that the cache may hold puts back and
+    write them together; the batch exits, and the cache writes what it
+    held, before this returns, an exception included.
 
     The matrix is brought to RREF once, here; every minor is carried down
     the recursion as its RREF (nonzero rows, pivot columns, row count), so
     no node eliminates.  The memo and the cache are keyed by the same
-    string, json.dumps(canonical_matrix_key) of each minor's matrix,
-    written from the carried RREF by one key_text_writer per call, so the
-    keys and the cache entries are those of a recursion through
-    VectorMatroid minors.
+    string, json.dumps(canonical_matrix_key) of the matrix of each
+    loop- and coloop-free minor M', written from the carried RREF by one
+    key_text_writer per call, so the keys and the cache entries are those
+    of a recursion that strips and keys VectorMatroid minors.
     """
     if memo is None:
         memo = {}
     reduced, rank, pivots = rref(m.matrix)
+    rows, pivots, n, loops = _without_loops(reduced.entries[:rank], pivots,
+                                            m.n)
+    rows, pivots, k, n, coloops = _without_coloops(rows, pivots, m.k, n)
     key_text = key_text_writer(m.spec)
     with nullcontext() if cache is None else cache.batch():
-        return _dc(m.spec, reduced.entries[:rank], pivots, m.k, m.n, memo,
-                   cache, key_text)
+        poly = _dc(m.spec, rows, pivots, k, n, memo, cache, key_text)
+    return poly.shift_degrees(coloops, loops)
 
 
 def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
         key_text) -> BivarPoly:
-    """T of the k x n matrix with RREF rows (sorted by pivot) and pivots."""
+    """T of the k x n matrix with RREF rows (sorted by pivot) and pivots,
+    which has no loop (zero column) and no coloop (pivot whose row is a
+    unit vector)."""
     if n == 0:
         return BivarPoly.one()
     key = key_text(rows, k, n)
@@ -322,34 +342,63 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
         if poly is not None:
             memo[key] = poly
             return poly
-    # loops are zero columns; coloops are pivots whose row is a unit vector
-    live = [any(col) for col in zip(*rows)] if rows else [False] * n
-    for p, row in zip(pivots, rows):
-        if not any(row[p + 1:]):
-            live[p] = False
-    e = next((j for j in range(n) if live[j]), None)
-    if e is None:
-        # every nonzero column is a coloop, so every pivot is one
-        loops = n - len(pivots)
-        poly = BivarPoly.monomial(n - loops, loops)
-    else:
-        # e is a pivot: columns left of e are loops or coloops, and a row
-        # nonzero at a non-pivot e would make its own pivot, left of e,
-        # ordinary.  Rows other than e's are zero at e, so contracting e
-        # drops its row; deleting e joins its row back at its next nonzero
-        # entry, which exists since e is no coloop.
-        at = pivots.index(e)
-        rows = [row[:e] + row[e + 1:] for row in rows]
-        pivots = pivots[:at] + tuple(p - 1 for p in pivots[at + 1:])
-        rest = rows[:at] + rows[at + 1:]
-        poly = (_dc(spec, *rref_join(rest, pivots, rows[at], spec), k,
-                    n - 1, memo, cache, key_text)
-                + _dc(spec, rest, pivots, k - 1, n - 1, memo, cache,
-                      key_text))
+    # e = column 0 is row 0's pivot, and ordinary.  Rows other than e's
+    # are zero at e, so contracting e drops its row, and leaves as loops
+    # exactly the columns nonzero in e's row alone: the parallels of e;
+    # it makes no coloop.  Deleting e joins its row back at its next
+    # nonzero entry, which exists since e is no coloop; the joined row,
+    # or a row the join reduces, may be left a unit vector: a coloop, in
+    # series with e.  Deleting makes no loop.
+    head, *rest = [row[1:] for row in rows]
+    pivots = tuple(p - 1 for p in pivots[1:])
+    d_rows, d_pivots, d_k, d_n, coloops = _without_coloops(
+        *rref_join(rest, pivots, head, spec), k, n - 1)
+    c_rows, c_pivots, c_n, loops = _without_loops(rest, pivots, n - 1)
+    poly = (_dc(spec, d_rows, d_pivots, d_k, d_n, memo, cache,
+                key_text).shift_degrees(coloops, 0)
+            + _dc(spec, c_rows, c_pivots, k - 1, c_n, memo, cache,
+                  key_text).shift_degrees(0, loops))
     memo[key] = poly
     if cache is not None:
         cache.put(key, poly)
     return poly
+
+
+def _without_loops(rows, pivots: tuple, n: int):
+    """(rows, pivots, n, l): the RREF without its l zero columns."""
+    if not rows:
+        return rows, pivots, 0, n
+    loops = [j for j, col in enumerate(zip(*rows)) if not any(col)]
+    if not loops:
+        return rows, pivots, n, 0
+    # a loop is no pivot
+    return (_without_columns(rows, loops),
+            tuple(p - bisect(loops, p) for p in pivots), n - len(loops),
+            len(loops))
+
+
+def _without_coloops(rows, pivots: tuple, k: int, n: int):
+    """(rows, pivots, k, n, c): the RREF with its c unit rows, and their
+    pivot columns, contracted; every other row is zero in those columns."""
+    coloops = [p for p, row in zip(pivots, rows) if not any(row[p + 1:])]
+    if not coloops:
+        return rows, pivots, k, n, 0
+    kept = [(p, row) for p, row in zip(pivots, rows) if p not in coloops]
+    c = len(coloops)
+    return (_without_columns([row for _, row in kept], coloops),
+            tuple(p - bisect(coloops, p) for p, _ in kept), k - c, n - c, c)
+
+
+def _without_columns(rows, cols: list) -> list:
+    """rows without the columns cols, ascending."""
+    spans = list(zip([c + 1 for c in cols], cols[1:] + [None]))
+    out = []
+    for row in rows:
+        cut = row[:cols[0]]
+        for start, stop in spans:
+            cut += row[start:stop]
+        out.append(cut)
+    return out
 
 
 @dataclass(frozen=True)

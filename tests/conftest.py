@@ -103,7 +103,9 @@ def oracle_rref(m: ExactMatrix):
     """(reduced, rank, pivot_cols), as fields.rref returns them."""
     rows = [list(row) for row in m.entries]
     piv_cols = _eliminate(rows, m.spec)
-    reduced = ExactMatrix(m.spec, tuple(tuple(r) for r in rows))
+    # a matrix with no rows keeps its column count
+    reduced = ExactMatrix(m.spec, tuple(tuple(r) for r in rows),
+                          0 if rows else m.cols)
     return reduced, len(piv_cols), tuple(piv_cols)
 
 
@@ -132,17 +134,19 @@ def oracle_left_kernel_basis(m: ExactMatrix, cols) -> list:
 # -- test-only deletion-contraction oracle ------------------------------------
 #
 # The recursion tutte_deletion_contraction ran before it carried each minor's
-# RREF down: every node builds VectorMatroid minors, keys them by
-# canonical_matrix_key (as it was then) and probes loops and coloops by
-# elimination.  An independent reference for the polynomial, the memo keys
-# and the cache traffic.
+# RREF down, stripping loops and coloops as it does now: every node builds
+# VectorMatroid minors, probes loops and coloops by elimination, deletes the
+# loops and contracts the coloops, and keys what is left by
+# canonical_matrix_key (as it was then).  An independent reference for the
+# polynomial, the memo keys and the cache traffic.
 
 def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     reduced, rank, _ = rref(matrix)
     spec = matrix.spec
     zero = spec.zero
     cols = []
-    for j in range(reduced.cols):
+    # a matrix with no rows lists no columns
+    for j in range(reduced.cols if matrix.rows else 0):
         col = reduced.column(j)
         lead = next((x for x in col if x != zero), None)
         if lead is not None and lead != spec.one:
@@ -155,36 +159,38 @@ def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     return (kind, mod, matrix.rows, matrix.cols, tuple(cols))
 
 
+def _stripped(m):
+    """(m', c, l): m with its l loops deleted and its c coloops
+    contracted, from the last element down."""
+    loops = [i for i in range(m.n) if m.is_loop(i)]
+    coloops = [i for i in range(m.n) if m.is_coloop(i)]
+    for i in sorted(loops + coloops, reverse=True):
+        m = m.delete(i) if i in loops else m.contract(i)
+    return m, len(coloops), len(loops)
+
+
 def _dc(m, memo: dict, cache) -> BivarPoly:
+    m, coloops, loops = _stripped(m)
+    factor = BivarPoly.monomial(coloops, loops)
     if m.n == 0:
-        return BivarPoly.one()
+        return factor
     key = canonical_matrix_key(m.matrix)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if cache is not None:
+    poly = memo.get(key)
+    if poly is None and cache is not None:
         stored = cache.get(json.dumps(key))
         if stored is not None:
-            poly = BivarPoly.from_json(stored)
-            memo[key] = poly
-            return poly
-    loops = sum(1 for i in range(m.n) if m.is_loop(i))
-    ordinary = next((i for i in range(m.n)
-                     if not m.is_loop(i) and not m.is_coloop(i)), None)
-    if ordinary is None:
-        coloops = m.n - loops
-        poly = BivarPoly.monomial(coloops, loops)
-    else:
-        poly = (_dc(m.delete(ordinary), memo, cache)
-                + _dc(m.contract(ordinary), memo, cache))
-    memo[key] = poly
-    if cache is not None:
-        cache.put(json.dumps(key), poly.to_json())
-    return poly
+            poly = memo[key] = BivarPoly.from_json(stored)
+    if poly is None:
+        # every element of m is ordinary
+        poly = _dc(m.delete(0), memo, cache) + _dc(m.contract(0), memo, cache)
+        memo[key] = poly
+        if cache is not None:
+            cache.put(json.dumps(key), poly.to_json())
+    return poly * factor
 
 
 def oracle_dc(m, memo: dict | None = None, cache=None) -> BivarPoly:
-    """tutte_deletion_contraction as it was before the carried RREF."""
+    """tutte_deletion_contraction through VectorMatroid minors."""
     return _dc(m, {} if memo is None else memo, cache)
 
 

@@ -77,6 +77,13 @@ def test_rref_zero_matrix():
     assert pivots == ()
 
 
+def test_rref_of_zero_rows_keeps_the_columns():
+    m = ExactMatrix.from_rows(GF(5), [], cols=6)
+    reduced, rank, pivots = rref(m)
+    assert (reduced.rows, reduced.cols, rank, pivots) == (0, 6, 0, ())
+    assert reduced == m
+
+
 def test_rref_b3_rank():
     rows = [[1, 0, 0, 1, 1, 1, 1, 0, 0],
             [0, 1, 0, 1, -1, 0, 0, 1, 1],

@@ -82,7 +82,8 @@ def test_engine_equivalence(seed, k, n):
 def assert_dc_matches_oracle(matrix):
     """Same polynomial, memo keys (the text of the oracle's keys) and cache
     traffic (cold, then warm through the same cache) as the recursion
-    through VectorMatroid minors; returns the oracle's memo keys."""
+    through VectorMatroid minors, and no keyed minor with a loop or a
+    coloop; returns the oracle's memo keys."""
     memo, cache = {}, DictCache()
     o_memo, o_cache = {}, DictCache()
     poly = tutte_deletion_contraction(VectorMatroid(matrix), memo, cache)
@@ -91,7 +92,20 @@ def assert_dc_matches_oracle(matrix):
     assert tutte_deletion_contraction(VectorMatroid(matrix), {}, cache) == \
         oracle_dc(VectorMatroid(matrix), {}, o_cache) == poly
     assert cache.log == o_cache.log
+    for key in memo:
+        assert_loop_and_coloop_free(matrix.spec, json.loads(key))
     return list(o_memo)
+
+
+def assert_loop_and_coloop_free(spec, key):
+    """The key's columns hold no zero column and no pivot of a unit row:
+    the matrix they form, with the key's row count, has no loop and no
+    coloop."""
+    _, _, k, n, cols = key
+    assert len(cols) == n and n > 0 and k > 0
+    m = VectorMatroid(ExactMatrix.from_rows(
+        spec, [[spec.parse(col[i]) for col in cols] for i in range(k)]))
+    assert not any(m.is_loop(e) or m.is_coloop(e) for e in range(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,18 +129,60 @@ def test_carried_rref_matches_oracle_on_degenerate_minors(spec):
                         [0, 1, 0, 1, 3, 0, 4],
                         [1, 1, 0, 3, 3, 1, 5],
                         [2, 0, 0, 4, 0, 2, 2]])
-    assert VectorMatroid(deficient).full_rank == 2
+    m = VectorMatroid(deficient)
+    assert m.full_rank == 2
     keys = assert_dc_matches_oracle(deficient)
-    # key = (kind, modulus, rows, n, columns); each contraction drops one
-    # row and one rank, and a loop's column is all "0"
-    assert {key[2] for key in keys} == {2, 3, 4}
-    assert any(all(x == "0" for x in col) for key in keys for col in key[4])
+    # key = (kind, modulus, rows, n, columns); the loop is deleted before
+    # the root is keyed, and each contraction drops one row and one rank.
+    # A rank-1 minor without coloops is a parallel class, which one more
+    # contraction turns into loops alone: no 2-row minor is keyed
+    assert {key[2] for key in keys} == {3, 4}
+    loops = sum(m.is_loop(e) for e in range(m.n))  # 2 over GF(3), else 1
+    assert keys[-1][2:4] == (4, m.n - loops)  # the root, keyed last
     # 2 x 5 of full rank, with a parallel pair: contracting twice leaves
-    # zero-row minors, whose keys list no columns
+    # zero-row minors, all loops, and none is keyed
     keys = assert_dc_matches_oracle(matrix([[1, 0, 1, 1, 2],
                                             [0, 1, 1, 2, 0]]))
-    assert any(key[2] == 0 and key[3] > 0 and key[4] == () for key in keys)
-    assert_dc_matches_oracle(matrix([], cols=3))
+    assert {key[2] for key in keys} == {1, 2}
+    assert assert_dc_matches_oracle(matrix([], cols=3)) == []
+
+
+@st.composite
+def planted(draw, spec):
+    """A matrix with planted loops, coloops and parallel classes, columns
+    shuffled: a random core, zero columns, unit columns in rows of their
+    own, and scaled copies of core columns."""
+    if spec.kind == "gf":
+        entry = st.integers(0, spec.modulus - 1).map(spec.coerce)
+        unit = st.integers(1, spec.modulus - 1).map(spec.coerce)
+    else:
+        entry = st.fractions(-3, 3, max_denominator=3).map(spec.coerce)
+        unit = entry.filter(bool)
+    k = draw(st.integers(0, 3))
+    core = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=1, max_size=4))
+    loops = draw(st.integers(0, 2))
+    coloops = draw(st.integers(0, 2))
+    parallel = [spec.scale(draw(unit), draw(st.sampled_from(core)))
+                for _ in range(draw(st.integers(0, 3)))]
+    zero = spec.zero
+    cols = [list(col) + [zero] * coloops for col in core + parallel]
+    cols += [[zero] * (k + coloops) for _ in range(loops)]
+    for i in range(coloops):
+        col = [zero] * (k + coloops)
+        col[k + i] = draw(unit)
+        cols.append(col)
+    cols = draw(st.permutations(cols))
+    return ExactMatrix.from_rows(
+        spec, [[col[i] for col in cols] for i in range(k + coloops)],
+        cols=len(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((GF(2), GF(3), GF(257), QQ)).flatmap(planted))
+def test_planted_loops_coloops_and_parallels_match_subset_sum(matrix):
+    m = VectorMatroid(matrix)
+    assert tutte_deletion_contraction(m) == tutte_subset_sum(m)
 
 
 def test_deletion_contraction_eliminates_once(m_b3, monkeypatch):
@@ -362,6 +418,17 @@ def test_key_text_sorts_columns_as_tuples():
         assert writer_text(writer, matrix) == recorded[name]
 
 
+@pytest.mark.parametrize("spec", DC_FIELDS,
+                         ids=lambda spec: str(spec.modulus or "q"))
+def test_zero_row_keys_list_no_columns(spec):
+    """rref keeps the n columns of a matrix with no rows, and the key of
+    such a matrix still records n and lists no columns."""
+    matrix = ExactMatrix.from_rows(spec, [], cols=6)
+    text = json.dumps([spec.kind, spec.modulus, 0, 6, []])
+    assert json.dumps(canonical_matrix_key(matrix)) == text
+    assert writer_text(key_text_writer(spec), matrix) == text
+
+
 polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                         st.integers(-3, 3), max_size=8).map(BivarPoly)
 
@@ -379,6 +446,15 @@ def test_poly_sum(p, q):
     assert hash(total) == hash(BivarPoly(summed))
     assert p + p.scale(-1) == BivarPoly.zero()
     assert (p + p.scale(-1)).terms == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(0, 3), st.integers(0, 3))
+def test_shift_degrees(p, dx, dy):
+    shifted = p.shift_degrees(dx, dy)
+    assert shifted.terms == (p * BivarPoly.monomial(dx, dy)).terms
+    assert all(type(c) is int and c for c in shifted.terms.values())
+    assert p.shift_degrees(0, 0) is p
 
 
 def test_poly_json_roundtrip(m_b3):
