@@ -17,6 +17,10 @@ independent computation routes agree:
   * the three generalized-Hamming-weight routes and Wei duality,
   * coefficient-sum degree vs prime-sum degree vs fitted Hilbert degree,
   * the mu coefficient formula vs the generator-span rank,
+  * each quotient dimension of R / I_a across the default fit window
+    [a-1, a+k+3], from the engine, which derives the degrees past Gotzmann
+    persistence from Macaulay's bound, vs a from-scratch elimination of
+    the generator multiples,
   * each colon dimension dim (I_a : ell)_t, a >= 2 and t = a-1 .. a+1, from
     the cached-basis engine vs a from-scratch elimination of the degree-(t+1)
     generator multiples and the multiplication rows.
@@ -42,9 +46,10 @@ from starconfig.codes import (LinearCode, dual_generator_matrix,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
 from starconfig.fields import GF, QQ, ExactMatrix
-from starconfig.hilbert import (afold_generators, colon_dim_reference,
-                                colon_graded_dim, fit_hilbert_polynomial,
-                                mu_oracle)
+from starconfig.hilbert import (GradedIdealEngine, afold_generators,
+                                colon_dim_reference, colon_graded_dim,
+                                default_windows, fit_hilbert_polynomial,
+                                graded_dim_ideal, mu_oracle, ring_dim)
 from starconfig.matroid import VectorMatroid
 from starconfig.star import full_profile
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
@@ -129,7 +134,9 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
     profiles = full_profile(code, shifted, hierarchy)  # cross-checks degrees
     if config.hilbert:
         for p in profiles:
-            fit = fit_hilbert_polynomial(code, p.a)
+            gens = afold_generators(code, p.a)
+            engine = GradedIdealEngine(code.spec, code.k, gens)
+            fit = fit_hilbert_polynomial(code, p.a, engine=engine)
             if fit.degree_invariant != p.degree:
                 failures.append(
                     f"a={p.a}: Hilbert degree {fit.degree_invariant} "
@@ -138,8 +145,15 @@ def check_code(code: LinearCode, config: ExperimentConfig) -> list:
                 failures.append(
                     f"a={p.a}: Hilbert height {fit.implied_height} "
                     f"!= interval height {p.height}")
-            if mu_oracle(code, p.a) != p.mu:
+            if mu_oracle(code, p.a, engine) != p.mu:
                 failures.append(f"a={p.a}: mu oracle disagrees")
+            lo, his = default_windows(p.a, code.k)
+            for t in range(lo, his[0] + 1):
+                got = engine.quotient_dim(t)
+                want = ring_dim(code.k, t) - graded_dim_ideal(gens, t)
+                if got != want:
+                    failures.append(f"a={p.a}, t={t}: quotient dimension "
+                                    f"{got} != from scratch {want}")
         failures += check_colons(code)
     return failures
 

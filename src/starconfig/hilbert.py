@@ -22,6 +22,19 @@ basis, unchanged; once a degree is full, every later degree is the
 identity, with no elimination; and a colon cell reduces only its own
 multiplication rows against the cached basis, over GF(p) down to the
 columns that carry no pivot.
+
+Dimensions past a certain degree are not eliminated at all.  Gotzmann's
+persistence theorem (Gotzmann, Math. Z. 158, 1978; Bruns-Herzog,
+Cohen-Macaulay Rings, Thm 4.3.3): if J is generated in degrees <= s and
+H_{R/J}(s+1) = H_{R/J}(s)^<s>, Macaulay's bound, then
+H_{R/J}(t+1) = H_{R/J}(t)^<t> for every t >= s.  So the Hilbert function
+of an ideal is eliminated degree by degree from its largest generator
+degree up, and once two consecutive degrees meet the bound with equality,
+every later degree is read off the bound (PersistentHF).  The theorem is
+stated over any field; over GF(p) it also follows from the case of an
+infinite field, since extending the field does not change the dimension
+of any graded piece.  It uses no Tutte data, so the oracle stays
+independent of the Tutte route.
 """
 
 from __future__ import annotations
@@ -218,15 +231,18 @@ def _sub_mul_mod_p(acc: np.ndarray, x: np.ndarray, y: np.ndarray,
                    p: int) -> np.ndarray:
     """(acc - x @ y) mod p for int64 arrays with entries in [0, p).
 
-    Inner terms whose column of x or row of y is zero are dropped first.
-    The rest are summed in chunks of at most (2^63 - 1) // (p - 1)^2 - 1
-    terms, reduced mod p after each chunk, so no int64 value overflows:
-    for p near 2^31 a chunk is one term.
+    The inner terms are summed in chunks of at most
+    (2^63 - 1) // (p - 1)^2 - 1 terms, reduced mod p after each chunk, so
+    no int64 value overflows.  When one chunk holds them all, the product
+    is taken at once; otherwise, as for p near 2^31, where a chunk is one
+    term, the terms whose column of x or row of y is zero are dropped first.
     """
+    step = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)
+    if x.shape[1] <= step:  # one chunk: always so for small p
+        return (acc - x @ y) % p
     used = x.any(axis=0) & y.any(axis=1)  # the inner terms not all zero
     if not used.all():
         x, y = x[:, used], y[used]
-    step = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)
     for s in range(0, x.shape[1], step):
         acc = (acc - x[:, s:s + step] @ y[s:s + step]) % p
     return acc
@@ -306,6 +322,65 @@ def _echelon_int(rows, p=None, basis=None) -> list:
     return [basis[piv] for piv in sorted(basis)]
 
 
+# -- Gotzmann persistence ----------------------------------------------------
+
+def macaulay_bound(h: int, d: int) -> int:
+    """Macaulay's bound h^<d> for d >= 1.
+
+    With h written in its d-binomial expansion
+    h = C(k_d, d) + C(k_{d-1}, d-1) + ... + C(k_j, j),
+    k_d > k_{d-1} > ... > k_j >= j >= 1, the bound is
+    h^<d> = C(k_d + 1, d + 1) + ... + C(k_j + 1, j + 1), and 0^<d> = 0.
+    Every standard graded algebra has H(d+1) <= H(d)^<d>.
+    """
+    out = 0
+    while h:
+        top = d  # the largest top with C(top, d) <= h
+        while comb(top + 1, d) <= h:
+            top += 1
+        out += comb(top + 1, d + 1)
+        h -= comb(top, d)
+        d -= 1
+    return out
+
+
+class PersistentHF:
+    """The Hilbert function H of R/J, for J generated in degrees <= d.
+
+    Each call passes hf, which computes H(t) by elimination; it is used
+    only until persistence settles H.  hf is not stored, so an engine that
+    holds a PersistentHF forms no reference cycle and is freed as soon as
+    it is dropped, without waiting for the cycle collector.
+
+    Degrees d, d+1, ... are computed in increasing order.  Once two
+    consecutive ones s and s+1 meet Macaulay's bound with equality,
+    H(s+1) = H(s)^<s>, Gotzmann's persistence theorem gives
+    H(t+1) = H(t)^<t> for every t >= s: settled is then s+1, and every
+    later degree is derived from the bound, never passed to hf.  Degrees
+    below d are hf's alone.
+    """
+
+    def __init__(self, d: int):
+        self._start = max(d, 1)
+        self._run = []  # H(start), H(start + 1), ... so far
+        self.settled = None
+
+    def __call__(self, t: int, hf) -> int:
+        if t < self._start:
+            return hf(t)
+        run = self._run
+        while len(run) <= t - self._start:
+            u = self._start + len(run)
+            if self.settled is not None:
+                run.append(macaulay_bound(run[-1], u - 1))
+                continue
+            h = hf(u)
+            if run and h == macaulay_bound(run[-1], u - 1):
+                self.settled = u
+            run.append(h)
+        return run[t - self._start]
+
+
 class GradedIdealEngine:
     """Graded pieces of a homogeneous ideal given by generators.
 
@@ -319,6 +394,15 @@ class GradedIdealEngine:
     degree is full, every later degree is full too (I_t contains
     R_1 R_{t-1} = R_t), and its basis is the identity with no elimination.
     Bases and their pivots are cached per degree.
+
+    ideal_dim and quotient_dim go through Gotzmann persistence
+    (PersistentHF), started at max_degree, the largest generator degree:
+    the theorem needs every generator in degrees <= s, so an earlier start
+    is wrong for mixed degrees ((x^2, y^5) in K[x, y] has H = 1, 2, 2, 2,
+    2, 1, 0, and H(3) = H(2)^<2> = 2).  Once the Hilbert function has
+    settled, no later degree's basis is eliminated for a dimension; basis
+    still eliminates when it is called.  Over GF(p) the theorem holds as
+    over any field: the dimensions do not change under field extension.
     """
 
     def __init__(self, spec: FieldSpec, k: int, gens):
@@ -331,9 +415,11 @@ class GradedIdealEngine:
             if not g.is_zero():
                 self.by_degree.setdefault(g.degree, []).append(g)
         self.min_degree = min(self.by_degree, default=None)
+        self.max_degree = max(self.by_degree, default=None)
         self._gf = spec.kind == "gf" and spec.modulus < _NUMPY_P_CAP
         self._basis = {}   # t -> basis rows
         self._pivots = {}  # t -> pivot columns (numpy), or pivot -> row
+        self._hilbert = PersistentHF(self.max_degree or 1)
 
     def basis(self, t: int):
         """Basis rows of the degree-t piece of the ideal, sorted by pivot:
@@ -414,10 +500,13 @@ class GradedIdealEngine:
         return [m for m in range(width) if m not in pivots]
 
     def ideal_dim(self, t: int) -> int:
-        return len(self.basis(t))
+        return ring_dim(self.k, t) - self.quotient_dim(t)
 
     def quotient_dim(self, t: int) -> int:
-        return ring_dim(self.k, t) - self.ideal_dim(t)
+        return self._hilbert(t, self._eliminated_quotient_dim)
+
+    def _eliminated_quotient_dim(self, t: int) -> int:
+        return ring_dim(self.k, t) - len(self.basis(t))
 
     def rank_with_extra_rows(self, t: int, extra) -> int:
         """Rank of the degree-t ideal piece together with extra vectors.
@@ -569,30 +658,32 @@ class FittedHP:
         }
 
 
-def _interpolate(points) -> tuple:
-    """Lagrange interpolation through (t, value) pairs, exact Fractions;
-    returns ascending coefficients with trailing zeros trimmed."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (ti, vi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (t - tj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (tj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= ti - tj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * tj
-                nxt[d + 1] += c
-            basis = nxt
-        scale = Fraction(vi) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _interpolate(t0: int, values) -> tuple:
+    """The polynomial through (t0 + i, values[i]), exact; returns ascending
+    Fraction coefficients with trailing zeros trimmed.
+
+    Newton's forward-difference form p(t) = sum_j D^j v_0 C(t - t0, j)
+    with m points, times (m-1)!, has integer coefficients: the integer
+    differences D^j v_0 times (m-1)!/j! times the falling factorial
+    (t - t0)(t - t0 - 1)...(t - t0 - j + 1).  Fractions appear only in the
+    division by (m-1)! at the end.
+    """
+    m = len(values)
+    acc = [0] * m
+    falling = [1]  # ascending coefficients of the falling factorial
+    row = list(values)
+    for j in range(m):
+        if row[0]:
+            w = row[0] * (factorial(m - 1) // factorial(j))
+            for i, c in enumerate(falling):
+                acc[i] += w * c
+        row = [y - x for x, y in zip(row, row[1:])]
+        r = t0 + j  # falling *= (t - r)
+        falling = [x - r * y for x, y in zip([0] + falling, falling + [0])]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    den = factorial(m - 1) if m else 1
+    return tuple(Fraction(c, den) for c in acc)
 
 
 def fit_graded_quotient(k: int, hf, gen_degree: int,
@@ -615,8 +706,8 @@ def fit_graded_quotient(k: int, hf, gen_degree: int,
         for t in range(lo, hi + 1):
             sample(t)
         ts = sorted(samples)
-        tail = ts[-k:] if k else ts[-1:]
-        poly = _interpolate([(t, samples[t]) for t in tail])
+        tail = ts[-k:] if k else ts[-1:]  # consecutive degrees
+        poly = _interpolate(tail[0], [samples[t] for t in tail])
         # walk backward: how far does the fit reproduce the samples?
         stable_from = tail[0]
         for t in reversed(ts):
@@ -721,6 +812,27 @@ def colon_dim_from_engine(engine: GradedIdealEngine, spec, k, col,
     joint = engine.rank_with_extra_rows(t + 1, extra)
     image_mod_ideal = joint - engine.ideal_dim(t + 1)
     return ring_dim(k, t) - image_mod_ideal
+
+
+def colon_dims(engine: GradedIdealEngine, spec, k, col):
+    """t -> dim (I : ell)_t, for I the ideal of engine; the conjecture
+    cells and the colon fit share it, so each colon at
+    t >= engine.max_degree - 1 is computed once.
+
+    The exact sequence 0 -> R/(I : ell)(-1) -> R/I -> R/(I + ell) -> 0
+    gives dim (I : ell)_t = dim R_t - H_{R/I}(t+1) + H_{R/(I+ell)}(t+1).
+    I + ell is generated in degrees <= max(1, engine.max_degree), so
+    H_{R/(I+ell)} goes through Gotzmann persistence from there; below the
+    degree where it settles, its values come from colon_dim_from_engine,
+    the one exact colon computation, and past it no colon is eliminated.
+    """
+    def plus_ell(u):
+        return (colon_dim_from_engine(engine, spec, k, col, u - 1)
+                - ring_dim(k, u - 1) + engine.quotient_dim(u))
+
+    hf = PersistentHF(engine.max_degree or 1)
+    return lambda t: (ring_dim(k, t) - engine.quotient_dim(t + 1)
+                      + hf(t + 1, plus_ell))
 
 
 def colon_graded_dim(code: LinearCode, ell_index: int, a: int,
@@ -865,15 +977,8 @@ def conjecture_report(code: LinearCode, t_max: int,
                 deleted = GradedIdealEngine(
                     code.spec, code.k,
                     deleted_generators(code, ell, a - 1, prev_gens))
-                col = code.matrix.column(ell)
-                colon_dims = {}  # t -> dim (I_a : ell)_t, shared with the fit
-
-                def colon_dim(t):
-                    if t not in colon_dims:
-                        colon_dims[t] = colon_dim_from_engine(
-                            engine, code.spec, code.k, col, t)
-                    return colon_dims[t]
-
+                colon_dim = colon_dims(engine, code.spec, code.k,
+                                       code.matrix.column(ell))
                 cells = {}
                 for t in range(a - 1, t_max + 1):
                     lhs = colon_dim(t)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
@@ -12,17 +14,20 @@ from starconfig import hilbert, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
-                                WindowError, _echelon_int, _echelon_mod_p,
+                                PersistentHF, WindowError, _echelon_int,
+                                _echelon_mod_p, _interpolate,
                                 _linear_multiplication_rows, _mult_map,
                                 _sub_mul_mod_p, afold_generators,
                                 colon_dim_from_engine, colon_dim_reference,
-                                colon_graded_dim, conjecture_report,
+                                colon_dims, colon_graded_dim,
+                                conjecture_report,
                                 deleted_generators, deleted_ideal_engine,
                                 default_windows,
                                 expand_product, fit_graded_quotient,
                                 fit_hilbert_polynomial, graded_dim_ideal,
-                                ideal_engine, monomial_index, monomials,
-                                mu_oracle, parallel_count,
+                                ideal_engine, macaulay_bound,
+                                monomial_index, monomials, mu_oracle,
+                                parallel_count,
                                 render_conjecture_matrix, ring_dim)
 from starconfig.star import (degree_from_tutte, height_of_ideal, mu_of_ideal)
 from starconfig.tutte import tutte_subset_sum, whitney_shift
@@ -410,6 +415,151 @@ def test_full_degree_needs_no_elimination(b3, monkeypatch, numpy_kernel):
     assert colon_dim_from_engine(engine, b3.spec, 3, col, full) \
         == ring_dim(3, full)
     assert calls == []
+
+
+def macaulay_bound_oracle(h, d):
+    """h^<d> from the d-binomial expansion, each top found by a search
+    over every candidate, as Macaulay's theorem defines it."""
+    if h == 0:
+        return 0
+    top = max(x for x in range(d, h + d + 1) if comb(x, d) <= h)
+    return comb(top + 1, d + 1) + (
+        macaulay_bound_oracle(h - comb(top, d), d - 1) if d > 1 else 0)
+
+
+def test_macaulay_bound_known_values():
+    for d in range(1, 8):
+        for h in range(d + 1):
+            assert macaulay_bound(h, d) == h  # C(d, d) + C(d-1, d-1) + ...
+        assert macaulay_bound(comb(d + 2, 2), d) == comb(d + 3, 2)
+        for k in range(1, 6):  # a full ring piece grows as the ring does
+            assert macaulay_bound(ring_dim(k, d), d) == ring_dim(k, d + 1)
+        for h in range(60):
+            assert macaulay_bound(h, d) == macaulay_bound_oracle(h, d)
+    assert macaulay_bound(5, 2) == 7  # 5 = C(3, 2) + C(2, 1)
+
+
+def test_mixed_degree_ideal_persists_from_its_largest_degree():
+    # (x^2, y^5) in K[x, y]: H = 1, 2, 2, 2, 2, 1, 0, and H(3) = H(2)^<2>
+    # already, so persistence from the smallest generator degree is wrong
+    spec = GF(5)
+    gens = [DensePoly.from_dict(spec, 2, 2, {(2, 0): 1}),
+            DensePoly.from_dict(spec, 2, 5, {(0, 5): 1})]
+    want = [1, 2, 2, 2, 2, 1, 0, 0, 0, 0]
+    for numpy_kernel in (True, False):
+        engine = GradedIdealEngine(spec, 2, gens)
+        engine._gf = numpy_kernel
+        assert engine.max_degree == 5
+        assert [engine.quotient_dim(t) for t in range(10)] == want
+        assert engine._hilbert.settled == 7
+    exact = GradedIdealEngine(spec, 2, gens)
+    assert PersistentHF(2)(5, exact._eliminated_quotient_dim) == 2
+
+
+SETTLED_FIELDS = [GF(2), GF(3), GF(5), GF(P_ABOVE), QQ]
+
+
+@pytest.mark.parametrize("spec", SETTLED_FIELDS,
+                         ids=["GF(2)", "GF(3)", "GF(5)", "GF(2^31+11)", "Q"])
+def test_settled_dims_match_from_scratch(rng, spec):
+    settled = 0
+    for _ in range(3 if spec.kind == "q" else 4):
+        k = rng.randint(2, 3)
+        code = random_code(rng, k, rng.randint(k + 1, 5), spec)
+        for a in range(1, code.n + 1):
+            gens = afold_generators(code, a)
+            engine = GradedIdealEngine(spec, k, gens)
+            ts = range(a + k + 5)
+            got = [engine.ideal_dim(t) for t in ts]
+            assert got == [graded_dim_ideal(gens, t) for t in ts]
+            if engine._hilbert.settled is not None:
+                settled += engine._hilbert.settled < a + k + 4
+            if a >= 2:
+                col = code.matrix.column(rng.randrange(code.n))
+                colon_dim = colon_dims(engine, spec, k, col)
+                assert [colon_dim(t) for t in range(a - 1, a + k + 4)] == [
+                    colon_dim_reference(spec, k, gens, col, t)
+                    for t in range(a - 1, a + k + 4)]
+    assert settled  # some dimensions were derived, not eliminated
+
+
+def test_no_degree_past_the_settled_one_is_eliminated(rng, monkeypatch):
+    for fields in (FIELDS, [QQ]):
+        for _ in range(4):
+            code = random_code(rng, 3, rng.randint(4, 5),
+                               rng.choice(fields))
+            for a in range(2, code.n + 1):
+                engine = ideal_engine(code, a)
+                lo, his = default_windows(a, code.k)
+                for t in range(lo, his[-1]):
+                    engine.quotient_dim(t)
+                settled = engine._hilbert.settled
+                assert settled is not None and max(engine._basis) <= settled
+                col = code.matrix.column(0)
+                colon_dim = colon_dims(engine, code.spec, code.k, col)
+                colon_calls = []
+
+                def counted(engine, spec, k, col, t):
+                    colon_calls.append(t)
+                    return colon_dim_from_engine(engine, spec, k, col, t)
+                with monkeypatch.context() as patch:
+                    patch.setattr(hilbert, "colon_dim_from_engine", counted)
+                    for t in range(a - 1, his[-1]):
+                        colon_dim(t)
+                # the colon cells stop where H of I_a + ell settles
+                top = max(colon_calls)
+                assert colon_calls == list(range(a - 1, top + 1))
+                assert max(engine._basis) <= max(settled, top + 1)
+                with monkeypatch.context() as patch:
+                    calls = _counted_kernels(patch)
+                    for t in range(his[-1], his[-1] + 4):
+                        engine.quotient_dim(t)
+                        colon_dim(t)
+                assert calls == []
+
+
+def test_engine_is_freed_without_the_cycle_collector(b3):
+    # a reference cycle through the engine's bases held them until the
+    # cycle collector ran, which raised the peak memory of a long run
+    gc.disable()
+    try:
+        engine = ideal_engine(b3, 3)
+        colon_dim = colon_dims(engine, b3.spec, b3.k, b3.matrix.column(0))
+        for t in range(2, 12):
+            colon_dim(t)
+        freed = weakref.ref(engine)
+        del engine, colon_dim
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def lagrange_oracle(points):
+    """Lagrange interpolation on Fractions, the reference for the Newton
+    form; ascending coefficients with trailing zeros trimmed."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (ti, vi) in enumerate(points):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, (tj, _) in enumerate(points):
+            if j != i:
+                denom *= ti - tj
+                basis = [a - tj * b for a, b in zip([Fraction(0)] + basis,
+                                                   basis + [Fraction(0)])]
+        coeffs = [c + Fraction(vi) / denom * b for c, b in zip(coeffs, basis)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-20, 40), st.lists(st.integers(-10**6, 10**6),
+                                      min_size=1, max_size=7))
+def test_interpolate_matches_lagrange(t0, values):
+    points = [(t0 + i, v) for i, v in enumerate(values)]
+    got = _interpolate(t0, values)
+    assert got == lagrange_oracle(points)
+    assert all(sum(c * t**i for i, c in enumerate(got)) == v
+               for t, v in points)
 
 
 def test_ideal_dims_monotone_in_a(rng):
