@@ -9,7 +9,13 @@ Deletion-contraction eliminates once, at the root: each minor is carried
 down the recursion as its RREF, and deleting or contracting an element
 costs at most one row step (see _dc).  Loops and coloops factor out of
 T, so each minor sheds them before it is keyed, and only loop- and
-coloop-free minors are keyed.  Its memo and a persistent cache are keyed
+coloop-free minors are keyed.  Each step removes a whole parallel class
+P, of size m, at once, as Haggard, Pearce and Royle do ("Computing Tutte
+polynomials", ACM TOMS 2010).  With e in P and N = M/e \\ (P - e):
+T(M) = T(M \\ P) + (1 + y + ... + y^(m-1)) T(N) when deleting P keeps the
+rank, and T(M) = (x + y + ... + y^(m-1)) T(N) when it drops it; this is
+the single-element step applied m times.  So one minor is keyed per
+class, not one per element.  Its memo and a persistent cache are keyed
 by one string per such minor: the text json.dumps(canonical_matrix_key)
 of the minor's matrix, written straight from the carried RREF by
 key_text_writer, with no key tuple built and no json.dumps per node.
@@ -296,15 +302,26 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
 
     Every minor is first stripped of its loops and coloops, which factor
     out: T(M) = x^c y^l T(M') for M' the minor M with its l loops deleted
-    and its c coloops contracted.  Every element of M' is ordinary, and
-    its first element e gives T(M') = T(M' \\ e) + T(M' / e).  Only M' is
-    keyed, so minors that differ only in their loops and coloops share
-    one entry.  An optional external cache persists results across runs:
-    get(key) returns the BivarPoly stored under a key string or None,
-    put(key, poly) stores one, and batch() is a context manager that the
-    whole recursion runs in, so that the cache may hold puts back and
-    write them together; the batch exits, and the cache writes what it
-    held, before this returns, an exception included.
+    and its c coloops contracted.  Every element of M' is ordinary.  Its
+    first element e and e's parallel class P, of size m, give, with
+    N = M' / e \\ (P - e):
+
+        T(M') = T(M' \\ P) + (1 + y + ... + y^(m-1)) T(N)
+
+    when deleting P keeps the rank, and otherwise, when e is a coloop of
+    M' \\ (P - e), T(M') = (x + y + ... + y^(m-1)) T(N), and M' \\ P is
+    never built.  For m = 1 this is T(M') = T(M' \\ e) + T(M' / e), and
+    applying that step m times, to the members of P in turn, proves both
+    forms (the parallel-class step of Haggard, Pearce and Royle,
+    "Computing Tutte polynomials", ACM TOMS 2010).  Only M' is keyed, so
+    minors that differ only in their loops and coloops share one entry.
+
+    An optional external cache persists results across runs: get(key)
+    returns the BivarPoly stored under a key string or None, put(key,
+    poly) stores one, and batch() is a context manager that the whole
+    recursion runs in, so that the cache may hold puts back and write them
+    together; the batch exits, and the cache writes what it held, before
+    this returns, an exception included.
 
     The matrix is brought to RREF once, here; every minor is carried down
     the recursion as its RREF (nonzero rows, pivot columns, row count), so
@@ -323,14 +340,15 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
     key_text = key_text_writer(m.spec)
     with nullcontext() if cache is None else cache.batch():
         poly = _dc(m.spec, rows, pivots, k, n, memo, cache, key_text)
-    return poly.shift_degrees(coloops, loops)
+    return poly.shift_degrees(coloops, len(loops))
 
 
 def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
         key_text) -> BivarPoly:
     """T of the k x n matrix with RREF rows (sorted by pivot) and pivots,
     which has no loop (zero column) and no coloop (pivot whose row is a
-    unit vector)."""
+    unit vector), by one parallel-class step on column 0 (see
+    tutte_deletion_contraction)."""
     if n == 0:
         return BivarPoly.one()
     key = key_text(rows, k, n)
@@ -344,37 +362,61 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
             return poly
     # e = column 0 is row 0's pivot, and ordinary.  Rows other than e's
     # are zero at e, so contracting e drops its row, and leaves as loops
-    # exactly the columns nonzero in e's row alone: the parallels of e;
-    # it makes no coloop.  Deleting e joins its row back at its next
-    # nonzero entry, which exists since e is no coloop; the joined row,
-    # or a row the join reduces, may be left a unit vector: a coloop, in
-    # series with e.  Deleting makes no loop.
+    # exactly the columns nonzero in e's row alone: the rest of e's
+    # parallel class P, of size m; it makes no coloop.  N = M/e \ (P - e)
+    # is that contraction without its loops.  M \ P is e's row without P,
+    # joined back into N's rows, which are zero on P: rref_join returns
+    # None exactly when the row lies in their span, that is when deleting
+    # P drops the rank.  The joined row, or a row the join reduces, may be
+    # left a unit vector: a coloop, in series with P.  Deleting makes no
+    # loop.
     head, *rest = [row[1:] for row in rows]
     pivots = tuple(p - 1 for p in pivots[1:])
-    d_rows, d_pivots, d_k, d_n, coloops = _without_coloops(
-        *rref_join(rest, pivots, head, spec), k, n - 1)
-    c_rows, c_pivots, c_n, loops = _without_loops(rest, pivots, n - 1)
-    poly = (_dc(spec, d_rows, d_pivots, d_k, d_n, memo, cache,
-                key_text).shift_degrees(coloops, 0)
-            + _dc(spec, c_rows, c_pivots, k - 1, c_n, memo, cache,
-                  key_text).shift_degrees(0, loops))
+    c_rows, c_pivots, c_n, parallels = _without_loops(rest, pivots, n - 1)
+    if parallels:
+        head = _without_columns([head], parallels)[0]
+    joined = rref_join(c_rows, c_pivots, head, spec)
+    if joined is None:
+        # e is a coloop of M \ (P - e): T = (x + y + ... + y^(m-1)) T(N)
+        deleted, dx = BivarPoly.zero(), 1
+    else:
+        # T = T(M \ P) + (1 + y + ... + y^(m-1)) T(N)
+        d_rows, d_pivots, d_k, d_n, coloops = _without_coloops(
+            *joined, k, c_n)
+        deleted = _dc(spec, d_rows, d_pivots, d_k, d_n, memo, cache,
+                      key_text).shift_degrees(coloops, 0)
+        dx = 0
+    poly = deleted + _times_class(
+        _dc(spec, c_rows, c_pivots, k - 1, c_n, memo, cache, key_text),
+        len(parallels), dx)
     memo[key] = poly
     if cache is not None:
         cache.put(key, poly)
     return poly
 
 
+def _times_class(poly: BivarPoly, parallels: int, dx: int) -> BivarPoly:
+    """(x^dx + y + y^2 + ... + y^parallels) poly: T(N) times the factor of
+    the parallel-class step, dx being 1 when deleting the class drops the
+    rank and 0 when it does not; poly itself for (0, 0)."""
+    out = poly.shift_degrees(dx, 0)
+    for j in range(1, parallels + 1):
+        out = out + poly.shift_degrees(0, j)
+    return out
+
+
 def _without_loops(rows, pivots: tuple, n: int):
-    """(rows, pivots, n, l): the RREF without its l zero columns."""
+    """(rows, pivots, n, loops): the RREF without its zero columns, loops,
+    ascending."""
     if not rows:
-        return rows, pivots, 0, n
+        return rows, pivots, 0, list(range(n))
     loops = [j for j, col in enumerate(zip(*rows)) if not any(col)]
     if not loops:
-        return rows, pivots, n, 0
+        return rows, pivots, n, loops
     # a loop is no pivot
     return (_without_columns(rows, loops),
             tuple(p - bisect(loops, p) for p in pivots), n - len(loops),
-            len(loops))
+            loops)
 
 
 def _without_coloops(rows, pivots: tuple, k: int, n: int):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from starconfig.fields import GF, QQ, ExactMatrix, rref
 from starconfig.codes import LinearCode
+from starconfig.matroid import VectorMatroid
 from starconfig.tutte import BivarPoly
 
 FIELDS = [GF(2), GF(3), GF(5)]
@@ -133,12 +134,13 @@ def oracle_left_kernel_basis(m: ExactMatrix, cols) -> list:
 
 # -- test-only deletion-contraction oracle ------------------------------------
 #
-# The recursion tutte_deletion_contraction ran before it carried each minor's
-# RREF down, stripping loops and coloops as it does now: every node builds
-# VectorMatroid minors, probes loops and coloops by elimination, deletes the
-# loops and contracts the coloops, and keys what is left by
-# canonical_matrix_key (as it was then).  An independent reference for the
-# polynomial, the memo keys and the cache traffic.
+# The recursion tutte_deletion_contraction runs, on VectorMatroid minors
+# instead of a carried RREF: every node builds its minors, probes loops and
+# coloops by elimination, deletes the loops and contracts the coloops, keys
+# what is left by canonical_matrix_key (as it was before key_text_writer),
+# and removes the parallel class of its first element in one step.  An
+# independent reference for the polynomial, the memo keys and the cache
+# traffic.
 
 def canonical_matrix_key(matrix: ExactMatrix) -> tuple:
     reduced, rank, _ = rref(matrix)
@@ -169,6 +171,12 @@ def _stripped(m):
     return m, len(coloops), len(loops)
 
 
+def _without(m, cols: list):
+    """m with the elements cols deleted."""
+    return VectorMatroid(m.matrix.submatrix_cols(
+        [j for j in range(m.n) if j not in cols]))
+
+
 def _dc(m, memo: dict, cache) -> BivarPoly:
     m, coloops, loops = _stripped(m)
     factor = BivarPoly.monomial(coloops, loops)
@@ -181,8 +189,20 @@ def _dc(m, memo: dict, cache) -> BivarPoly:
         if stored is not None:
             poly = memo[key] = BivarPoly.from_json(stored)
     if poly is None:
-        # every element of m is ordinary
-        poly = _dc(m.delete(0), memo, cache) + _dc(m.contract(0), memo, cache)
+        # every element of m is ordinary; the parallel class P of e = 0 is
+        # e and the loops of m / e, and N = m / e \ (P - e)
+        con = m.contract(0)
+        parallels = [j for j in range(con.n) if con.is_loop(j)]
+        rest = _without(m, [0] + [j + 1 for j in parallels])
+        y_sum = BivarPoly({(0, j): 1 for j in range(1, len(parallels) + 1)})
+        if rest.full_rank == m.full_rank:
+            # T(m) = T(m \ P) + (1 + y + ... + y^(|P|-1)) T(N)
+            deleted, lead = _dc(rest, memo, cache), BivarPoly.one()
+        else:
+            # T(m) = (x + y + ... + y^(|P|-1)) T(N)
+            deleted, lead = BivarPoly.zero(), BivarPoly.monomial(1, 0)
+        poly = deleted + _dc(_without(con, parallels), memo, cache) * (
+            lead + y_sum)
         memo[key] = poly
         if cache is not None:
             cache.put(json.dumps(key), poly.to_json())

@@ -547,9 +547,9 @@ def put_rows(cache: LoggingTutteCache) -> dict:
 
 def test_dc_call_writes_in_batches_before_it_returns(tmp_path):
     """Puts are held back and written FLUSH_ROWS at a time while DC runs,
-    and the rest when the call returns, the cache still open.  The [20,6]
-    GF(2) code makes 551 puts, so two batches are written mid-call."""
-    m = VectorMatroid(random_code(random.Random(1), 6, 20, GF(2)).matrix)
+    and the rest when the call returns, the cache still open.  The [22,6]
+    GF(2) code makes 648 puts, so two batches are written mid-call."""
+    m = VectorMatroid(random_code(random.Random(1), 6, 22, GF(2)).matrix)
     cache_dir = str(tmp_path / "cache")
     committed = []
 
@@ -561,7 +561,7 @@ def test_dc_call_writes_in_batches_before_it_returns(tmp_path):
     cache = Watched(cache_dir)
     tutte_deletion_contraction(m, cache=cache)
     flush = TutteCache.FLUSH_ROWS
-    assert len(committed) == 551 > 2 * flush
+    assert len(committed) == 648 > 2 * flush
     assert committed == [(i + 1) // flush * flush
                          for i in range(len(committed))]
     assert cache_rows(cache_dir) == put_rows(cache)

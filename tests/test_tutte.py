@@ -14,7 +14,8 @@ from starconfig.tutte import (BivarPoly, canonical_matrix_key,
                               key_text_writer, tutte_deletion_contraction,
                               tutte_subset_sum, whitney_shift)
 
-from conftest import DictCache, matrices, oracle_dc, random_matrix
+from conftest import (DictCache, matrices, oracle_dc, random_code,
+                      random_matrix)
 
 DC_FIELDS = (GF(2), GF(3), GF(257), GF(2**61 - 1), QQ)
 
@@ -179,10 +180,54 @@ def planted(draw, spec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from((GF(2), GF(3), GF(257), QQ)).flatmap(planted))
+@given(st.sampled_from(DC_FIELDS).flatmap(planted))
 def test_planted_loops_coloops_and_parallels_match_subset_sum(matrix):
     m = VectorMatroid(matrix)
     assert tutte_deletion_contraction(m) == tutte_subset_sum(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_one_parallel_class_is_u1m(m):
+    # U_{1,m}: deleting the class leaves rank 0, and N is empty
+    spec = GF(3)
+    matrix = ExactMatrix.from_rows(spec, [[1 + j % 2 for j in range(m)]])
+    memo = {}
+    t = tutte_deletion_contraction(VectorMatroid(matrix), memo)
+    assert t == poly({(1, 0): 1, **{(0, j): 1 for j in range(1, m)}})
+    assert len(memo) == (m > 1)  # U_{1,1} is a coloop, stripped at the root
+
+
+def test_two_parallel_pairs_take_the_rank_drop_branch():
+    # {a, a'} and {b, b'} in rank 2: deleting {a, a'} leaves rank 1, so
+    # T = (x + y) T(U_{1,2}) = (x + y)^2, and M \ {a, a'} is never keyed
+    matrix = ExactMatrix.from_rows(GF(5), [[1, 2, 0, 0], [0, 0, 1, 3]])
+    memo = {}
+    t = tutte_deletion_contraction(VectorMatroid(matrix), memo)
+    x_plus_y = poly({(1, 0): 1, (0, 1): 1})
+    assert t == x_plus_y * x_plus_y
+    assert [tuple(json.loads(key)[2:4]) for key in memo] == [(1, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_a_parallel_class_inside_u2n(m, n):
+    # n points in general position in rank 2, the first repeated m times,
+    # scaled
+    spec = GF(257)
+    cols = [(1, 3 * m)] + [(1, t) for t in range(n - 1)]
+    cols += [(c, 3 * m * c % 257) for c in range(2, m + 1)]
+    matroid = VectorMatroid(ExactMatrix.from_rows(spec, list(zip(*cols))))
+    assert tutte_deletion_contraction(matroid) == tutte_subset_sum(matroid)
+
+
+def test_parallel_class_step_pins_the_keyed_minors():
+    # one keyed minor per parallel class, not one per element: peeling a
+    # class one element at a time keys 136 minors of this code
+    m = VectorMatroid(random_code(random.Random(1), 4, 18, GF(2)).matrix)
+    memo = {}
+    t = tutte_deletion_contraction(m, memo)
+    assert len(memo) == 45
+    assert t == tutte_subset_sum(VectorMatroid(m.matrix))
 
 
 def test_deletion_contraction_eliminates_once(m_b3, monkeypatch):
