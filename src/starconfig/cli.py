@@ -3,8 +3,8 @@
 Subcommands: tutte, ghw, profile, primes, mu, verify, conjecture, identity.
 Input is either a matrix file (see parse_input) or a built-in example
 (--example e0|b3).  Default output is a human table; --json emits the same
-values as JSON.  Exit codes: 1 input error, 2 cap exceeded, 3 internal
-invariant violation.
+values as JSON.  Exit codes: 1 input error (a usage error included), 2 cap
+exceeded, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -414,16 +414,12 @@ def cmd_mu(args) -> int:
 def cmd_verify(args) -> int:
     code = load_code(args)
     _, shifted, hierarchy, profiles, timings = _profiles(code, args)
-    window = None
-    if args.window:
-        lo, hi = args.window.split(":")
-        window = (int(lo), int(hi))
     checks = []
     all_ok = True
     for p in profiles:
         engine = ideal_engine(code, p.a)
         try:
-            fit = fit_hilbert_polynomial(code, p.a, window=window,
+            fit = fit_hilbert_polynomial(code, p.a, window=args.window,
                                          engine=engine)
         except WindowError as exc:
             checks.append({"a": p.a, "status": "inconclusive",
@@ -459,18 +455,12 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     code = load_code(args)
-    t_max = code.n + 2
-    if args.window:
-        _, hi = args.window.split(":")
-        t_max = int(hi)
+    t_max = args.window[1] if args.window else code.n + 2
     report = conjecture_report(code, t_max, args.max_n)
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        if report["note"]:
-            print("note:", report["note"])
-        print(render_conjecture_matrix(report))
+    table = render_conjecture_matrix(report)
+    if report["note"]:
+        table = f"note: {report['note']}\n{table}"
+    emit(args, report, table)
     return 0
 
 
@@ -502,25 +492,47 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_INPUT, not
+    argparse's 2, which is EXIT_CAP here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def window_arg(text: str) -> tuple:
+    """--window lo:hi as the pair (lo, hi) of ints."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with integer bounds, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser for every command: each takes the same options."""
+    parser = _Parser(
         prog="starconfig",
         description="Exact Tutte / star-configuration invariant tool")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("input", nargs="?", help="matrix file")
-        p.add_argument("--example", choices=sorted(EXAMPLES))
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--window", help="lo:hi degree window")
-        p.add_argument("--cache-dir")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--max-n", type=int, default=EXHAUSTIVE_CAP)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("input", nargs="?", help="matrix file")
+    parser.add_argument("--example", choices=sorted(EXAMPLES))
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--window", type=window_arg, metavar="LO:HI",
+                        help="degree window")
+    parser.add_argument("--cache-dir")
+    parser.add_argument("--no-cache", action="store_true")
+    parser.add_argument("--max-n", type=int, default=EXHAUSTIVE_CAP)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_intermixed_args(argv)
+    except SystemExit as exc:  # -h exits 0, a usage error EXIT_INPUT
+        return exc.code
     try:
         return COMMANDS[args.command](args)
     except InternalInvariantError as exc:

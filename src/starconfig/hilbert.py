@@ -47,7 +47,7 @@ from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, weight_hierarchy
 from .fields import EXHAUSTIVE_CAP, ExactArithError, FieldSpec
 
 # Below this prime ranks use int64 numpy arrays; larger primes use the
@@ -887,27 +887,6 @@ def deleted_ideal_engine(code: LinearCode, ell_index: int,
                              deleted_generators(code, ell_index, a))
 
 
-def parallel_count(code: LinearCode, ell_index: int) -> int:
-    """Number of other columns proportional to the given one."""
-    spec = code.spec
-    col = code.matrix.column(ell_index)
-    zero = spec.zero
-    lead = next(i for i, x in enumerate(col) if x != zero)
-    norm = spec.inv(col[lead])
-    ref = tuple(spec.mul(norm, x) for x in col)
-    count = 0
-    for j in range(code.n):
-        if j == ell_index:
-            continue
-        other = code.matrix.column(j)
-        if other[lead] == zero:
-            continue
-        inv = spec.inv(other[lead])
-        if tuple(spec.mul(inv, x) for x in other) == ref:
-            count += 1
-    return count
-
-
 # -- conjecture diagnostics --------------------------------------------------
 
 def conjecture_report(code: LinearCode, t_max: int,
@@ -917,23 +896,32 @@ def conjecture_report(code: LinearCode, t_max: int,
 
     The per-degree equalities at t >= a are reported observations, never
     assertions; the t = a-1 slice and coloop columns are proved facts.
-    cap bounds the ground set of every exhaustive subset scan, the code's
-    and each deletion's, as --max-n does.
+
+    Every matroid fact a cell needs is read once per report from the
+    code's subset-rank table, which is built first and under cap, as
+    --max-n does; no deletion M \\ ell is built.  Column ell is a coloop
+    when r(E - ell) < k.  It divides every a-fold product when
+    a > n - |P|, where P, its parallel class, is the rank-1 flat that
+    holds it.  For each r, the elements that lie in every largest flat of
+    rank k - r decide the j = 1 hypothesis (see _degree_hypothesis).
     """
-    from .tutte import tutte_subset_sum, whitney_shift
-    from .codes import weight_hierarchy
-
-    # the subset sum builds the rank table under cap; the hierarchy reads it
-    shifted = whitney_shift(tutte_subset_sum(code.matroid, cap), code.k)
+    m = code.matroid
+    rank = m.rank_table(cap)
     hierarchy = weight_hierarchy(code)
-
-    @lru_cache(maxsize=None)
-    def deleted_shift(ell):
-        """Shifted Tutte coefficients of M \\ ell; None for a coloop."""
-        deleted = code.matroid.delete(ell)
-        if deleted.full_rank < code.k:
-            return None
-        return whitney_shift(tutte_subset_sum(deleted, cap), code.k)
+    full = (1 << code.n) - 1
+    # Python bools: a numpy bool_ cannot be written by json.dump
+    coloop = [bool(rank[full ^ (1 << ell)] < code.k)
+              for ell in range(code.n)]
+    class_size = [0] * code.n
+    for flat in m.flats_of_rank(1):
+        for ell in flat.indices():
+            class_size[ell] = flat.size
+    # the largest flats of rank k - r have n - d_r elements
+    in_every_largest = [full] * code.k
+    for r in range(1, code.k):
+        for flat in m.flats_of_rank(code.k - r):
+            if flat.size == code.n - hierarchy.d[r]:
+                in_every_largest[r] &= flat.members
 
     report = {
         "n": code.n,
@@ -965,9 +953,8 @@ def conjecture_report(code: LinearCode, t_max: int,
         j = a - hierarchy.d[r]
         for ell in range(code.n):
             cell = {"ell": ell + 1, "label": code.labels[ell]}
-            tilde_n0 = parallel_count(code, ell)
-            cell["coloop"] = code.matroid.is_coloop(ell)
-            if a >= code.n - tilde_n0:
+            cell["coloop"] = coloop[ell]
+            if a > code.n - class_size[ell]:
                 # every a-fold product carries this form as a factor
                 cell["cells"] = {t: "auto"
                                  for t in range(a - 1, t_max + 1)}
@@ -1005,22 +992,27 @@ def conjecture_report(code: LinearCode, t_max: int,
                     except WindowError:
                         cell["degrees_equal"] = "inconclusive"
                     cell["degree_hypothesis"] = _degree_hypothesis(
-                        shifted, deleted_shift, ell, r, j)
+                        j, coloop[ell], bool(in_every_largest[r] >> ell & 1))
             entry["columns"].append(cell)
         report["entries"].append(entry)
     return report
 
 
-def _degree_hypothesis(shifted, deleted_shift, ell, r, j) -> str:
-    """Whether the proved degree-equality hypothesis (j >= 2, or j = 1
-    with matching top y-degrees after deletion) applies; deleted_shift(ell)
-    gives the shifted coefficients of M \\ ell, or None for a coloop."""
+def _degree_hypothesis(j: int, coloop: bool, in_every_largest: bool) -> str:
+    """Which proved hypothesis, if any, gives the colon ideal I_a : ell and
+    the deleted ideal equal degrees, for a = d_r + j inside (d_r, d_{r+1}].
+
+    j >= 2 is proved, and so is a coloop ell.  For j = 1 the proof needs
+    T(M) and T(M \\ ell) to share the top shifted coefficient p_r, and
+    p_r = |largest flat of rank k - r| - (k - r) (Jurrius-Pellikaan,
+    "Codes, arrangements and matroids", 2013).  Deleting ell keeps p_r
+    exactly when ell avoids some largest flat of rank k - r, that is when
+    in_every_largest, whether ell lies in every such flat, is false."""
     if j >= 2:
         return "j>=2 (proved)"
-    shifted_del = deleted_shift(ell)
-    if shifted_del is None:
+    if coloop:
         return "deleted column is a coloop (proved separately)"
-    if shifted.p[r] == shifted_del.p[r]:
+    if not in_every_largest:
         return "j=1 with matching top coefficients (proved)"
     return "j=1 with shifted top coefficient (open)"
 
@@ -1028,14 +1020,10 @@ def _degree_hypothesis(shifted, deleted_shift, ell, r, j) -> str:
 def render_conjecture_matrix(report: dict) -> str:
     """Plaintext matrix: rows a, columns t; each cell merges the per-column
     verdicts ('=' all equal, '!=' any mismatch, 'auto' all automatic)."""
-    t_max = report["t_max"]
-    ts = None
-    lines = []
-    header = None
+    ts = range(1, report["t_max"] + 1)
+    lines = [["    "] + [f"t={t}" for t in ts]]
     for entry in report["entries"]:
-        a = entry["a"]
-        row = [f"a={a:<3}"]
-        ts = list(range(1, t_max + 1))
+        row = [f"a={entry['a']:<3}"]
         for t in ts:
             verdicts = set()
             for cell in entry["columns"]:
@@ -1051,11 +1039,8 @@ def render_conjecture_matrix(report: dict) -> str:
             else:
                 row.append("=")
         lines.append(row)
-        if header is None:
-            header = ["    "] + [f"t={t}" for t in ts]
-    widths = [max(len(line[i]) for line in [header] + lines)
-              for i in range(len(header))]
-    out = []
-    for line in [header] + lines:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
+    widths = [max(len(line[i]) for line in lines)
+              for i in range(len(lines[0]))]
+    out = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+           for line in lines]
     return "\n".join(out)

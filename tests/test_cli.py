@@ -231,6 +231,50 @@ def test_conjecture_honours_max_n(capsys):
     assert "exceeds exhaustive cap 3" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["profile", "--bogus"], "unrecognized arguments: --bogus"),
+    (["profile", "--example", "e0", "--max-n", "x"], "--max-n"),
+    ([], "required"),
+])
+def test_usage_error_is_input_error(capsys, argv, message):
+    # argparse's own exit code, 2, is the cap-exceeded code here
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_INPUT
+    assert out == "" and message in err and err.startswith("usage:")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["profile", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.startswith("usage: starconfig")
+    assert all(name in out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+@pytest.mark.parametrize("window", ["5", "1:x", ":3", "1:2:3"])
+def test_malformed_window_is_input_error(capsys, command, window):
+    rc, out, err = run_cli(capsys, command, "--example", "e0",
+                           "--window", window)
+    assert rc == EXIT_INPUT and out == ""
+    assert f"expected lo:hi with integer bounds, got {window!r}" in err
+
+
+def test_options_may_come_before_the_command(capsys):
+    rc, out, _ = run_cli(capsys, "--json", "--example", "e0", "tutte")
+    assert rc == 0
+    assert json.loads(out)["engines_agree"] is True
+
+
+def test_conjecture_table_on_a_code_with_no_entries(capsys, tmp_path):
+    # n = 1: no a in [2, n], so the matrix is its header alone
+    path = write_input(tmp_path, "field gf 2\nsize 1 1\n1\n")
+    rc, out, _ = run_cli(capsys, "conjecture", path, "--window", "1:2")
+    assert rc == 0
+    assert out.splitlines()[1:] == ["      t=1  t=2"]
+
+
 @pytest.mark.parametrize("size", ["0 3", "0 0", "-1 3"])
 def test_size_below_one_is_input_error(capsys, tmp_path, size):
     path = write_input(tmp_path, f"field gf 2\nsize {size}\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig import hilbert, tutte
+from starconfig import hilbert, matroid, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
@@ -27,8 +27,8 @@ from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
                                 fit_hilbert_polynomial, graded_dim_ideal,
                                 ideal_engine, macaulay_bound,
                                 monomial_index, monomials, mu_oracle,
-                                parallel_count,
                                 render_conjecture_matrix, ring_dim)
+from starconfig.matroid import VectorMatroid
 from starconfig.star import (degree_from_tutte, height_of_ideal, mu_of_ideal)
 from starconfig.tutte import tutte_subset_sum, whitney_shift
 
@@ -711,13 +711,20 @@ def test_conjecture_report_expands_each_afold_list_once(b3, monkeypatch):
     assert sorted(expanded) == [(b3.n, a) for a in range(1, b3.n + 1)]
 
 
-def test_parallel_count():
+def test_conjecture_report_automatic_cells_follow_parallel_classes():
     code = LinearCode(ExactMatrix.from_rows(
         GF(5), [[1, 2, 3, 1], [1, 2, 0, 1]]))
-    # columns 1 and 4 are equal; column 2 is twice column 1
-    assert parallel_count(code, 0) == 2
-    assert parallel_count(code, 1) == 2
-    assert parallel_count(code, 2) == 0
+    # columns 1 and 4 are equal and column 2 is twice column 1: each of
+    # the three divides every a-fold product once a > n - 3; column 3 is
+    # parallel to nothing, so it does only at a = n
+    report = conjecture_report(code, 5)
+    automatic = {e["a"]: [c["ell"] for c in e["columns"] if c["automatic"]]
+                 for e in report["entries"]}
+    assert automatic == {2: [1, 2, 4], 3: [1, 2, 4], 4: [1, 2, 3, 4]}
+    for entry in report["entries"]:
+        for cell in entry["columns"]:
+            assert (set(cell["cells"].values()) == {"auto"}) \
+                == cell["automatic"]
 
 
 def test_conjecture_report_e0(e0):
@@ -758,33 +765,95 @@ def test_conjecture_report_degree_hypothesis(b3):
 
 
 def test_conjecture_report_computes_each_value_once(monkeypatch):
-    # hierarchy (0, 2, 4, 6): cells with j = 1 at a = 3 and a = 5, so the
-    # subset sum of each M \ ell is needed twice and memoized once
+    # hierarchy (0, 2, 4, 6): cells with j = 1 at a = 3 and a = 5; every
+    # matroid fact comes from the code's one rank table, with no Tutte
+    # polynomial, no deletion and no per-column coloop elimination
     code = LinearCode(ExactMatrix.from_rows(GF(2), [[0, 0, 0, 1, 0, 1],
                                                     [1, 0, 0, 0, 1, 1],
                                                     [1, 1, 1, 0, 0, 1]]))
-    subset_sums = []
+    tallies = Counter()
     colon_calls = []
-    subset_sum = tutte.tutte_subset_sum
     colon_dim = hilbert.colon_dim_from_engine
 
-    def counted_subset_sum(m, *args):
-        subset_sums.append(m)
-        return subset_sum(m, *args)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            tallies[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     def counted_colon_dim(engine, spec, k, col, t):
         colon_calls.append((engine, col, t))
         return colon_dim(engine, spec, k, col, t)
 
-    monkeypatch.setattr(tutte, "tutte_subset_sum", counted_subset_sum)
+    monkeypatch.setattr(tutte, "tutte_subset_sum",
+                        counted("subset_sum", tutte.tutte_subset_sum))
+    monkeypatch.setattr(VectorMatroid, "delete",
+                        counted("delete", VectorMatroid.delete))
+    monkeypatch.setattr(VectorMatroid, "is_coloop",
+                        counted("is_coloop", VectorMatroid.is_coloop))
+    monkeypatch.setattr(matroid, "_span_join_ranks",
+                        counted("table", matroid._span_join_ranks))
     monkeypatch.setattr(hilbert, "colon_dim_from_engine", counted_colon_dim)
     report = conjecture_report(code, code.n + 2)
     j1 = [c for e in report["entries"] for c in e["columns"]
           if c.get("degree_hypothesis", "").startswith("j=1")]
     assert len(j1) > code.n
-    assert len(subset_sums) <= code.n + 1
+    assert tallies == {"table": 1}
     # columns 2 and 3 are equal, and each has cells of its own
     columns = code.matrix.columns()
     counts = Counter(colon_calls)
     assert counts and all(calls <= columns.count(col)
                           for (_, col, _), calls in counts.items())
+
+
+def tutte_degree_hypothesis(code, ell, r, j):
+    """The j = 1 rule read off Tutte polynomials, as the report once did:
+    the top shifted coefficient p_r of M against that of M \\ ell, each by
+    subset sum."""
+    if j >= 2:
+        return "j>=2 (proved)"
+    deleted = code.matroid.delete(ell)
+    if deleted.full_rank < code.k:
+        return "deleted column is a coloop (proved separately)"
+    p_r = whitney_shift(tutte_subset_sum(code.matroid), code.k).p[r]
+    if whitney_shift(tutte_subset_sum(deleted), code.k).p[r] == p_r:
+        return "j=1 with matching top coefficients (proved)"
+    return "j=1 with shifted top coefficient (open)"
+
+
+def planted_code(rng, spec):
+    """A random code with scaled copies of its columns and, half the time,
+    a coloop in a new last row."""
+    k = rng.randint(1, 3)
+    base = random_code(rng, k, rng.randint(k, 4), spec)
+    cols = base.matrix.columns()
+    for _ in range(rng.randint(0, 2)):
+        c = spec.coerce(rng.randrange(1, spec.modulus) if spec.kind == "gf"
+                        else rng.choice([1, 2, -1, 3]))
+        cols.append([spec.mul(c, x) for x in rng.choice(cols)])
+    rows = [[col[i] for col in cols] for i in range(k)]
+    if rng.random() < 0.5:
+        rows = [row + [0] for row in rows] + [[0] * len(cols) + [1]]
+    return LinearCode(ExactMatrix.from_rows(spec, rows))
+
+
+def test_degree_hypothesis_matches_the_tutte_rule():
+    rng = random.Random(14)
+    seen = Counter()
+    for spec in (GF(2), GF(3), QQ):
+        for _ in range(8):
+            code = planted_code(rng, spec)
+            hierarchy = weight_hierarchy(code)
+            report = conjecture_report(code, code.n)
+            for entry in report["entries"]:
+                r = hierarchy.interval_index(entry["a"])
+                j = entry["a"] - hierarchy.d[r]
+                for cell in entry["columns"]:
+                    ell = cell["ell"] - 1
+                    assert cell["coloop"] is code.matroid.is_coloop(ell)
+                    if "degree_hypothesis" in cell:
+                        expected = tutte_degree_hypothesis(code, ell, r, j)
+                        assert cell["degree_hypothesis"] == expected
+                        seen[expected] += 1
+    # the codes reach every branch of the rule
+    assert len(seen) == 4
