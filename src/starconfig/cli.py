@@ -4,7 +4,7 @@ Subcommands: tutte, ghw, profile, primes, mu, verify, conjecture, identity.
 Input is either a matrix file (see parse_input) or a built-in example
 (--example e0|b3).  Default output is a human table; --json emits the same
 values as JSON.  Exit codes: 1 input error (a usage error included), 2 cap
-exceeded, 3 internal invariant violation.
+exceeded, 3 internal invariant violation, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
-from .codes import (LinearCode, CodeError, weight_hierarchy, ghw_bruteforce,
+from .codes import (LinearCode, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
 from .fields import (EXHAUSTIVE_CAP, GF, QQ, CapExceeded, ExactArithError,
                      ExactMatrix, FieldSpec)
@@ -32,6 +32,7 @@ from .tutte import (BivarPoly, poly_matches_key, tutte_deletion_contraction,
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports for `yes | head`
 
 CACHE_ENV = "STARCONFIG_CACHE_DIR"
 
@@ -534,14 +535,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # -h exits 0, a usage error EXIT_INPUT
         return exc.code
     try:
-        return COMMANDS[args.command](args)
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here
+        return status
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (CodeError, ExactArithError, OSError, ValueError) as exc:
+    except BrokenPipeError:
+        # the reader of stdout went away: end quietly, and point stdout at
+        # devnull so that its flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

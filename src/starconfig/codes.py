@@ -1,8 +1,9 @@
 """Linear codes, generalized Hamming weights and the flats/subcodes dictionary.
 
-The weight hierarchy is computed by three independent routes (exhaustive
-subset search, shifted Tutte coefficients, dual-matroid rank) which must
-always agree.
+The weight hierarchy is computed by three routes which must always agree:
+exhaustive subset counts, shifted Tutte coefficients, and dual-matroid
+rank.  The last restates the first on complements, so only the first two
+are independent.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .fields import (ExactArithError, ExactMatrix, FieldSpec,
                      left_kernel_basis, rref)
-from .matroid import Flat, VectorMatroid, bits_of, subset_sizes
+from .matroid import Flat, VectorMatroid, bits_of
 from .tutte import ShiftedCoeffs, tutte_deletion_contraction, whitney_shift
 
 
@@ -96,11 +97,11 @@ class LinearCode:
 # -- the three GHW routes ----------------------------------------------------
 
 def _ghw_bruteforce_matroid(m: VectorMatroid, r: int) -> int:
-    """d_r = n - max{|J| : rank(J) = k - r}, by exhaustive subset scan."""
-    target = m.full_rank - r
-    sizes = subset_sizes(m.n)[m.rank_table() == target]
+    """d_r = n - max{|J| : rank(J) = k - r}, read off row k - r of the
+    counts of subsets by rank and size."""
+    sizes = m.rank_size_counts()[m.full_rank - r].nonzero()[0]
     if not sizes.size:
-        raise ExactArithError(f"no subset of rank {target}")
+        raise ExactArithError(f"no subset of rank {m.full_rank - r}")
     return m.n - int(sizes.max())
 
 
@@ -117,16 +118,20 @@ def ghw_from_tutte(coeffs: ShiftedCoeffs, code: LinearCode, r: int) -> int:
 
 
 def ghw_from_dual_rank(code: LinearCode, r: int) -> int:
-    """d_r = min{|I| : |I| - r*(I) = r}."""
+    """d_r = min{|I| : |I| - r*(I) = r}.
+
+    This restates the brute-force route rather than checking it: since
+    |I| - r*(I) = r(M) - r([n] - I), the witnesses I are the complements
+    of the subsets J of rank k - r, so the minimum |I| is n minus the
+    largest |J|, read from the same row of the same counts.
+    """
     if not 0 <= r <= code.k:
         raise ExactArithError(f"r={r} out of range")
     m = code.matroid
-    # |I| - r*(I) = r(M) - r([n] \ I), and rank[full ^ I] = rank[::-1][I]
-    witness = m.rank_table()[::-1] == m.full_rank - r
-    sizes = subset_sizes(m.n)[witness]
+    sizes = m.rank_size_counts()[m.full_rank - r].nonzero()[0]
     if not sizes.size:
         raise ExactArithError(f"no witness subset for r={r}")
-    return int(sizes.min())
+    return int((m.n - sizes).min())
 
 
 def weight_hierarchy(code: LinearCode) -> WeightHierarchy:

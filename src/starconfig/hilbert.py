@@ -898,20 +898,23 @@ def conjecture_report(code: LinearCode, t_max: int,
     assertions; the t = a-1 slice and coloop columns are proved facts.
 
     Every matroid fact a cell needs is read once per report from the
-    code's subset-rank table, which is built first and under cap, as
-    --max-n does; no deletion M \\ ell is built.  Column ell is a coloop
-    when r(E - ell) < k.  It divides every a-fold product when
-    a > n - |P|, where P, its parallel class, is the rank-1 flat that
-    holds it.  For each r, the elements that lie in every largest flat of
-    rank k - r decide the j = 1 hypothesis (see _degree_hypothesis).
+    code's flats, after its counts of subsets by rank and size are built
+    first and under cap, as --max-n does; no deletion M \\ ell is built.
+    Column ell is a coloop when E - ell is a flat of rank k - 1, that is
+    a flat of that rank with n - 1 elements.  It divides every a-fold
+    product when a > n - |P|, where P, its parallel class, is the rank-1
+    flat that holds it.  For each r, the elements that lie in every
+    largest flat of rank k - r decide the j = 1 hypothesis (see
+    _degree_hypothesis).
     """
     m = code.matroid
-    rank = m.rank_table(cap)
+    m.rank_size_counts(cap)
     hierarchy = weight_hierarchy(code)
     full = (1 << code.n) - 1
-    # Python bools: a numpy bool_ cannot be written by json.dump
-    coloop = [bool(rank[full ^ (1 << ell)] < code.k)
-              for ell in range(code.n)]
+    coloop = [False] * code.n
+    for flat in m.flats_of_rank(code.k - 1):
+        if flat.size == code.n - 1:
+            coloop[(full ^ flat.members).bit_length() - 1] = True
     class_size = [0] * code.n
     for flat in m.flats_of_rank(1):
         for ell in flat.indices():

@@ -2,9 +2,11 @@
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
 Point queries (rank, closure, coloops) run one elimination each, through
-fields.rref_join.  Exhaustive scans read the subset-rank table instead:
-r(S) for all 2^n masks, built on first use by a span-join pass through the
-same kernel (see rank_table).
+fields.rref_join.  Exhaustive questions go through two queries instead:
+rank_size_counts, the number of subsets of each rank and size, and
+flats_of_rank.  Both are read off one backing, the subset-rank table r(S)
+for all 2^n masks, built on first use by a span-join pass through the same
+kernel (see rank_table); no other module reads the table.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class VectorMatroid:
         self.k = matrix.rows
         self._columns = matrix.columns()
         self._rank_table = None
+        self._rank_size_counts = None
         self._flat_masks = None
         self.full_rank = self.rank((1 << self.n) - 1)
 
@@ -115,6 +118,28 @@ class VectorMatroid:
             table.flags.writeable = False
             self._rank_table = table
         return self._rank_table
+
+    def rank_size_counts(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+        """counts[r, s], the number of subsets of rank r and size s, as a
+        read-only int64 array of shape (full_rank + 1, n + 1).
+
+        Built on the first call from the rank table, and kept; the cap is
+        the rank table's, checked before anything is allocated.
+        """
+        if self._rank_size_counts is None:
+            rank = self.rank_table(cap)
+            width = self.n + 1
+            counts = np.zeros((self.full_rank + 1) * width, dtype=np.int64)
+            step = min(len(rank), CHUNK)
+            low_sizes = subset_sizes(step.bit_length() - 1).astype(np.int16)
+            for lo in range(0, len(rank), step):
+                r = rank[lo:lo + step].astype(np.int16)
+                key = r * width + low_sizes + bin(lo).count("1")
+                counts += np.bincount(key, minlength=len(counts))
+            counts = counts.reshape(self.full_rank + 1, width)
+            counts.flags.writeable = False
+            self._rank_size_counts = counts
+        return self._rank_size_counts
 
     # -- closure and flats ---------------------------------------------------
 

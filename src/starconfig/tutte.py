@@ -1,9 +1,9 @@
 """Sparse bivariate polynomials and two independent Tutte engines.
 
 Engine one is the exhaustive corank-nullity subset sum, read off the
-matroid's subset-rank table; engine two is memoized deletion-contraction.
-They must agree coefficient for coefficient, which the test suite enforces
-on randomized inputs.
+matroid's counts of subsets by rank and size; engine two is memoized
+deletion-contraction.  They must agree coefficient for coefficient, which
+the test suite enforces on randomized inputs.
 
 Deletion-contraction eliminates once, at the root: each minor is carried
 down the recursion as its RREF, and deleting or contracting an element
@@ -38,11 +38,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .fields import (EXHAUSTIVE_CAP, ExactArithError, ExactMatrix, rref,
                      rref_join)
-from .matroid import CHUNK, VectorMatroid, subset_sizes
+from .matroid import VectorMatroid
 
 
 class BivarPoly:
@@ -173,22 +171,15 @@ def _expand_shifted(a: int, b: int) -> BivarPoly:
 def tutte_subset_sum(m: VectorMatroid,
                      cap: int = EXHAUSTIVE_CAP) -> BivarPoly:
     """Exhaustive corank-nullity sum over all 2^n subsets, read off the
-    matroid's rank table (built here with the given cap if not built yet)."""
-    rank = m.rank_table(cap)
-    width = m.n + 1
-    # counts[r * width + s]: subsets of rank r and size s
-    counts = np.zeros((m.full_rank + 1) * width, dtype=np.int64)
-    step = min(len(rank), CHUNK)
-    low_sizes = subset_sizes(step.bit_length() - 1).astype(np.int16)
-    for lo in range(0, len(rank), step):
-        r = rank[lo:lo + step].astype(np.int16)
-        key = r * width + low_sizes + bin(lo).count("1")
-        counts += np.bincount(key, minlength=len(counts))
+    matroid's counts of subsets by rank and size (built here with the
+    given cap if not built yet)."""
+    counts = m.rank_size_counts(cap)
     poly = BivarPoly.zero()
-    for key in np.flatnonzero(counts).tolist():
-        r, size = divmod(key, width)
-        poly = poly + _expand_shifted(m.full_rank - r, size - r).scale(
-            int(counts[key]))
+    for r, row in enumerate(counts.tolist()):
+        for size, count in enumerate(row):
+            if count:
+                poly = poly + _expand_shifted(m.full_rank - r,
+                                              size - r).scale(count)
     return poly
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from contextlib import closing, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starconfig import cli, hilbert
+from starconfig import cli, hilbert, matroid
 from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
                             example_b3, example_e0, main, parse_input,
                             poly_text)
@@ -676,6 +677,72 @@ def test_two_processes_share_one_cache(tmp_path):
                                               "tutte.sqlite3"))) as db:
         assert db.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
     assert cache_rows(cache_dir)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", [["verify", "--example", "e0"],
+                                     ["identity", "--json"]])
+def test_closed_stdout_ends_quietly(command, unbuffered):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:  # each print then writes at once, inside main
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "starconfig.cli", *command,
+             "--no-cache"], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
+
+
+PLANTED_COLOOP = """\
+field gf 3
+size 3 5
+1 0 1 2 0
+0 1 1 2 0
+0 0 0 0 1
+"""
+
+
+def test_only_the_matroid_module_reads_the_rank_table(capsys, tmp_path,
+                                                     monkeypatch):
+    callers, tallies = [], Counter()
+    rank_table = VectorMatroid.rank_table
+
+    def traced_rank_table(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return rank_table(self, *args, **kwargs)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            tallies[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(VectorMatroid, "rank_table", traced_rank_table)
+    monkeypatch.setattr(matroid, "subset_sizes",
+                        counted("subset_sizes", matroid.subset_sizes))
+    monkeypatch.setattr(matroid, "_span_join_ranks",
+                        counted("tables", matroid._span_join_ranks))
+    path = write_input(tmp_path, PLANTED_COLOOP)
+    for source in (["--example", "b3"], [path]):
+        for command in ("profile", "ghw", "primes", "conjecture"):
+            rc, out, _ = run_cli(capsys, command, *source, "--json",
+                                 "--no-cache")
+            assert rc == 0
+    assert callers and set(callers) == {"starconfig.matroid"}
+    # one table per CLI call, and one pass of subset sizes per table
+    assert tallies == {"tables": 8, "subset_sizes": 8}
+    # the last report is the planted code's: only column 5 is a coloop
+    coloops = [cell["coloop"] for cell in json.loads(out)["entries"][0]
+               ["columns"]]
+    assert coloops == [False, False, False, False, True]
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

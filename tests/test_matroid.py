@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.fields import (GF, CapExceeded, ExactArithError,
+from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
                                ExactMatrix, column_rank, left_kernel_basis,
                                rref, rref_join)
 from starconfig import matroid
@@ -119,6 +119,60 @@ def test_rank_table_is_lazy_and_capped(m_b3):
     table = m_b3.rank_table(cap=9)
     assert m_b3.rank_table() is table
     assert m_b3.rank_table(cap=8) is table  # built already: nothing to cap
+
+
+def point_query_counts(m):
+    """counts[r, s] of the subsets of rank r and size s, by one point
+    query per mask."""
+    counts = np.zeros((m.full_rank + 1, m.n + 1), dtype=np.int64)
+    for sub in range(1 << m.n):
+        counts[m.rank(sub), bin(sub).count("1")] += 1
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(specs=(GF(2), GF(3), QQ)))
+def test_rank_size_counts_match_point_queries(matrix):
+    m = VectorMatroid(matrix)
+    counts = m.rank_size_counts()
+    assert counts.dtype == np.int64
+    assert counts.shape == (m.full_rank + 1, m.n + 1)
+    assert (counts == point_query_counts(m)).all()
+
+
+@pytest.mark.parametrize("spec, rows, n, expected", [
+    (GF(2), [], 0, [[1]]),
+    (QQ, [[], []], 0, [[1]]),
+    (GF(3), [], 4, [[1, 4, 6, 4, 1]]),
+    (QQ, [[0, 0, 0], [0, 0, 0]], 3, [[1, 3, 3, 1]]),
+])
+def test_rank_size_counts_with_n_or_rank_zero(spec, rows, n, expected):
+    m = VectorMatroid(ExactMatrix.from_rows(spec, rows, cols=n))
+    assert m.rank_size_counts().tolist() == expected
+
+
+def test_rank_size_counts_across_chunks(monkeypatch):
+    monkeypatch.setattr(matroid, "CHUNK", 4)
+    rng = random.Random(15)
+    for spec in (GF(2), GF(3), QQ):
+        m = VectorMatroid(random_matrix(rng, 3, 7, spec))
+        assert (m.rank_size_counts() == point_query_counts(m)).all()
+
+
+def test_rank_size_counts_are_kept_and_read_only(m_b3):
+    counts = m_b3.rank_size_counts()
+    assert counts.shape == (4, 10)
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[0, 0] = 2
+    assert m_b3.rank_size_counts() is counts
+
+
+def test_rank_size_counts_are_capped(m_b3):
+    with pytest.raises(CapExceeded, match="exceeds"):
+        m_b3.rank_size_counts(cap=m_b3.n - 1)
+    assert m_b3._rank_table is None
+    assert m_b3._rank_size_counts is None
 
 
 def test_flat_cap_is_typed(m_b3, monkeypatch):
