@@ -4,6 +4,8 @@
 Samples random linear codes, then verifies on every sample that all
 independent computation routes agree:
 
+  * the subset-rank table (over Q, read mod a few Hadamard-certified
+    primes) vs one rref_join elimination per mask, over the code's field,
   * subset-sum Tutte vs deletion-contraction Tutte, in memory and through
     an on-disk TutteCache in a fresh directory, once cold and once warm
     (the warm run opens the directory again while the cold run's cache is
@@ -97,6 +99,13 @@ def sample_code(rng: random.Random, config: ExperimentConfig) -> LinearCode:
 
 def check_code(code: LinearCode, hilbert: bool) -> list:
     failures = []
+    m = code.matroid
+    table = m.rank_table()
+    wrong = [sub for sub in range(1 << m.n)
+             if table[sub] != m._rank_by_elimination(sub)]
+    if wrong:
+        failures.append(f"rank table disagrees with elimination on "
+                        f"{len(wrong)} masks, first {wrong[0]:#x}")
     tutte = tutte_subset_sum(code.matroid)
     if tutte != tutte_deletion_contraction(code.matroid):
         failures.append("tutte engines disagree")

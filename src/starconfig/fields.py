@@ -5,11 +5,13 @@ elements are `fractions.Fraction` values, which are always reduced with a
 positive denominator.  There is no floating point anywhere and no rounding,
 ever.  All matrices are immutable after construction.
 
-Every Gauss-Jordan elimination over a FieldSpec, here and in the matroid
-module, goes through one kernel, rref_join: it joins one vector to a row
-space in reduced row echelon form.  rref, column_rank and left_kernel_basis
-fold rows through it.  The Hilbert oracle keeps its own integer and mod-p
-kernels.
+Every Gauss-Jordan elimination over a FieldSpec here, and every point rank
+of the matroid module, goes through one kernel, rref_join: it joins one
+vector to a row space in reduced row echelon form.  rref, column_rank and
+left_kernel_basis fold rows through it.  The matroid module's subset-rank
+table joins each column to many subspaces at once in numpy, mod p
+(matroid._span_join_ranks), and the Hilbert oracle keeps its own integer
+and mod-p kernels.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class ExactArithError(ValueError):
 
 class CapExceeded(ExactArithError):
     """An input is larger than a documented size cap."""
+
+
+class InternalInvariantError(RuntimeError):
+    """Two provably-equal quantities disagreed; a bug, never user error."""
 
 
 def is_prime(p: int) -> bool:
@@ -163,16 +169,6 @@ class FieldSpec:
             p = self.modulus
             return [c * a % p for a in x]
         return [c * a for a in x]
-
-    def pack(self, values):
-        """A compact hashable key for a sequence of elements.
-
-        One byte per element over GF(p) for p <= 256, else a tuple; either
-        way list(key[i:j]) gives back the elements.
-        """
-        if self.kind == "gf" and self.modulus <= 256:
-            return bytes(values)
-        return tuple(values)
 
 
 QQ = FieldSpec("q")

@@ -5,31 +5,50 @@ Point queries (rank, closure, coloops) run one elimination each, through
 fields.rref_join.  Exhaustive questions go through two queries instead:
 rank_size_counts, the number of subsets of each rank and size, and
 flats_of_rank.  Both are read off one backing, the subset-rank table r(S)
-for all 2^n masks, built on first use by a span-join pass through the same
-kernel (see rank_table); no other module reads the table.
+for all 2^n masks, built on first use by a span-join pass over GF(p) that
+joins each column to every subspace found so far in one batch of numpy
+steps (see _span_join_ranks); no other module reads the table.
+
+Over Q the table is the elementwise max of the tables of the primitive
+integer columns mod a few primes.  Each prime's rank of a subset is at
+most its rank over Q.  By Hadamard's inequality a nonzero r x r minor has
+absolute value at most B, the product of the norms of the k longest
+columns, so once the product of the primes exceeds B no minor is
+divisible by all of them, and some prime keeps each subset's rank.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, islice
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .fields import (EXHAUSTIVE_CAP, MAX_GROUND_SET, CapExceeded,
-                     ExactArithError, ExactMatrix, rref_join)
+                     ExactArithError, ExactMatrix, GF, is_prime, rref_join)
 
 
 # masks per numpy pass over a table; numpy copies index arrays to intp,
 # so this bounds the temporaries of a pass
 CHUNK = 1 << 16
 
+# work-array entries (k x k per subspace) of one batch of joins: 2 MiB of
+# int64, which bounds the temporaries of a join step
+BLOCK = 1 << 18
+
 # distinct subspaces (= flats) one rank-table build may key.  Each costs
-# about 250-400 B of index at k = 10..17, so this bounds the index to about
-# 400 MiB.  High-rank matroids, such as the duals of low-dimension codes,
-# have close to 2^n flats: the dual of a random [20,3] binary code has
-# 0.93 M and builds in 24 s.
+# about 270-320 B of index and work arrays at k = 10..17 (measured on
+# random binary codes), so this bounds them to about 330 MiB.  High-rank
+# matroids, such as the duals of low-dimension codes, have close to 2^n
+# flats: the dual of a random [20,3] binary code has 0.93 M and builds in
+# 6 s on a 2-core VM.
 FLAT_CAP = 1 << 20
+
+# Q tables are read mod the largest primes below this: k (p-1)^2 < 2^63
+# for k < 128, so their work arrays are int64
+Q_PRIME_BOUND = 1 << 28
 
 
 def iter_bits(mask: int):
@@ -107,14 +126,28 @@ class VectorMatroid:
     def rank_table(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
         """r(S) for every mask S in [0, 2^n), as a read-only int8 array.
 
-        Built on the first call and kept.  A call that would build it
-        raises CapExceeded, before allocating anything, when n exceeds cap.
+        Built on the first call and kept: by one span-join pass over
+        GF(p), or over Q by one pass mod each certifying prime (see the
+        module docstring).  A call that would build it raises CapExceeded,
+        before allocating anything, when n exceeds cap or the table and
+        its id array (3 bytes per mask) would not fit in physical memory.
         """
         if self._rank_table is None:
             if self.n > cap:
                 raise CapExceeded(f"ground set of size {self.n} exceeds "
                                   f"exhaustive cap {cap}")
-            table = _span_join_ranks(self._columns, self.spec, self.k)
+            if hasattr(os, "sysconf"):  # Unix only
+                memory = (os.sysconf("SC_PHYS_PAGES")
+                          * os.sysconf("SC_PAGE_SIZE"))
+                if 3 << self.n > memory:
+                    raise CapExceeded(
+                        f"rank table of a ground set of size {self.n} needs "
+                        f"{3 << self.n} bytes, more than the {memory} bytes "
+                        f"of physical memory")
+            if self.spec.kind == "gf":
+                table = _span_join_ranks(self._columns, self.spec, self.k)
+            else:
+                table = _rational_ranks(self._columns, self.k)
             table.flags.writeable = False
             self._rank_table = table
         return self._rank_table
@@ -221,57 +254,132 @@ class VectorMatroid:
             ExactMatrix.from_rows(spec, minor, cols=self.n - 1))
 
 
+def _rational_ranks(columns, k: int) -> np.ndarray:
+    """Subset-rank table of rational columns: the elementwise max of the
+    tables of their primitive integer multiples mod the primes of
+    _certifying_primes (see the module docstring)."""
+    columns = [_primitive(c) for c in columns]
+    norms = sorted((max(1, sum(x * x for x in c)) for c in columns),
+                   reverse=True)
+    table = None
+    for p in _certifying_primes(prod(norms[:k])):
+        ranks = _span_join_ranks([[x % p for x in c] for c in columns],
+                                 GF(p), k)
+        table = ranks if table is None else np.maximum(table, ranks,
+                                                       out=table)
+    return table
+
+
+def _primitive(column) -> list:
+    """The column scaled to integers with gcd 1 (a zero column stays 0)."""
+    scale = lcm(*(x.denominator for x in column))
+    ints = [x.numerator * (scale // x.denominator) for x in column]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
+
+
+def _certifying_primes(bound_sq: int) -> list:
+    """The largest primes below Q_PRIME_BOUND, descending, until the square
+    of their product exceeds bound_sq (strictly: a minor of absolute value
+    equal to the product would vanish mod every one of them)."""
+    primes, product = [], 1
+    candidate = Q_PRIME_BOUND - 1
+    while product * product <= bound_sq:
+        if is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+        candidate -= 2
+    return primes
+
+
 def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
-    """Subset-rank table of the given columns by a span-join pass.
+    """Subset-rank table of the given columns over GF(p) by a span-join
+    pass.
 
     Every mask below 2^(i+1) with bit i set is S | {i} for an S below 2^i,
     and span(S + i) depends only on span(S) and i.  So ids[S] numbers the
-    subspace spanned by S, and each block is one gather through the join
-    of every subspace found so far with column i (each one is spanned by
-    some S below 2^i); the join is computed once per (subspace, i) by
-    fields.rref_join.  A subspace is keyed by its canonical RREF (rows
-    sorted by pivot, packed by the field), and the keys are dropped when
-    the pass ends.
+    subspace spanned by S, and the masks in [2^i, 2^(i+1)) are one gather
+    through the join of every subspace found so far with column i (each
+    one is spanned by some S below 2^i).  A subspace is keyed by its canonical
+    RREF, its rows sorted by pivot and packed as bytes of the narrowest
+    unsigned type that holds p - 1; the keys are dropped when the pass
+    ends.
+
+    Column i is joined to every subspace in one batch of numpy steps per
+    BLOCK work-array entries, with no elimination per subspace.  The keys
+    of a block are unpacked into k x k matrices B whose row t is the basis
+    row with pivot t, or zero when t is no pivot; since each pivot column
+    of an RREF is a unit column, v - vB is v reduced against the subspace
+    in one product.  A nonzero residual is scaled to a leading 1 at its
+    first nonzero column q, and q is cleared from the other rows with one
+    outer product; the new rows are packed, and only subspaces not seen
+    before are keyed.  Work arrays are int64 when k (p-1)^2 < 2^63, so that
+    no sum of products overflows, and Python ints (dtype object) otherwise.
     """
     n = len(columns)
     ranks = np.zeros(1 << n, dtype=np.int8)
     if n == 0 or k == 0:
         return ranks
+    p = spec.modulus
+    work = np.int64 if k * (p - 1) ** 2 < 1 << 63 else object
+    store = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if p - 1 <= np.iinfo(t).max)
+    row_bytes = k * np.dtype(store).itemsize
+    per_block = max(1, BLOCK // (k * k))
+    vectors = np.array(columns, dtype=work).reshape(n, k)
     ids = np.zeros(1 << (n - 1), dtype=np.int32)  # the top block is not read
-    empty = spec.pack(())
-    keys = [empty]  # subspace id -> packed RREF, r rows of k entries
-    pivots_of = [()]  # subspace id -> pivot columns of its RREF, ascending
-    index = {empty: 0}
-    shared = {(): ()}  # one tuple per distinct pivot set
-    for i, col in enumerate(columns):
-        lo = 1 << i
-        join = np.arange(len(keys), dtype=np.int32)
-        for f in range(len(keys)):
-            pivots = pivots_of[f]
-            if len(pivots) == k:
-                continue
-            key = keys[f]
-            joined = rref_join(
-                [key[j * k:(j + 1) * k] for j in range(len(pivots))],
-                pivots, col, spec)
-            if joined is None:
-                continue  # column i lies in the subspace already
-            rows, pivots = joined
-            key = spec.pack(chain.from_iterable(rows))
-            g = index.get(key)
-            if g is None:
-                if len(keys) == FLAT_CAP:
+    keys = [b""]  # subspace id -> packed RREF
+    index = {b"": 0}
+    rank_of = np.zeros(1, dtype=np.int8)  # subspace id -> its rank
+    for i, v in enumerate(vectors):
+        found = len(keys)
+        join = np.arange(found, dtype=np.int32)
+        born = [rank_of]
+        for a in range(0, found, per_block):
+            b = min(a + per_block, found)
+            r = rank_of[a:b]
+            rows = np.frombuffer(b"".join(keys[a:b]), dtype=store)
+            rows = rows.reshape(-1, k).astype(work)
+            basis = np.zeros((b - a, k, k), dtype=work)
+            at = np.repeat(np.arange(0, (b - a) * k, k), r)
+            basis.reshape(-1, k)[at + (rows != 0).argmax(axis=1)] = rows
+            residual = (v - v @ basis) % p
+            grow = np.flatnonzero(residual.any(axis=1))
+            if not len(grow):
+                continue  # column i lies in every subspace of the block
+            residual, basis, r = residual[grow], basis[grow], r[grow]
+            g = np.arange(len(grow))
+            q = (residual != 0).argmax(axis=1)
+            if p > 2:  # scale to a leading 1; over GF(2) it is 1 already
+                leads = residual[g, q].tolist()
+                inverse = np.array([pow(x, -1, p) for x in leads], dtype=work)
+                residual = residual * inverse[:, None] % p
+            basis -= basis[g, :, q][:, :, None] * residual[:, None, :]
+            basis %= p
+            basis[g, q] = residual
+            pivot = np.diagonal(basis, axis1=1, axis2=2) != 0
+            packed = basis[pivot].astype(store).tobytes()
+            ends = list(accumulate((x + 1) * row_bytes for x in r.tolist()))
+            pieces = [packed[s:e] for s, e in zip([0] + ends, ends)]
+            old = len(index)
+            join[a + grow] = np.fromiter(
+                (index.setdefault(key, len(index)) for key in pieces),
+                dtype=np.int32, count=len(pieces))
+            if len(index) > old:
+                # new ids were given in insertion order, after every old one
+                new = list(islice(reversed(index), len(index) - old))[::-1]
+                keys += new
+                born.append(np.fromiter(map(len, new), np.int64, len(new))
+                            // row_bytes)
+                if len(keys) > FLAT_CAP:
                     raise CapExceeded(f"number of flats exceeds flat cap "
                                       f"{FLAT_CAP} of the rank table")
-                g = index[key] = len(keys)
-                keys.append(key)
-                pivots_of.append(shared.setdefault(pivots, pivots))
-            join[f] = g
-        rank_of = np.fromiter(map(len, pivots_of), dtype=np.int8,
-                              count=len(keys))[join]
+        rank_of = np.concatenate(born).astype(np.int8)
+        rank_join = rank_of[join]
+        lo = 1 << i
         for c in range(0, lo, CHUNK):
             part = ids[c:min(c + CHUNK, lo)]
-            ranks[lo + c:lo + c + len(part)] = rank_of[part]
+            ranks[lo + c:lo + c + len(part)] = rank_join[part]
             if i < n - 1:
                 ids[lo + c:lo + c + len(part)] = join[part]
     return ranks

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .codes import LinearCode, WeightHierarchy
-from .fields import ExactArithError
+from .fields import ExactArithError, InternalInvariantError
 from .matroid import Flat
 from .tutte import ShiftedCoeffs
-
-
-class InternalInvariantError(RuntimeError):
-    """Two provably-equal quantities disagreed; a bug, never user error."""
 
 
 @dataclass(frozen=True)

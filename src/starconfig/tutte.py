@@ -38,8 +38,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
 
-from .fields import (EXHAUSTIVE_CAP, ExactArithError, ExactMatrix, rref,
-                     rref_join)
+from .fields import (EXHAUSTIVE_CAP, ExactArithError, ExactMatrix,
+                     InternalInvariantError, rref, rref_join)
 from .matroid import VectorMatroid
 
 
@@ -459,7 +459,11 @@ class ShiftedCoeffs:
 
 
 def whitney_shift(t: BivarPoly, k: int | None = None) -> ShiftedCoeffs:
-    """Substitute x -> x + 1 by exact binomial expansion and read off p_r."""
+    """Substitute x -> x + 1 by exact binomial expansion and read off p_r.
+
+    Raises InternalInvariantError when some x^r, r <= k, has no nonzero
+    coefficient: a Tutte polynomial of rank k always has one there.
+    """
     c = {}
     for (i, j), coeff in t.terms.items():
         for r in range(i + 1):
@@ -475,6 +479,7 @@ def whitney_shift(t: BivarPoly, k: int | None = None) -> ShiftedCoeffs:
     for r in range(k + 1):
         js = [j for (rr, j) in c if rr == r]
         if not js:
-            raise ExactArithError(f"no nonzero shifted coefficient at x^{r}")
+            raise InternalInvariantError(
+                f"no nonzero shifted coefficient at x^{r}")
         p.append(max(js))
     return ShiftedCoeffs(c, tuple(p), k)

@@ -225,6 +225,18 @@ def test_cap_exceeded_exit_code(capsys):
     assert "exceeds" in err
 
 
+def test_max_n_beyond_physical_memory_is_a_cap(capsys, tmp_path):
+    # a [40,2] code over GF(3) with no zero column: its table would take
+    # 3 TiB, so the build stops before allocating it
+    rows = " ".join(["1 0 1 1"] * 10), " ".join(["0 1 1 2"] * 10)
+    path = write_input(tmp_path, "field gf 3\nsize 2 40\n"
+                       + "\n".join(rows) + "\n")
+    rc, out, err = run_cli(capsys, "tutte", path, "--max-n", "40",
+                           "--no-cache")
+    assert rc == EXIT_CAP and out == ""
+    assert err.count("\n") == 1 and "physical memory" in err
+
+
 def test_conjecture_honours_max_n(capsys):
     rc, _, err = run_cli(capsys, "conjecture", "--example", "b3",
                          "--max-n", "3")
@@ -337,6 +349,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "tutte", "--example", "e0")
     assert rc == EXIT_INTERNAL
     assert "disagree" in err
+
+
+def test_whitney_shift_invariant_is_internal(capsys, monkeypatch):
+    # both engines agree on a polynomial with no x^1 term, which no rank-2
+    # Tutte polynomial lacks: a bug, not an input error
+    monkeypatch.setattr(cli, "tutte_subset_sum",
+                        lambda m, cap=24: BivarPoly.one())
+    monkeypatch.setattr(cli, "tutte_deletion_contraction",
+                        lambda m, cache=None: BivarPoly.one())
+    rc, _, err = run_cli(capsys, "tutte", "--example", "e0")
+    assert rc == EXIT_INTERNAL
+    assert "no nonzero shifted coefficient at x^1" in err
 
 
 def test_tutte_cache_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
-                               ExactMatrix, column_rank, left_kernel_basis,
-                               rref, rref_join)
+                               ExactMatrix, column_rank, is_prime,
+                               left_kernel_basis, rref, rref_join)
 from starconfig import matroid
 from starconfig.matroid import Flat, VectorMatroid, bits_of
 
@@ -119,6 +120,101 @@ def test_rank_table_is_lazy_and_capped(m_b3):
     table = m_b3.rank_table(cap=9)
     assert m_b3.rank_table() is table
     assert m_b3.rank_table(cap=8) is table  # built already: nothing to cap
+
+
+def assert_table_matches_oracle(matrix):
+    table = VectorMatroid(matrix).rank_table()
+    assert len(table) == 1 << matrix.cols
+    for sub in range(1 << matrix.cols):
+        assert table[sub] == oracle_column_rank(matrix, bits_of(sub)), sub
+
+
+def test_rank_table_over_gf_2_31_minus_1():
+    # (p-1)^2 is just below 2^62.  Columns 0-2 span a subspace whose RREF
+    # has p - 1 in column 3 of each row, and column 3 = (p-1)(c0 + c1 + c2)
+    # lies in it: reducing it sums three products near 2^62, which
+    # overflows int64, so k = 4 takes Python ints; k = 1 stays on int64
+    p = (1 << 31) - 1
+    planted = [[1, 0, 0, p - 1], [0, 1, 0, p - 1], [0, 0, 1, p - 1],
+               [p - 1, p - 1, p - 1, 3]]
+    rng = random.Random(31)
+    columns = planted + [[rng.randrange(p - 9, p) for _ in range(4)]
+                         for _ in range(4)]
+    rows = [list(row) for row in zip(*columns)]
+    assert_table_matches_oracle(ExactMatrix.from_rows(GF(p), rows))
+    assert_table_matches_oracle(ExactMatrix.from_rows(GF(p), rows[3:]))
+
+
+def test_rank_table_over_gf_2_61_minus_1():
+    p = (1 << 61) - 1
+    rng = random.Random(61)
+    rows = [[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(7)]
+            for _ in range(3)]
+    rows.append([sum(col) for col in zip(rows[0], rows[1])])  # rank 3
+    assert_table_matches_oracle(ExactMatrix.from_rows(GF(p), rows))
+
+
+def test_rank_table_over_q_with_large_entries(monkeypatch):
+    # entries around 10^12 over small denominators: the Hadamard bound
+    # needs several primes, and every subset's rank is still exact
+    passes = []
+    span_join_ranks = matroid._span_join_ranks
+
+    def counted(columns, spec, k):
+        passes.append(spec.modulus)
+        return span_join_ranks(columns, spec, k)
+
+    monkeypatch.setattr(matroid, "_span_join_ranks", counted)
+    rng = random.Random(12)
+    rows = [[Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 9))
+             for _ in range(7)] for _ in range(3)]
+    rows.append([a - 3 * b for a, b in zip(rows[0], rows[2])])
+    assert_table_matches_oracle(ExactMatrix.from_rows(QQ, rows))
+    assert len(passes) > 2
+
+
+def test_rank_table_over_q_survives_a_prime_dividing_its_minor():
+    # the only nonzero 2 x 2 minor is the first prime p, so mod p alone
+    # columns 0 and 1 are parallel; the Hadamard bound asks for a second
+    p = matroid._certifying_primes(1)[0]
+    matrix = ExactMatrix.from_rows(QQ, [[1, 1, 0], [0, p, 0]])
+    alone = matroid._span_join_ranks([[1, 0], [1, 0], [0, 0]], GF(p), 2)
+    assert alone[0b011] == 1
+    assert VectorMatroid(matrix).rank_table()[0b011] == 2
+    assert_table_matches_oracle(matrix)
+
+
+def test_certifying_primes_exceed_the_bound_strictly():
+    first = matroid._certifying_primes(1)
+    assert len(first) == 1 and first[0] < matroid.Q_PRIME_BOUND
+    p1 = first[0]
+    # a minor of absolute value p1 may vanish mod p1: (p1)^2 > B^2 must
+    # hold strictly
+    assert matroid._certifying_primes(p1 * p1 - 1) == [p1]
+    two = matroid._certifying_primes(p1 * p1)
+    assert len(two) == 2 and two[0] == p1 > two[1]
+    assert all(is_prime(q) for q in two)
+
+
+@pytest.mark.parametrize("spec, rows, n", [
+    (GF(7), [[0, 3, 0, 1], [0, 2, 0, 5]], 4),
+    (QQ, [[0, Fraction(1, 2), 0], [0, 0, 0], [0, 1, 0]], 3),
+    (GF(7), [], 3),
+    (QQ, [[], [], []], 0),
+    (GF((1 << 61) - 1), [[0, 0], [0, 1]], 2),
+])
+def test_rank_table_with_zero_columns_n_or_k_zero(spec, rows, n):
+    assert_table_matches_oracle(ExactMatrix.from_rows(spec, rows, cols=n))
+
+
+def test_rank_table_across_small_blocks(monkeypatch):
+    rng = random.Random(16)
+    matrices_by_field = [random_matrix(rng, 3, 8, spec)
+                         for spec in (GF(2), GF(3), GF(257), QQ)]
+    for block in (1, 20):
+        monkeypatch.setattr(matroid, "BLOCK", block)
+        for matrix in matrices_by_field:
+            assert_table_matches_oracle(matrix)
 
 
 def point_query_counts(m):
