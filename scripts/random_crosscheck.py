@@ -4,8 +4,10 @@
 Samples random linear codes, then verifies on every sample that all
 independent computation routes agree:
 
-  * the subset-rank table (over Q, read mod a few Hadamard-certified
-    primes) vs one rref_join elimination per mask, over the code's field,
+  * the rank-size counts and the flats of the span-join pass (over Q, run
+    mod a few Hadamard-certified primes) vs a count of one rref_join point
+    rank per mask, over the code's field, and the closures of the
+    independent sets under those ranks,
   * subset-sum Tutte vs deletion-contraction Tutte, in memory and through
     an on-disk TutteCache in a fresh directory, once cold and once warm
     (the warm run opens the directory again while the cold run's cache is
@@ -100,12 +102,21 @@ def sample_code(rng: random.Random, config: ExperimentConfig) -> LinearCode:
 def check_code(code: LinearCode, hilbert: bool) -> list:
     failures = []
     m = code.matroid
-    table = m.rank_table()
-    wrong = [sub for sub in range(1 << m.n)
-             if table[sub] != m._rank_by_elimination(sub)]
-    if wrong:
-        failures.append(f"rank table disagrees with elimination on "
-                        f"{len(wrong)} masks, first {wrong[0]:#x}")
+    ranks = [m._rank_by_elimination(sub) for sub in range(1 << m.n)]
+    counts = [[0] * (m.n + 1) for _ in range(m.full_rank + 1)]
+    closures = [set() for _ in range(m.full_rank + 1)]
+    for sub, r in enumerate(ranks):
+        size = bin(sub).count("1")
+        counts[r][size] += 1
+        if r == size:  # independent: its closure is a flat of rank r
+            closures[r].add(sub | sum(1 << j for j in range(m.n)
+                                      if ranks[sub | 1 << j] == r))
+    if m.rank_size_counts().tolist() != counts:
+        failures.append("rank-size counts disagree with point queries")
+    for s, flats in enumerate(closures):
+        if [f.members for f in m.flats_of_rank(s)] != sorted(flats):
+            failures.append(f"flats of rank {s} disagree with the closures "
+                            f"of the independent sets")
     tutte = tutte_subset_sum(code.matroid)
     if tutte != tutte_deletion_contraction(code.matroid):
         failures.append("tutte engines disagree")

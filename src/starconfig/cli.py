@@ -512,6 +512,17 @@ def window_arg(text: str) -> tuple:
             f"expected lo:hi with integer bounds, got {text!r}") from None
 
 
+def cap_arg(text: str) -> int:
+    """--max-n as an int of at least 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer of at least 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every command: each takes the same options."""
     parser = _Parser(
@@ -525,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="degree window")
     parser.add_argument("--cache-dir")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--max-n", type=int, default=EXHAUSTIVE_CAP)
+    parser.add_argument("--max-n", type=cap_arg, default=EXHAUSTIVE_CAP)
     return parser
 
 

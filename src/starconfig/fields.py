@@ -8,10 +8,10 @@ ever.  All matrices are immutable after construction.
 Every Gauss-Jordan elimination over a FieldSpec here, and every point rank
 of the matroid module, goes through one kernel, rref_join: it joins one
 vector to a row space in reduced row echelon form.  rref, column_rank and
-left_kernel_basis fold rows through it.  The matroid module's subset-rank
-table joins each column to many subspaces at once in numpy, mod p
-(matroid._span_join_ranks), and the Hilbert oracle keeps its own integer
-and mod-p kernels.
+left_kernel_basis fold rows through it.  The matroid module's span-join
+pass joins each column to many subspaces at once in numpy, mod p
+(matroid._span_join), and the Hilbert oracle keeps its own integer and
+mod-p kernels.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# Ground sets are encoded as bitmasks; exhaustive subset scans are only
-# advertised up to this many elements.  At the cap the subset-rank table
-# and its id array take 48 MiB, and the build's time and index memory grow
-# with the number of flats (matroid.FLAT_CAP); README, "Flags and
-# environment", has the measured budget.
+# Ground sets are encoded as bitmasks of up to MAX_GROUND_SET elements;
+# the exhaustive routes are only advertised up to EXHAUSTIVE_CAP (--max-n).
+# Their span-join pass keeps nothing per subset: its time and memory grow
+# with the number of flats, which matroid.FLAT_CAP bounds, so low-rank
+# codes run well past the cap; README, "Flags and environment", has the
+# measured budget.
 MAX_GROUND_SET = 63
 EXHAUSTIVE_CAP = 24
 

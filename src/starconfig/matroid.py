@@ -2,24 +2,22 @@
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
 Point queries (rank, closure, coloops) run one elimination each, through
-fields.rref_join.  Exhaustive questions go through two queries instead:
-rank_size_counts, the number of subsets of each rank and size, and
-flats_of_rank.  Both are read off one backing, the subset-rank table r(S)
-for all 2^n masks, built on first use by a span-join pass over GF(p) that
-joins each column to every subspace found so far in one batch of numpy
-steps (see _span_join_ranks); no other module reads the table.
+fields.rref_join.  Exhaustive questions go through rank_size_counts, the
+number of subsets of each rank and size, and flats_of_rank.  Both come
+from one span-join pass over GF(p), run on first use, which keys every
+subspace spanned by some of the columns (one per flat) and carries its
+rank, its members and how many subsets span it at each nullity; nothing
+is kept per subset (see _span_join and _subset_classes).
 
-Over Q the table is the elementwise max of the tables of the primitive
-integer columns mod a few primes.  Each prime's rank of a subset is at
-most its rank over Q.  By Hadamard's inequality a nonzero r x r minor has
-absolute value at most B, the product of the norms of the k longest
-columns, so once the product of the primes exceeds B no minor is
-divisible by all of them, and some prime keeps each subset's rank.
+Over Q the pass runs on the primitive integer columns mod a few primes in
+step, and a subset's rank is its largest rank mod any of them.  By
+Hadamard's inequality a nonzero r x r minor has absolute value at most B,
+the product of the norms of the k longest columns, so once the product of
+the primes exceeds B some prime keeps every minor, and with it the rank.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import gcd, lcm, prod
@@ -30,24 +28,20 @@ from .fields import (EXHAUSTIVE_CAP, MAX_GROUND_SET, CapExceeded,
                      ExactArithError, ExactMatrix, GF, is_prime, rref_join)
 
 
-# masks per numpy pass over a table; numpy copies index arrays to intp,
-# so this bounds the temporaries of a pass
-CHUNK = 1 << 16
-
-# work-array entries (k x k per subspace) of one batch of joins: 2 MiB of
-# int64, which bounds the temporaries of a join step
+# work-array entries of one batch of joins (k x k per subspace) or count
+# moves (one per nullity): 2 MiB of int64, which bounds their temporaries
 BLOCK = 1 << 18
 
-# distinct subspaces (= flats) one rank-table build may key.  Each costs
-# about 270-320 B of index and work arrays at k = 10..17 (measured on
-# random binary codes), so this bounds them to about 330 MiB.  High-rank
-# matroids, such as the duals of low-dimension codes, have close to 2^n
-# flats: the dual of a random [20,3] binary code has 0.93 M and builds in
-# 6 s on a 2-core VM.
+# distinct subspaces (= flats) one span-join pass may key.  Each costs an
+# index of about 270-320 B, 8 B per nullity for its counts and 8 B for its
+# members: 406 B at k = 10 and 360 B at k = 17 on random binary codes, so
+# this bounds them to about 430 MiB.  High-rank matroids, such as the
+# duals of low-dimension codes, have close to 2^n flats: the dual of a
+# random [20,3] binary code has 0.93 M and builds in 6 s on a 2-core VM.
 FLAT_CAP = 1 << 20
 
-# Q tables are read mod the largest primes below this: k (p-1)^2 < 2^63
-# for k < 128, so their work arrays are int64
+# Q passes run mod the largest primes below this: k (p-1)^2 < 2^63 for
+# k < 128, so their work arrays are int64
 Q_PRIME_BOUND = 1 << 28
 
 
@@ -60,15 +54,6 @@ def iter_bits(mask: int):
 
 def bits_of(mask: int) -> list:
     return list(iter_bits(mask))
-
-
-def subset_sizes(n: int) -> np.ndarray:
-    """|S| for every mask S in [0, 2^n), as int8."""
-    sizes = np.zeros(1 << n, dtype=np.int8)
-    for i in range(n):
-        lo = 1 << i
-        np.add(sizes[:lo], 1, out=sizes[lo:2 * lo])
-    return sizes
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,7 @@ class Flat:
 
 
 class VectorMatroid:
-    """Matroid of the columns of a k x n matrix, with a lazy rank table."""
+    """Matroid of the columns of a k x n matrix, with a lazy span-join pass."""
 
     def __init__(self, matrix: ExactMatrix):
         if matrix.cols > MAX_GROUND_SET:
@@ -99,9 +84,8 @@ class VectorMatroid:
         self.n = matrix.cols
         self.k = matrix.rows
         self._columns = matrix.columns()
-        self._rank_table = None
         self._rank_size_counts = None
-        self._flat_masks = None
+        self._flat_masks = self._flat_ranks = None
         self.full_rank = self.rank((1 << self.n) - 1)
 
     # -- rank ----------------------------------------------------------------
@@ -123,56 +107,37 @@ class VectorMatroid:
                     break
         return len(pivots)
 
-    def rank_table(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
-        """r(S) for every mask S in [0, 2^n), as a read-only int8 array.
-
-        Built on the first call and kept: by one span-join pass over
-        GF(p), or over Q by one pass mod each certifying prime (see the
-        module docstring).  A call that would build it raises CapExceeded,
-        before allocating anything, when n exceeds cap or the table and
-        its id array (3 bytes per mask) would not fit in physical memory.
-        """
-        if self._rank_table is None:
-            if self.n > cap:
-                raise CapExceeded(f"ground set of size {self.n} exceeds "
-                                  f"exhaustive cap {cap}")
-            if hasattr(os, "sysconf"):  # Unix only
-                memory = (os.sysconf("SC_PHYS_PAGES")
-                          * os.sysconf("SC_PAGE_SIZE"))
-                if 3 << self.n > memory:
-                    raise CapExceeded(
-                        f"rank table of a ground set of size {self.n} needs "
-                        f"{3 << self.n} bytes, more than the {memory} bytes "
-                        f"of physical memory")
-            if self.spec.kind == "gf":
-                table = _span_join_ranks(self._columns, self.spec, self.k)
-            else:
-                table = _rational_ranks(self._columns, self.k)
-            table.flags.writeable = False
-            self._rank_table = table
-        return self._rank_table
-
     def rank_size_counts(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
         """counts[r, s], the number of subsets of rank r and size s, as a
         read-only int64 array of shape (full_rank + 1, n + 1).
 
-        Built on the first call from the rank table, and kept; the cap is
-        the rank table's, checked before anything is allocated.
+        Built on the first call, with the flats, by the span-join pass, and
+        kept; the cap is checked before anything is allocated.
         """
-        if self._rank_size_counts is None:
-            rank = self.rank_table(cap)
-            width = self.n + 1
-            counts = np.zeros((self.full_rank + 1) * width, dtype=np.int64)
-            step = min(len(rank), CHUNK)
-            low_sizes = subset_sizes(step.bit_length() - 1).astype(np.int16)
-            for lo in range(0, len(rank), step):
-                r = rank[lo:lo + step].astype(np.int16)
-                key = r * width + low_sizes + bin(lo).count("1")
-                counts += np.bincount(key, minlength=len(counts))
-            counts = counts.reshape(self.full_rank + 1, width)
-            counts.flags.writeable = False
-            self._rank_size_counts = counts
-        return self._rank_size_counts
+        if self._rank_size_counts is not None:
+            return self._rank_size_counts
+        if self.n > cap:
+            raise CapExceeded(f"ground set of size {self.n} exceeds "
+                              f"exhaustive cap {cap}")
+        if self.spec.kind == "gf":
+            passes = [_span_join(self._columns, self.spec, self.k)]
+        else:
+            columns = [_primitive(c) for c in self._columns]
+            norms = sorted((max(1, sum(x * x for x in c)) for c in columns),
+                           reverse=True)
+            passes = [_span_join([[x % p for x in c] for c in columns],
+                                 GF(p), self.k)
+                      for p in _certifying_primes(prod(norms[:self.k]))]
+        width = self.n - self.full_rank + 1
+        rank, masks, by_nullity = _subset_classes(passes, width)
+        counts = np.zeros((self.full_rank + 1, self.n + 1), dtype=np.int64)
+        for r in range(self.full_rank + 1):  # size = rank + nullity
+            counts[r, r:r + width] = by_nullity[rank == r].sum(axis=0)
+        counts.flags.writeable = False
+        self._flat_masks, first = np.unique(masks, return_index=True)
+        self._flat_ranks = rank[first]
+        self._rank_size_counts = counts
+        return counts
 
     # -- closure and flats ---------------------------------------------------
 
@@ -190,23 +155,9 @@ class VectorMatroid:
         """All flats of rank exactly s, sorted by bitmask."""
         if not 0 <= s <= self.k:
             raise ExactArithError(f"flat rank {s} out of range")
-        flats = self._flats()
-        ranks = self.rank_table()[flats]
-        return [Flat(int(mask), s) for mask in flats[ranks == s]]
-
-    def _flats(self) -> np.ndarray:
-        """Every flat as a mask, ascending.  S is closed when adding any
-        element j outside S raises the rank: one table comparison per j."""
-        if self._flat_masks is None:
-            rank = self.rank_table()
-            closed = np.ones(len(rank), dtype=bool)
-            for j in range(self.n):
-                # axis 1 of the view splits the masks by bit j
-                r = rank.reshape(-1, 2, 1 << j)
-                c = closed.reshape(-1, 2, 1 << j)
-                c[:, 0, :] &= r[:, 1, :] != r[:, 0, :]
-            self._flat_masks = np.flatnonzero(closed)
-        return self._flat_masks
+        self.rank_size_counts()  # runs the pass once
+        masks = self._flat_masks[self._flat_ranks == s]
+        return [Flat(int(mask), s) for mask in masks]
 
     # -- loops, coloops, duality ---------------------------------------------
 
@@ -254,22 +205,6 @@ class VectorMatroid:
             ExactMatrix.from_rows(spec, minor, cols=self.n - 1))
 
 
-def _rational_ranks(columns, k: int) -> np.ndarray:
-    """Subset-rank table of rational columns: the elementwise max of the
-    tables of their primitive integer multiples mod the primes of
-    _certifying_primes (see the module docstring)."""
-    columns = [_primitive(c) for c in columns]
-    norms = sorted((max(1, sum(x * x for x in c)) for c in columns),
-                   reverse=True)
-    table = None
-    for p in _certifying_primes(prod(norms[:k])):
-        ranks = _span_join_ranks([[x % p for x in c] for c in columns],
-                                 GF(p), k)
-        table = ranks if table is None else np.maximum(table, ranks,
-                                                       out=table)
-    return table
-
-
 def _primitive(column) -> list:
     """The column scaled to integers with gcd 1 (a zero column stays 0)."""
     scale = lcm(*(x.denominator for x in column))
@@ -292,50 +227,127 @@ def _certifying_primes(bound_sq: int) -> list:
     return primes
 
 
-def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
-    """Subset-rank table of the given columns over GF(p) by a span-join
-    pass.
+def _subset_classes(passes, width: int):
+    """(rank, masks, counts) of the classes of subsets of the columns,
+    from span-join passes run in step (one per prime; see _span_join).
 
-    Every mask below 2^(i+1) with bit i set is S | {i} for an S below 2^i,
-    and span(S + i) depends only on span(S) and i.  So ids[S] numbers the
-    subspace spanned by S, and the masks in [2^i, 2^(i+1)) are one gather
-    through the join of every subspace found so far with column i (each
-    one is spanned by some S below 2^i).  A subspace is keyed by its canonical
-    RREF, its rows sorted by pivot and packed as bytes of the narrowest
-    unsigned type that holds p - 1; the keys are dropped when the pass
-    ends.
-
-    Column i is joined to every subspace in one batch of numpy steps per
-    BLOCK work-array entries, with no elimination per subspace.  The keys
-    of a block are unpacked into k x k matrices B whose row t is the basis
-    row with pivot t, or zero when t is no pivot; since each pivot column
-    of an RREF is a unit column, v - vB is v reduced against the subspace
-    in one product.  A nonzero residual is scaled to a leading 1 at its
-    first nonzero column q, and q is cleared from the other rows with one
-    outer product; the new rows are packed, and only subspaces not seen
-    before are keyed.  Work arrays are int64 when k (p-1)^2 < 2^63, so that
-    no sum of products overflows, and Python ints (dtype object) otherwise.
+    A class is a tuple of per-prime subspaces, one subspace when there is
+    one pass.  rank[c] is the largest per-prime rank and counts[c, j] the
+    number of subsets in class c of nullity j: nullity never decreases as
+    elements are added, so j < width = n - r(M) + 1.  masks[c], the flat
+    the class spans, is the AND of the member masks of the primes whose
+    rank is rank[c]: a column outside the flat raises the rank over Q, so
+    some prime of that rank sees it raise its own.
     """
-    n = len(columns)
-    ranks = np.zeros(1 << n, dtype=np.int8)
-    if n == 0 or k == 0:
-        return ranks
+    # one spare zero row, for the shifted-out column of the last class
+    counts = np.zeros((2, width), dtype=np.int64)
+    counts[0, 0] = 1  # the empty set
+    tuples = np.zeros((1, len(passes)), dtype=np.int32)
+    index = {tuples.tobytes(): 0}
+    rank = np.zeros(1, dtype=np.int8)  # before any column: {0} alone
+    ranks, members = [rank] * len(passes), [np.zeros(1, dtype=np.uint64)]
+    for steps in zip(*passes):
+        joins, ranks, members = zip(*steps)
+        if len(steps) == 1:
+            join, rank = joins[0], ranks[0]
+        else:
+            packed = np.stack([j[tuples[:, t]] for t, j in enumerate(joins)],
+                              axis=1).tobytes()
+            row = 4 * len(steps)
+            join, new = _intern(index, [packed[s:s + row]
+                                        for s in range(0, len(packed), row)])
+            tuples = np.concatenate([tuples, np.frombuffer(
+                b"".join(new), dtype=np.int32).reshape(-1, len(steps))])
+            rank = np.max([r[tuples[:, t]] for t, r in enumerate(ranks)],
+                          axis=0)
+        # counts grows in place: realloc extends a large array by
+        # remapping its pages, with no second copy (no view of it lives)
+        counts.resize((len(rank) + 1, width), refcheck=False)
+        _carry(counts, join, rank[join] == rank[:len(join)])
+    if len(passes) == 1:
+        return rank, members[0], counts[:-1]
+    masks = np.full(len(tuples), ~np.uint64(0))
+    for t, (r, m) in enumerate(zip(ranks, members)):
+        own = tuples[:, t]  # each class's subspace mod this prime
+        masks &= np.where(r[own] == rank, m[own], ~np.uint64(0))
+    return rank, masks, counts[:-1]
+
+
+def _carry(counts, join, shift) -> None:
+    """Add column i to every subset counted so far: S in class f moves to
+    class join[f], one nullity up when shift[f] (the rank did not grow),
+    so counts[f, j] is added to counts[join[f], j + shift[f]], BLOCK
+    entries at a time; counts[f] stays for the subsets without i.
+
+    Only a class whose subspaces all hold column i gains counts, and it
+    joins itself; across several blocks those go first, so each row is
+    read before it gains.  A shifted row's last count is 0 (no nullity
+    reaches width) and lands in the next row, or in the spare one.
+    """
+    width = counts.shape[1]
+    rows = max(1, BLOCK // width)
+    order = (np.arange(len(join)) if len(join) <= rows else
+             np.argsort(join != np.arange(len(join)), kind="stable"))
+    offsets = np.arange(width)
+    flat = counts.reshape(-1)
+    for a in range(0, len(order), rows):
+        f = order[a:a + rows]
+        at = np.add.outer(join[f] * width + shift[f], offsets)
+        np.add.at(flat, at.ravel(), counts[f].ravel())
+
+
+def _intern(index: dict, keys) -> tuple:
+    """(got, new): the id of each key in index, where each key not seen
+    before takes the next free id, and the list of those new keys."""
+    old = len(index)
+    got = np.fromiter((index.setdefault(key, len(index)) for key in keys),
+                      dtype=np.int32, count=len(keys))
+    if len(index) > FLAT_CAP:
+        raise CapExceeded(f"number of flats exceeds flat cap {FLAT_CAP} of "
+                          f"the span-join pass")
+    # a dict keeps insertion order: the new keys are its last ones
+    return got, list(islice(reversed(index), len(index) - old))[::-1]
+
+
+def _span_join(columns, spec, k: int):
+    """Span-join pass of the given columns over GF(p), as a generator.
+
+    After column i it yields (join, rank_of, members): join[f] is the span
+    of subspace f and column i, for each f found before column i, and
+    rank_of and members give every subspace found so far its rank and, as
+    a bitmask, the columns up to i in it.  Subspace 0 is {0}.  A span of
+    some of the first i + 1 columns is a span found before or its join
+    with column i, so each flat is found once; its columns up to i are i
+    and the members of every subspace that joins to it.
+
+    A subspace is keyed by its canonical RREF, its rows sorted by pivot
+    and packed as bytes of the narrowest unsigned type that holds p - 1.
+    Column i is joined to every subspace in one batch of numpy steps per
+    BLOCK work-array entries.  The keys of a block are unpacked into k x k
+    matrices B whose row t is the basis row with pivot t, or zero when t
+    is no pivot; since each pivot column of an RREF is a unit column,
+    v - vB is v reduced against the subspace.  A nonzero residual is
+    scaled to a leading 1 at its first nonzero column q, q is cleared from
+    the other rows with one outer product, and the new rows are packed and
+    keyed.  Work arrays are int64 when k (p-1)^2 < 2^63, so that no sum of
+    products overflows, and Python ints (dtype object) otherwise.
+    """
     p = spec.modulus
     work = np.int64 if k * (p - 1) ** 2 < 1 << 63 else object
     store = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                  if p - 1 <= np.iinfo(t).max)
     row_bytes = k * np.dtype(store).itemsize
-    per_block = max(1, BLOCK // (k * k))
-    vectors = np.array(columns, dtype=work).reshape(n, k)
-    ids = np.zeros(1 << (n - 1), dtype=np.int32)  # the top block is not read
+    per_block = max(1, BLOCK // max(1, k * k))
+    vectors = np.array(columns, dtype=work).reshape(len(columns), k)
     keys = [b""]  # subspace id -> packed RREF
     index = {b"": 0}
     rank_of = np.zeros(1, dtype=np.int8)  # subspace id -> its rank
+    members = np.zeros(1, dtype=np.uint64)
     for i, v in enumerate(vectors):
         found = len(keys)
         join = np.arange(found, dtype=np.int32)
         born = [rank_of]
-        for a in range(0, found, per_block):
+        for a in range(0, found if v.any() else 0, per_block):
             b = min(a + per_block, found)
             r = rank_of[a:b]
             rows = np.frombuffer(b"".join(keys[a:b]), dtype=store)
@@ -360,26 +372,13 @@ def _span_join_ranks(columns, spec, k: int) -> np.ndarray:
             pivot = np.diagonal(basis, axis1=1, axis2=2) != 0
             packed = basis[pivot].astype(store).tobytes()
             ends = list(accumulate((x + 1) * row_bytes for x in r.tolist()))
-            pieces = [packed[s:e] for s, e in zip([0] + ends, ends)]
-            old = len(index)
-            join[a + grow] = np.fromiter(
-                (index.setdefault(key, len(index)) for key in pieces),
-                dtype=np.int32, count=len(pieces))
-            if len(index) > old:
-                # new ids were given in insertion order, after every old one
-                new = list(islice(reversed(index), len(index) - old))[::-1]
-                keys += new
-                born.append(np.fromiter(map(len, new), np.int64, len(new))
-                            // row_bytes)
-                if len(keys) > FLAT_CAP:
-                    raise CapExceeded(f"number of flats exceeds flat cap "
-                                      f"{FLAT_CAP} of the rank table")
+            join[a + grow], new = _intern(
+                index, [packed[s:e] for s, e in zip([0] + ends, ends)])
+            keys += new
+            born.append(np.fromiter(map(len, new), np.int64, len(new))
+                        // row_bytes)
         rank_of = np.concatenate(born).astype(np.int8)
-        rank_join = rank_of[join]
-        lo = 1 << i
-        for c in range(0, lo, CHUNK):
-            part = ids[c:min(c + CHUNK, lo)]
-            ranks[lo + c:lo + c + len(part)] = rank_join[part]
-            if i < n - 1:
-                ids[lo + c:lo + c + len(part)] = join[part]
-    return ranks
+        members = np.concatenate(
+            [members, np.zeros(len(keys) - found, dtype=np.uint64)])
+        np.bitwise_or.at(members, join, members[:found] | np.uint64(1 << i))
+        yield join, rank_of, members

@@ -2,12 +2,13 @@ import json
 import random
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from starconfig.fields import GF, QQ, ExactMatrix, rref
 from starconfig.codes import LinearCode
-from starconfig.matroid import VectorMatroid
+from starconfig.matroid import VectorMatroid, iter_bits
 from starconfig.tutte import BivarPoly
 
 FIELDS = [GF(2), GF(3), GF(5)]
@@ -71,7 +72,7 @@ def matrices(draw, specs=(GF(2), GF(3), GF(5), GF(257), QQ)):
 #
 # The Gauss-Jordan loop that fields.rref, column_rank and left_kernel_basis
 # ran before they shared fields.rref_join with the matroid: an independent
-# reference for that kernel, the rank table and the point ranks.
+# reference for that kernel, the span-join pass and the point ranks.
 
 def _eliminate(rows: list, spec):
     """In-place forward + backward elimination; returns pivot column list."""
@@ -130,6 +131,46 @@ def oracle_left_kernel_basis(m: ExactMatrix, cols) -> list:
             v[c] = spec.neg(t_rows[r][f])
         basis.append(tuple(v))
     return basis
+
+
+# -- test-only subset-rank table ----------------------------------------------
+#
+# r(S) for every mask S, by one oracle elimination each, and the rank-size
+# counts and flats read off it: the reference for the span-join pass, which
+# keeps nothing per subset.
+
+def oracle_rank_table(m: ExactMatrix) -> list:
+    return [oracle_column_rank(m, iter_bits(sub))
+            for sub in range(1 << m.cols)]
+
+
+def table_counts(table: list, full_rank: int, n: int) -> np.ndarray:
+    """counts[r, s] of the subsets of rank r and size s."""
+    counts = np.zeros((full_rank + 1, n + 1), dtype=np.int64)
+    for sub, r in enumerate(table):
+        counts[r, bin(sub).count("1")] += 1
+    return counts
+
+
+def table_flats(table: list, n: int, s: int) -> list:
+    """The masks of the flats of rank s, ascending: S is closed when adding
+    any element outside S raises its rank."""
+    return [sub for sub, r in enumerate(table)
+            if r == s and all(table[sub | 1 << j] > r for j in range(n)
+                              if not sub >> j & 1)]
+
+
+def assert_matches_table(matrix: ExactMatrix, table: list | None = None):
+    """rank_size_counts and every flats_of_rank of the matrix's matroid
+    equal those read off its oracle table."""
+    m = VectorMatroid(matrix)
+    table = oracle_rank_table(matrix) if table is None else table
+    counts = m.rank_size_counts()
+    assert (counts == table_counts(table, m.full_rank, m.n)).all()
+    for s in range(m.k + 1):
+        flats = m.flats_of_rank(s)
+        assert all(f.rank == s for f in flats)
+        assert [f.members for f in flats] == table_flats(table, m.n, s)
 
 
 # -- test-only deletion-contraction oracle ------------------------------------

@@ -122,8 +122,8 @@ def test_ghw_routes_and_duality(capsys):
 
 
 def test_ghw_low_dimension_code_with_n_21(capsys, tmp_path):
-    # the dual of a [21,3] binary code has too many flats for a rank
-    # table (matroid.FLAT_CAP); Wei duality reads the dual's hierarchy
+    # the dual of a [21,3] binary code has too many flats for a span-join
+    # pass (matroid.FLAT_CAP); Wei duality reads the dual's hierarchy
     # from its deletion-contraction Tutte polynomial instead
     code = random_code(random.Random(21), 3, 21, GF(2))
     rows = "\n".join(" ".join(map(str, row)) for row in code.matrix.entries)
@@ -225,16 +225,24 @@ def test_cap_exceeded_exit_code(capsys):
     assert "exceeds" in err
 
 
-def test_max_n_beyond_physical_memory_is_a_cap(capsys, tmp_path):
-    # a [40,2] code over GF(3) with no zero column: its table would take
-    # 3 TiB, so the build stops before allocating it
+def test_max_n_zero_is_a_legal_cap(capsys):
+    rc, out, err = run_cli(capsys, "tutte", "--example", "e0", "--max-n=0")
+    assert rc == EXIT_CAP and out == ""
+    assert "exceeds exhaustive cap 0" in err
+
+
+def test_max_n_above_the_exhaustive_cap_runs_both_engines(capsys,
+                                                         tmp_path):
+    # a [40,2] code over GF(3) with four parallel classes of ten: the
+    # span-join pass keys six subspaces and keeps nothing per subset
     rows = " ".join(["1 0 1 1"] * 10), " ".join(["0 1 1 2"] * 10)
     path = write_input(tmp_path, "field gf 3\nsize 2 40\n"
                        + "\n".join(rows) + "\n")
     rc, out, err = run_cli(capsys, "tutte", path, "--max-n", "40",
-                           "--no-cache")
-    assert rc == EXIT_CAP and out == ""
-    assert err.count("\n") == 1 and "physical memory" in err
+                           "--no-cache", "--json")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["engines_agree"] is True
 
 
 def test_conjecture_honours_max_n(capsys):
@@ -249,6 +257,7 @@ def test_conjecture_honours_max_n(capsys):
     (["profile", "--bogus"], "unrecognized arguments: --bogus"),
     (["profile", "--example", "e0", "--max-n", "x"], "--max-n"),
     ([], "required"),
+    (["tutte", "--example", "e0", "--max-n=-1"], "at least 0"),
 ])
 def test_usage_error_is_input_error(capsys, argv, message):
     # argparse's own exit code, 2, is the cap-exceeded code here
@@ -734,35 +743,25 @@ size 3 5
 """
 
 
-def test_only_the_matroid_module_reads_the_rank_table(capsys, tmp_path,
-                                                     monkeypatch):
+def test_one_span_join_pass_per_cli_call(capsys, tmp_path, monkeypatch):
     callers, tallies = [], Counter()
-    rank_table = VectorMatroid.rank_table
+    span_join = matroid._span_join
 
-    def traced_rank_table(self, *args, **kwargs):
+    def counted(*args):
         callers.append(sys._getframe(1).f_globals["__name__"])
-        return rank_table(self, *args, **kwargs)
+        tallies[args[1].modulus] += 1
+        return span_join(*args)
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            tallies[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(VectorMatroid, "rank_table", traced_rank_table)
-    monkeypatch.setattr(matroid, "subset_sizes",
-                        counted("subset_sizes", matroid.subset_sizes))
-    monkeypatch.setattr(matroid, "_span_join_ranks",
-                        counted("tables", matroid._span_join_ranks))
+    monkeypatch.setattr(matroid, "_span_join", counted)
     path = write_input(tmp_path, PLANTED_COLOOP)
     for source in (["--example", "b3"], [path]):
         for command in ("profile", "ghw", "primes", "conjecture"):
             rc, out, _ = run_cli(capsys, command, *source, "--json",
                                  "--no-cache")
             assert rc == 0
-    assert callers and set(callers) == {"starconfig.matroid"}
-    # one table per CLI call, and one pass of subset sizes per table
-    assert tallies == {"tables": 8, "subset_sizes": 8}
+    assert set(callers) == {"starconfig.matroid"}
+    # one pass over the code's field per CLI call, b3's over GF(5)
+    assert tallies == {5: 4, 3: 4}
     # the last report is the planted code's: only column 5 is a coloop
     coloops = [cell["coloop"] for cell in json.loads(out)["entries"][0]
                ["columns"]]

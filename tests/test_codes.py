@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from starconfig.codes import (CodeError, LinearCode, WeightHierarchy,
                               wei_duality_check)
 from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.matroid import VectorMatroid
-from starconfig.tutte import tutte_subset_sum, whitney_shift
+from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
+                              whitney_shift)
 
 from conftest import FIELDS, random_code, random_code_any
 
@@ -185,8 +188,8 @@ def test_wei_duality_random(seed):
 
 
 def dual_hierarchy_by_rank_table(code):
-    """d_1..d_{n-k} of the dual code by the exhaustive scan of the dual
-    matroid's rank table, the route wei_duality_check took before."""
+    """d_1..d_{n-k} of the dual code from the rank-size counts of the
+    dual matroid, the route wei_duality_check took before."""
     if code.n == code.k:
         return []
     dual = VectorMatroid(dual_generator_matrix(code))
@@ -282,3 +285,44 @@ def test_minimal_support_count_matches_enumeration(rng):
             count = sum(1 for f in m.flats_of_rank(code.k - r)
                         if f.size == code.n - d_r)
             assert minimal_support_subcode_count(code, coeffs, r) == count
+
+
+def greene_code(spec, k, n, seed):
+    """A random [n, k] code over spec with a parallel pair (its column
+    n - 2 is -1 times column 0) and a coloop (column n - 1)."""
+    rng = random.Random(seed)
+    base = random_code(rng, k - 1, n - 2, spec).matrix.entries
+    rows = [list(row) + [spec.neg(row[0]), 0] for row in base]
+    rows.append([0] * (n - 1) + [1])
+    return LinearCode(ExactMatrix.from_rows(spec, rows))
+
+
+def codeword_weights(code) -> list:
+    """The weight of every codeword, by enumerating the messages."""
+    p = code.spec.modulus
+    cols = code.matrix.columns()
+    return [sum(1 for col in cols
+                if sum(a * b for a, b in zip(message, col)) % p)
+            for message in product(range(p), repeat=code.k)]
+
+
+@pytest.mark.parametrize("p, k, n, seed", [
+    (2, 4, 9, 1), (2, 10, 14, 2), (3, 3, 8, 3), (3, 6, 11, 4),
+    (5, 3, 7, 5), (5, 4, 9, 6), (7, 3, 8, 7), (7, 4, 6, 8),
+])
+def test_greene_identity(p, k, n, seed):
+    # W_C(x, y) = y^(n-k) (x-y)^k T((x + (q-1) y) / (x - y), x / y), with T
+    # from either engine, and d_1 is the least nonzero weight (Greene,
+    # Stud. Appl. Math. 1976); the q^k <= 4096 codewords are enumerated
+    code = greene_code(GF(p), k, n, seed)
+    assert code.k == k and p ** k <= 4096
+    weights = codeword_weights(code)
+    engines = (tutte_subset_sum(code.matroid),
+               tutte_deletion_contraction(code.matroid))
+    for x, y in [(2, 1), (3, -1), (5, 2), (-4, 3), (7, 11)]:
+        enumerator = sum(x ** (n - w) * y ** w for w in weights)
+        tx, ty = Fraction(x + (p - 1) * y, x - y), Fraction(x, y)
+        for t in engines:
+            value = sum(c * tx ** i * ty ** j for (i, j), c in t.terms.items())
+            assert y ** (n - k) * (x - y) ** k * value == enumerator
+    assert weight_hierarchy(code).d[1] == min(w for w in weights if w)

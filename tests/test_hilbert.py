@@ -766,7 +766,7 @@ def test_conjecture_report_degree_hypothesis(b3):
 
 def test_conjecture_report_computes_each_value_once(monkeypatch):
     # hierarchy (0, 2, 4, 6): cells with j = 1 at a = 3 and a = 5; every
-    # matroid fact comes from the code's one rank table, with no Tutte
+    # matroid fact comes from the code's one span-join pass, with no Tutte
     # polynomial, no deletion and no per-column coloop elimination
     code = LinearCode(ExactMatrix.from_rows(GF(2), [[0, 0, 0, 1, 0, 1],
                                                     [1, 0, 0, 0, 1, 1],
@@ -791,14 +791,14 @@ def test_conjecture_report_computes_each_value_once(monkeypatch):
                         counted("delete", VectorMatroid.delete))
     monkeypatch.setattr(VectorMatroid, "is_coloop",
                         counted("is_coloop", VectorMatroid.is_coloop))
-    monkeypatch.setattr(matroid, "_span_join_ranks",
-                        counted("table", matroid._span_join_ranks))
+    monkeypatch.setattr(matroid, "_span_join",
+                        counted("pass", matroid._span_join))
     monkeypatch.setattr(hilbert, "colon_dim_from_engine", counted_colon_dim)
     report = conjecture_report(code, code.n + 2)
     j1 = [c for e in report["entries"] for c in e["columns"]
           if c.get("degree_hypothesis", "").startswith("j=1")]
     assert len(j1) > code.n
-    assert tallies == {"table": 1}
+    assert tallies == {"pass": 1}
     # columns 2 and 3 are equal, and each has cells of its own
     columns = code.matrix.columns()
     counts = Counter(colon_calls)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
 from starconfig import matroid
 from starconfig.matroid import Flat, VectorMatroid, bits_of
 
-from conftest import (matrices, oracle_column_rank,
-                      oracle_left_kernel_basis, oracle_rref, random_matrix)
+from conftest import (assert_matches_table, matrices, oracle_column_rank,
+                      oracle_left_kernel_basis, oracle_rank_table,
+                      oracle_rref, random_matrix, table_flats)
 
 
 def mask(*indices):
@@ -46,23 +48,20 @@ def test_rank_examples(m_e0, m_b3):
 
 
 def test_rank_cache_consistency(m_b3):
-    table = m_b3.rank_table()
-    assert table.dtype == np.int8 and len(table) == 1 << 9
-    assert not table.flags.writeable
+    table = oracle_rank_table(m_b3.matrix)
     for sub in range(1 << 9):
-        expected = oracle_column_rank(m_b3.matrix, bits_of(sub))
-        assert table[sub] == m_b3._rank_by_elimination(sub) == expected
+        assert table[sub] == m_b3._rank_by_elimination(sub)
+    assert_matches_table(m_b3.matrix, table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rank_table_matches_elimination(matrix):
     m = VectorMatroid(matrix)
-    table = m.rank_table()
-    assert len(table) == 1 << m.n
+    table = oracle_rank_table(matrix)
     for sub in range(1 << m.n):
-        expected = oracle_column_rank(matrix, bits_of(sub))
-        assert table[sub] == m._rank_by_elimination(sub) == expected
+        assert table[sub] == m._rank_by_elimination(sub)
+    assert_matches_table(matrix, table)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,7 +90,7 @@ def test_rref_kernel_matches_oracle(matrix, data):
 
 def closed_independent_subsets(m, s):
     """Rank-s flats as the closures of all independent s-subsets, sorted:
-    the enumeration flats_of_rank used before the rank table."""
+    the enumeration flats_of_rank used before the span-join pass."""
     seen = set()
     for combo in combinations(range(m.n), s):
         sub = mask(*combo)
@@ -112,21 +111,25 @@ def test_flats_of_rank_matches_closure_enumeration(matrix):
         assert [f.members for f in flats] == closed_independent_subsets(m, s)
 
 
-def test_rank_table_is_lazy_and_capped(m_b3):
-    assert m_b3._rank_table is None
+def test_rank_table_is_lazy_and_capped(m_b3, monkeypatch):
+    # the span-join pass runs once, on the first query that needs it
+    passes = []
+    span_join = matroid._span_join
+
+    def counted(columns, spec, k):
+        passes.append(spec.modulus)
+        return span_join(columns, spec, k)
+
+    monkeypatch.setattr(matroid, "_span_join", counted)
+    assert m_b3._rank_size_counts is None and m_b3._flat_masks is None
     with pytest.raises(CapExceeded, match="exceeds"):
-        m_b3.rank_table(cap=8)
-    assert m_b3._rank_table is None
-    table = m_b3.rank_table(cap=9)
-    assert m_b3.rank_table() is table
-    assert m_b3.rank_table(cap=8) is table  # built already: nothing to cap
-
-
-def assert_table_matches_oracle(matrix):
-    table = VectorMatroid(matrix).rank_table()
-    assert len(table) == 1 << matrix.cols
-    for sub in range(1 << matrix.cols):
-        assert table[sub] == oracle_column_rank(matrix, bits_of(sub)), sub
+        m_b3.rank_size_counts(cap=8)
+    assert m_b3._rank_size_counts is None and not passes
+    flats = m_b3.flats_of_rank(1)
+    counts = m_b3.rank_size_counts(cap=9)
+    assert m_b3.rank_size_counts() is counts
+    assert m_b3.rank_size_counts(cap=8) is counts  # built: nothing to cap
+    assert m_b3.flats_of_rank(1) == flats and passes == [5]
 
 
 def test_rank_table_over_gf_2_31_minus_1():
@@ -141,8 +144,8 @@ def test_rank_table_over_gf_2_31_minus_1():
     columns = planted + [[rng.randrange(p - 9, p) for _ in range(4)]
                          for _ in range(4)]
     rows = [list(row) for row in zip(*columns)]
-    assert_table_matches_oracle(ExactMatrix.from_rows(GF(p), rows))
-    assert_table_matches_oracle(ExactMatrix.from_rows(GF(p), rows[3:]))
+    assert_matches_table(ExactMatrix.from_rows(GF(p), rows))
+    assert_matches_table(ExactMatrix.from_rows(GF(p), rows[3:]))
 
 
 def test_rank_table_over_gf_2_61_minus_1():
@@ -151,25 +154,25 @@ def test_rank_table_over_gf_2_61_minus_1():
     rows = [[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(7)]
             for _ in range(3)]
     rows.append([sum(col) for col in zip(rows[0], rows[1])])  # rank 3
-    assert_table_matches_oracle(ExactMatrix.from_rows(GF(p), rows))
+    assert_matches_table(ExactMatrix.from_rows(GF(p), rows))
 
 
 def test_rank_table_over_q_with_large_entries(monkeypatch):
     # entries around 10^12 over small denominators: the Hadamard bound
     # needs several primes, and every subset's rank is still exact
     passes = []
-    span_join_ranks = matroid._span_join_ranks
+    span_join = matroid._span_join
 
     def counted(columns, spec, k):
         passes.append(spec.modulus)
-        return span_join_ranks(columns, spec, k)
+        return span_join(columns, spec, k)
 
-    monkeypatch.setattr(matroid, "_span_join_ranks", counted)
+    monkeypatch.setattr(matroid, "_span_join", counted)
     rng = random.Random(12)
     rows = [[Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 9))
              for _ in range(7)] for _ in range(3)]
     rows.append([a - 3 * b for a, b in zip(rows[0], rows[2])])
-    assert_table_matches_oracle(ExactMatrix.from_rows(QQ, rows))
+    assert_matches_table(ExactMatrix.from_rows(QQ, rows))
     assert len(passes) > 2
 
 
@@ -178,10 +181,19 @@ def test_rank_table_over_q_survives_a_prime_dividing_its_minor():
     # columns 0 and 1 are parallel; the Hadamard bound asks for a second
     p = matroid._certifying_primes(1)[0]
     matrix = ExactMatrix.from_rows(QQ, [[1, 1, 0], [0, p, 0]])
-    alone = matroid._span_join_ranks([[1, 0], [1, 0], [0, 0]], GF(p), 2)
-    assert alone[0b011] == 1
-    assert VectorMatroid(matrix).rank_table()[0b011] == 2
-    assert_table_matches_oracle(matrix)
+    *_, (_, ranks, members) = matroid._span_join(
+        [[1, 0], [1, 0], [0, 0]], GF(p), 2)
+    assert ranks.max() == 1 and 0b111 in members
+    m = VectorMatroid(matrix)
+    assert m.rank_size_counts()[2].tolist() == [0, 0, 1, 1]
+    assert [f.members for f in m.flats_of_rank(1)] == [0b101, 0b110]
+    assert_matches_table(matrix)
+    # (0, 1) lies in the span of columns 0 and 1 over Q but not mod p:
+    # adding it changes their class and keeps its rank, one nullity up
+    wider = ExactMatrix.from_rows(QQ, [[1, 1, 0, 0], [0, p, 0, 1]])
+    assert VectorMatroid(wider).rank_size_counts()[2].tolist() == [
+        0, 0, 3, 4, 1]
+    assert_matches_table(wider)
 
 
 def test_certifying_primes_exceed_the_bound_strictly():
@@ -204,7 +216,7 @@ def test_certifying_primes_exceed_the_bound_strictly():
     (GF((1 << 61) - 1), [[0, 0], [0, 1]], 2),
 ])
 def test_rank_table_with_zero_columns_n_or_k_zero(spec, rows, n):
-    assert_table_matches_oracle(ExactMatrix.from_rows(spec, rows, cols=n))
+    assert_matches_table(ExactMatrix.from_rows(spec, rows, cols=n))
 
 
 def test_rank_table_across_small_blocks(monkeypatch):
@@ -214,7 +226,92 @@ def test_rank_table_across_small_blocks(monkeypatch):
     for block in (1, 20):
         monkeypatch.setattr(matroid, "BLOCK", block)
         for matrix in matrices_by_field:
-            assert_table_matches_oracle(matrix)
+            assert_matches_table(matrix)
+
+
+def prefix(matrix, i):
+    """The matrix of the first i columns."""
+    return ExactMatrix.from_rows(matrix.spec,
+                                 [row[:i] for row in matrix.entries], cols=i)
+
+
+def planted_matrix(rng, spec):
+    """A [4,8] matrix with a loop, a scaled copy of an earlier column and,
+    over Q, entries around 10^12 that need several primes."""
+    if spec.kind == "q":
+        cols = [[Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 9))
+                 for _ in range(4)] for _ in range(6)]
+    else:
+        cols = [[rng.randrange(spec.modulus) for _ in range(4)]
+                for _ in range(6)]
+    cols.insert(2, [0] * 4)
+    cols.insert(5, [3 * x for x in cols[1]])
+    return ExactMatrix.from_rows(spec, [list(row) for row in zip(*cols)])
+
+
+@pytest.mark.parametrize("spec", [GF(2), GF(3), GF(257)],
+                         ids=lambda spec: str(spec.modulus))
+def test_span_join_members_follow_each_column(spec):
+    # after column i, the pass's subspaces are the flats of the first
+    # i + 1 columns, each once, with their ranks
+    matrix = planted_matrix(random.Random(spec.modulus), spec)
+    steps = matroid._span_join(matrix.columns(), spec, matrix.rows)
+    for i, (join, ranks, members) in enumerate(steps):
+        table = oracle_rank_table(prefix(matrix, i + 1))
+        expected = sorted((sub, s) for s in range(matrix.rows + 1)
+                          for sub in table_flats(table, i + 1, s))
+        assert sorted(zip(members.tolist(), ranks.tolist())) == expected
+        assert len(join) <= len(members)
+
+
+@pytest.mark.parametrize("spec", [GF(2), GF(3), QQ],
+                         ids=lambda spec: str(spec.modulus or "q"))
+@pytest.mark.parametrize("block", [1, 1 << 18])
+def test_counts_and_flats_follow_each_column(spec, block, monkeypatch):
+    # every prefix of the columns, so every column's step of the counts
+    # and (over Q, with several primes in step) the flats; BLOCK = 1 moves
+    # one class at a time, so the classes that gain must be read first
+    passes = []
+    span_join = matroid._span_join
+
+    def counted(columns, field, k):
+        passes.append(field.modulus)
+        return span_join(columns, field, k)
+
+    monkeypatch.setattr(matroid, "_span_join", counted)
+    monkeypatch.setattr(matroid, "BLOCK", block)
+    matrix = planted_matrix(random.Random(7), spec)
+    for i in range(matrix.cols + 1):
+        passes.clear()
+        assert_matches_table(prefix(matrix, i))
+    assert len(passes) > 2 if spec.kind == "q" else len(passes) == 1
+
+
+def test_counts_and_flats_at_the_bitmask_cap():
+    # a [63,2] code over GF(3) whose columns lie on the four points of the
+    # projective line, in parallel classes of sizes 20, 17, 15 and 11:
+    # counts up to C(63, 31) and member bit 62
+    points = [(1, 0), (0, 1), (1, 1), (1, 2)]
+    sizes = [20, 17, 15, 11]
+    labels = [t for t, size in enumerate(sizes) for _ in range(size)]
+    random.Random(63).shuffle(labels)
+    columns = [[c * x for x in points[t]]
+               for c, t in zip([1, 2] * 32, labels)]
+    m = VectorMatroid(ExactMatrix.from_rows(
+        GF(3), [list(row) for row in zip(*columns)]))
+    assert m.n == matroid.MAX_GROUND_SET and m.full_rank == 2
+    counts = m.rank_size_counts(cap=m.n).tolist()
+    parallel = [sum(comb(size, s) for size in sizes) for s in range(64)]
+    assert counts[0] == [1] + [0] * 63
+    assert counts[1] == [0] + parallel[1:]
+    assert counts[2] == [0] + [comb(63, s) - parallel[s]
+                               for s in range(1, 64)]
+    assert counts[2][31] == comb(63, 31) - parallel[31]
+    classes = sorted(sum(1 << j for j, t in enumerate(labels) if t == u)
+                     for u in range(4))
+    assert [f.members for f in m.flats_of_rank(1)] == classes
+    assert [f.members for f in m.flats_of_rank(2)] == [(1 << 63) - 1]
+    assert [f.members for f in m.flats_of_rank(0)] == [0]
 
 
 def point_query_counts(m):
@@ -247,8 +344,9 @@ def test_rank_size_counts_with_n_or_rank_zero(spec, rows, n, expected):
     assert m.rank_size_counts().tolist() == expected
 
 
-def test_rank_size_counts_across_chunks(monkeypatch):
-    monkeypatch.setattr(matroid, "CHUNK", 4)
+def test_rank_size_counts_across_blocks(monkeypatch):
+    # one class per count move
+    monkeypatch.setattr(matroid, "BLOCK", 4)
     rng = random.Random(15)
     for spec in (GF(2), GF(3), QQ):
         m = VectorMatroid(random_matrix(rng, 3, 7, spec))
@@ -267,15 +365,15 @@ def test_rank_size_counts_are_kept_and_read_only(m_b3):
 def test_rank_size_counts_are_capped(m_b3):
     with pytest.raises(CapExceeded, match="exceeds"):
         m_b3.rank_size_counts(cap=m_b3.n - 1)
-    assert m_b3._rank_table is None
+    assert m_b3._flat_masks is None
     assert m_b3._rank_size_counts is None
 
 
 def test_flat_cap_is_typed(m_b3, monkeypatch):
     monkeypatch.setattr(matroid, "FLAT_CAP", 8)
     with pytest.raises(CapExceeded, match="exceeds"):
-        m_b3.rank_table()
-    assert m_b3._rank_table is None
+        m_b3.rank_size_counts()
+    assert m_b3._rank_size_counts is None
 
 
 def test_ground_set_cap_is_typed():
