@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .codes import (LinearCode, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
-from .fields import (EXHAUSTIVE_CAP, GF, QQ, CapExceeded, ExactArithError,
-                     ExactMatrix, FieldSpec)
+from .fields import (GF, QQ, CapExceeded, ExactArithError, ExactMatrix,
+                     FieldSpec)
 from .hilbert import (WindowError, conjecture_report, fit_hilbert_polynomial,
                       ideal_engine, mu_oracle, render_conjecture_matrix)
 from .star import (InternalInvariantError, binomial_identity_check,
@@ -35,6 +35,9 @@ EXIT_INTERNAL = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports for `yes | head`
 
 CACHE_ENV = "STARCONFIG_CACHE_DIR"
+
+# default --max-n: the largest ground set a code command accepts
+EXHAUSTIVE_CAP = 24
 
 
 @dataclass
@@ -282,17 +285,24 @@ def cache_from_args(args) -> TutteCache | None:
 # -- shared computation ------------------------------------------------------
 
 def load_code(args) -> LinearCode:
+    """The code the arguments name; the one check of --max-n, made before
+    any engine runs."""
     if args.example:
-        return EXAMPLES[args.example]()
-    if not args.input:
+        code = EXAMPLES[args.example]()
+    elif args.input:
+        with open(args.input, encoding="utf-8") as fh:
+            code = parse_input(fh.read()).code()
+    else:
         raise ExactArithError("provide an input file or --example")
-    with open(args.input, encoding="utf-8") as fh:
-        return parse_input(fh.read()).code()
+    if code.n > args.max_n:
+        raise CapExceeded(f"ground set of size {code.n} exceeds "
+                          f"exhaustive cap {args.max_n}")
+    return code
 
 
 def compute_tutte(code: LinearCode, args):
     t0 = time.monotonic()
-    by_subsets = tutte_subset_sum(code.matroid, cap=args.max_n)
+    by_subsets = tutte_subset_sum(code.matroid)
     t1 = time.monotonic()
     with cache_from_args(args) or nullcontext() as cache:
         by_dc = tutte_deletion_contraction(code.matroid, cache=cache)
@@ -457,7 +467,7 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     code = load_code(args)
     t_max = args.window[1] if args.window else code.n + 2
-    report = conjecture_report(code, t_max, args.max_n)
+    report = conjecture_report(code, t_max)
     table = render_conjecture_matrix(report)
     if report["note"]:
         table = f"note: {report['note']}\n{table}"

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import (ExactArithError, ExactMatrix, FieldSpec,
-                     left_kernel_basis, rref)
+from .fields import (ExactArithError, ExactMatrix, FieldSpec, kernel_basis,
+                     left_kernel_basis)
 from .matroid import Flat, VectorMatroid, bits_of
 from .tutte import ShiftedCoeffs, tutte_deletion_contraction, whitney_shift
 
@@ -145,24 +145,15 @@ def weight_hierarchy(code: LinearCode) -> WeightHierarchy:
 # -- Wei duality -------------------------------------------------------------
 
 def dual_generator_matrix(code: LinearCode) -> ExactMatrix:
-    """Generator of the dual code, via systematic form with the column
-    permutation tracked and undone.
+    """Generator of the dual code {v : G v = 0}, one row per non-pivot
+    column q of RREF(G): 1 at q, minus RREF(G)'s column q at the pivots.
 
-    If RREF(G) restricted to its pivots is the identity with remainder A,
-    the dual generator is (-A^T | I) pushed back through the permutation.
+    With the pivot columns moved to the front, RREF(G) is (I | A) and
+    this is (-A^T | I), the permutation undone.
     """
-    spec = code.spec
-    reduced, rank, pivots = rref(code.matrix)
-    n, k = code.n, code.k
-    nonpivots = [j for j in range(n) if j not in set(pivots)]
-    rows = []
-    for t, q in enumerate(nonpivots):
-        v = [spec.zero] * n
-        v[q] = spec.one
-        for i, p in enumerate(pivots):
-            v[p] = spec.neg(reduced.entries[i][q])
-        rows.append(tuple(v))
-    return ExactMatrix.from_rows(spec, rows, cols=n)
+    return ExactMatrix.from_rows(
+        code.spec, kernel_basis(code.matrix.entries, code.n, code.spec),
+        cols=code.n)
 
 
 def wei_duality_check(code: LinearCode):

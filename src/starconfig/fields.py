@@ -8,10 +8,10 @@ ever.  All matrices are immutable after construction.
 Every Gauss-Jordan elimination over a FieldSpec here, and every point rank
 of the matroid module, goes through one kernel, rref_join: it joins one
 vector to a row space in reduced row echelon form.  rref, column_rank and
-left_kernel_basis fold rows through it.  The matroid module's span-join
-pass joins each column to many subspaces at once in numpy, mod p
+kernel_basis fold rows through it.  The matroid module's span-join pass
+joins each column to many subspaces at once in numpy, mod p
 (matroid._span_join), and the Hilbert oracle keeps its own integer and
-mod-p kernels.
+mod-p kernels; both take rational rows through primitive.
 """
 
 from __future__ import annotations
@@ -19,15 +19,10 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-# Ground sets are encoded as bitmasks of up to MAX_GROUND_SET elements;
-# the exhaustive routes are only advertised up to EXHAUSTIVE_CAP (--max-n).
-# Their span-join pass keeps nothing per subset: its time and memory grow
-# with the number of flats, which matroid.FLAT_CAP bounds, so low-rank
-# codes run well past the cap; README, "Flags and environment", has the
-# measured budget.
+# Ground sets are encoded as bitmasks of up to MAX_GROUND_SET elements
 MAX_GROUND_SET = 63
-EXHAUSTIVE_CAP = 24
 
 
 class ExactArithError(ValueError):
@@ -278,23 +273,40 @@ def column_rank(m: ExactMatrix, cols) -> int:
     return len(_rref_rows(m.submatrix_cols(cols).entries, m.spec)[1])
 
 
+def kernel_basis(rows, width: int, spec: FieldSpec) -> list:
+    """Basis of {v in K^width : row . v = 0 for every row}, as tuples: one
+    per column f, increasing, that is no pivot of the RREF of rows, with
+    1 at f and minus the RREF's column f at the pivots."""
+    basis_rows, piv = _rref_rows(rows, spec)
+    basis = []
+    for f in sorted(set(range(width)) - set(piv)):
+        v = [spec.zero] * width
+        v[f] = spec.one
+        for r, c in enumerate(piv):
+            v[c] = spec.neg(basis_rows[r][f])
+        basis.append(tuple(v))
+    return basis
+
+
 def left_kernel_basis(m: ExactMatrix, cols) -> list:
     """Basis of {v in K^k : v . G_cols = 0}, as length-k tuples.
 
     Always has size k - column_rank(m, cols); for cols = [] this is the
     standard basis of K^k.
     """
-    spec = m.spec
-    k = m.rows
-    # v . G_cols = 0  <=>  (G_cols)^T v = 0: the RREF of the chosen columns
-    basis_rows, piv = _rref_rows(map(m.column, cols), spec)
-    piv_set = set(piv)
-    free = [c for c in range(k) if c not in piv_set]
-    basis = []
-    for f in free:
-        v = [spec.zero] * k
-        v[f] = spec.one
-        for r, c in enumerate(piv):
-            v[c] = spec.neg(basis_rows[r][f])
-        basis.append(tuple(v))
-    return basis
+    # v . G_cols = 0  <=>  (G_cols)^T v = 0: the chosen columns are the rows
+    return kernel_basis(map(m.column, cols), m.rows, m.spec)
+
+
+def primitive(row) -> list:
+    """row (ints or Fractions) scaled to a primitive integer vector: times
+    the lcm of its denominators, then divided by the gcd of its entries
+    (a zero row stays zero)."""
+    try:
+        g = gcd(*row)  # ints only; a Fraction raises TypeError
+        v = list(row)
+    except TypeError:
+        den = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v

@@ -48,7 +48,7 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from .codes import LinearCode, weight_hierarchy
-from .fields import EXHAUSTIVE_CAP, ExactArithError, FieldSpec
+from .fields import CapExceeded, ExactArithError, FieldSpec, primitive
 
 # Below this prime ranks use int64 numpy arrays; larger primes use the
 # pure-Python kernel.  _echelon_mod_p reduces mod p after every product,
@@ -63,6 +63,11 @@ _NUMPY_P_CAP = 1 << 31
 # 3.4x as long.  One pass costs about one reduction step, so small
 # matrices, whose multipliers are mostly 1, rarely pay for one.
 _GROWTH_BITS = 64
+
+# The most a-fold products one ideal may have, checked before any is
+# expanded: verify and conjecture take every a <= n, so n <= 16.  Their
+# elimination still grows with k, and over Q (README, "--max-n")
+PRODUCT_CAP = 1 << 14
 
 
 class WindowError(ExactArithError):
@@ -177,7 +182,9 @@ def _product_coeffs(spec: FieldSpec, k: int, columns) -> list:
 
 
 def afold_generators(code: LinearCode, a: int) -> list:
-    """All C(n, a) expanded a-fold products of the code's linear forms."""
+    """All C(n, a) expanded a-fold products of the code's linear forms;
+    CapExceeded, before any is expanded, when there are more than
+    PRODUCT_CAP."""
     if not 1 <= a <= code.n:
         raise ExactArithError(f"a={a} out of range 1..{code.n}")
     return _afold_from_columns(code.spec, code.k,
@@ -185,6 +192,10 @@ def afold_generators(code: LinearCode, a: int) -> list:
 
 
 def _afold_from_columns(spec, k, columns, a) -> list:
+    count = comb(len(columns), a)
+    if count > PRODUCT_CAP:
+        raise CapExceeded(f"{count} {a}-fold products of {len(columns)} "
+                          f"forms exceed product cap {PRODUCT_CAP}")
     return [DensePoly(spec, k, a, tuple(_product_coeffs(
                 spec, k, [columns[j] for j in subset])))
             for subset in combinations(range(len(columns)), a)]
@@ -248,19 +259,6 @@ def _sub_mul_mod_p(acc: np.ndarray, x: np.ndarray, y: np.ndarray,
     return acc
 
 
-def _primitive(row) -> list:
-    """row (ints and Fractions) scaled to a primitive integer vector: times
-    the lcm of its denominators, then divided by the gcd of its entries."""
-    try:
-        g = gcd(*row)  # ints only; a Fraction raises TypeError
-        v = list(row)
-    except TypeError:
-        den = lcm(*(x.denominator for x in row))
-        v = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
 def _leading(v, start):
     """Index of the first nonzero entry of v at or after start, or None."""
     return next(compress(range(start, len(v)), islice(v, start, None)), None)
@@ -290,7 +288,7 @@ def _echelon_int(rows, p=None, basis=None) -> list:
     if basis is None:
         basis = {}
     for row in rows:
-        v = _primitive(row) if p is None else [int(x) % p for x in row]
+        v = primitive(row) if p is None else [int(x) % p for x in row]
         piv = _leading(v, 0)
         grown = 0
         while piv in basis:
@@ -889,17 +887,16 @@ def deleted_ideal_engine(code: LinearCode, ell_index: int,
 
 # -- conjecture diagnostics --------------------------------------------------
 
-def conjecture_report(code: LinearCode, t_max: int,
-                      cap: int = EXHAUSTIVE_CAP) -> dict:
+def conjecture_report(code: LinearCode, t_max: int) -> dict:
     """Per-degree colon-equality tables plus Hilbert stabilization and
     degree diagnostics for the linear-resolution and colon conjectures.
 
     The per-degree equalities at t >= a are reported observations, never
     assertions; the t = a-1 slice and coloop columns are proved facts.
+    An a with C(n, a) > PRODUCT_CAP raises CapExceeded when reached.
 
     Every matroid fact a cell needs is read once per report from the
-    code's flats, after its counts of subsets by rank and size are built
-    first and under cap, as --max-n does; no deletion M \\ ell is built.
+    code's flats; no deletion M \\ ell is built.
     Column ell is a coloop when E - ell is a flat of rank k - 1, that is
     a flat of that rank with n - 1 elements.  It divides every a-fold
     product when a > n - |P|, where P, its parallel class, is the rank-1
@@ -908,7 +905,6 @@ def conjecture_report(code: LinearCode, t_max: int,
     _degree_hypothesis).
     """
     m = code.matroid
-    m.rank_size_counts(cap)
     hierarchy = weight_hierarchy(code)
     full = (1 << code.n) - 1
     coloop = [False] * code.n

@@ -1,4 +1,4 @@
-"""Column matroid of an exact matrix: rank, closure, flats, minors, duals.
+"""Column matroid of an exact matrix: rank, closure, flats and minors.
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
 Point queries (rank, closure, coloops) run one elimination each, through
@@ -7,7 +7,9 @@ number of subsets of each rank and size, and flats_of_rank.  Both come
 from one span-join pass over GF(p), run on first use, which keys every
 subspace spanned by some of the columns (one per flat) and carries its
 rank, its members and how many subsets span it at each nullity; nothing
-is kept per subset (see _span_join and _subset_classes).
+is kept per subset (see _span_join and _subset_classes).  No query takes
+a cap on the ground-set size: the work of the pass is bounded by
+FLAT_CAP, and a matroid has at most MAX_GROUND_SET elements.
 
 Over Q the pass runs on the primitive integer columns mod a few primes in
 step, and a subset's rank is its largest rank mod any of them.  By
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from math import gcd, lcm, prod
+from math import prod
 
 import numpy as np
 
-from .fields import (EXHAUSTIVE_CAP, MAX_GROUND_SET, CapExceeded,
-                     ExactArithError, ExactMatrix, GF, is_prime, rref_join)
+from .fields import (MAX_GROUND_SET, CapExceeded, ExactArithError,
+                     ExactMatrix, GF, is_prime, primitive, rref_join)
 
 
 # work-array entries of one batch of joins (k x k per subspace) or count
@@ -35,9 +37,12 @@ BLOCK = 1 << 18
 # distinct subspaces (= flats) one span-join pass may key.  Each costs an
 # index of about 270-320 B, 8 B per nullity for its counts and 8 B for its
 # members: 406 B at k = 10 and 360 B at k = 17 on random binary codes, so
-# this bounds them to about 430 MiB.  High-rank matroids, such as the
-# duals of low-dimension codes, have close to 2^n flats: the dual of a
-# random [20,3] binary code has 0.93 M and builds in 6 s on a 2-core VM.
+# at n <= 24 this bounds them to about 430 MiB.  Larger n has up to n + 1
+# nullities and longer keys: random binary [40,12] and [63,60] codes stop
+# here at 512 and 831 MiB peak RSS, after 9 s and 42 s on a 2-core VM.
+# High-rank matroids, such as the duals of low-dimension codes, have close
+# to 2^n flats: the dual of a random [20,3] binary code has 0.93 M and
+# builds in 6 s.
 FLAT_CAP = 1 << 20
 
 # Q passes run mod the largest primes below this: k (p-1)^2 < 2^63 for
@@ -107,22 +112,19 @@ class VectorMatroid:
                     break
         return len(pivots)
 
-    def rank_size_counts(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+    def rank_size_counts(self) -> np.ndarray:
         """counts[r, s], the number of subsets of rank r and size s, as a
         read-only int64 array of shape (full_rank + 1, n + 1).
 
         Built on the first call, with the flats, by the span-join pass, and
-        kept; the cap is checked before anything is allocated.
+        kept.
         """
         if self._rank_size_counts is not None:
             return self._rank_size_counts
-        if self.n > cap:
-            raise CapExceeded(f"ground set of size {self.n} exceeds "
-                              f"exhaustive cap {cap}")
         if self.spec.kind == "gf":
             passes = [_span_join(self._columns, self.spec, self.k)]
         else:
-            columns = [_primitive(c) for c in self._columns]
+            columns = [primitive(c) for c in self._columns]
             norms = sorted((max(1, sum(x * x for x in c)) for c in columns),
                            reverse=True)
             passes = [_span_join([[x % p for x in c] for c in columns],
@@ -159,7 +161,7 @@ class VectorMatroid:
         masks = self._flat_masks[self._flat_ranks == s]
         return [Flat(int(mask), s) for mask in masks]
 
-    # -- loops, coloops, duality ---------------------------------------------
+    # -- loops and coloops ---------------------------------------------------
 
     def is_loop(self, i: int) -> bool:
         zero = self.spec.zero
@@ -168,12 +170,6 @@ class VectorMatroid:
     def is_coloop(self, i: int) -> bool:
         full = (1 << self.n) - 1
         return self.rank(full ^ (1 << i)) == self.full_rank - 1
-
-    def dual_rank(self, mask: int) -> int:
-        """r*(I) = r([n] \\ I) + |I| - r(M)."""
-        full = (1 << self.n) - 1
-        return (self.rank(full ^ mask) + bin(mask).count("1")
-                - self.full_rank)
 
     # -- minors --------------------------------------------------------------
 
@@ -203,14 +199,6 @@ class VectorMatroid:
                 minor.append(row[:i] + row[i + 1:])
         return VectorMatroid(
             ExactMatrix.from_rows(spec, minor, cols=self.n - 1))
-
-
-def _primitive(column) -> list:
-    """The column scaled to integers with gcd 1 (a zero column stays 0)."""
-    scale = lcm(*(x.denominator for x in column))
-    ints = [x.numerator * (scale // x.denominator) for x in column]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g else ints
 
 
 def _certifying_primes(bound_sq: int) -> list:

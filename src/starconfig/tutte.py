@@ -38,8 +38,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
 
-from .fields import (EXHAUSTIVE_CAP, ExactArithError, ExactMatrix,
-                     InternalInvariantError, rref, rref_join)
+from .fields import (ExactArithError, ExactMatrix, InternalInvariantError,
+                     rref, rref_join)
 from .matroid import VectorMatroid
 
 
@@ -168,12 +168,10 @@ def _expand_shifted(a: int, b: int) -> BivarPoly:
     return BivarPoly(out)
 
 
-def tutte_subset_sum(m: VectorMatroid,
-                     cap: int = EXHAUSTIVE_CAP) -> BivarPoly:
+def tutte_subset_sum(m: VectorMatroid) -> BivarPoly:
     """Exhaustive corank-nullity sum over all 2^n subsets, read off the
-    matroid's counts of subsets by rank and size (built here with the
-    given cap if not built yet)."""
-    counts = m.rank_size_counts(cap)
+    matroid's counts of subsets by rank and size."""
+    counts = m.rank_size_counts()
     poly = BivarPoly.zero()
     for r, row in enumerate(counts.tolist()):
         for size, count in enumerate(row):

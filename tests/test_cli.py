@@ -10,6 +10,7 @@ import threading
 from collections import Counter
 from contextlib import closing, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -231,18 +232,52 @@ def test_max_n_zero_is_a_legal_cap(capsys):
     assert "exceeds exhaustive cap 0" in err
 
 
+def forty_column_code(tmp_path):
+    """A [40,2] code over GF(3) with four parallel classes of ten."""
+    rows = " ".join(["1 0 1 1"] * 10), " ".join(["0 1 1 2"] * 10)
+    return write_input(tmp_path, "field gf 3\nsize 2 40\n"
+                       + "\n".join(rows) + "\n")
+
+
 def test_max_n_above_the_exhaustive_cap_runs_both_engines(capsys,
                                                          tmp_path):
-    # a [40,2] code over GF(3) with four parallel classes of ten: the
-    # span-join pass keys six subspaces and keeps nothing per subset
-    rows = " ".join(["1 0 1 1"] * 10), " ".join(["0 1 1 2"] * 10)
-    path = write_input(tmp_path, "field gf 3\nsize 2 40\n"
-                       + "\n".join(rows) + "\n")
-    rc, out, err = run_cli(capsys, "tutte", path, "--max-n", "40",
-                           "--no-cache", "--json")
+    # the span-join pass keys six subspaces and keeps nothing per subset
+    rc, out, err = run_cli(capsys, "tutte", forty_column_code(tmp_path),
+                           "--max-n", "40", "--no-cache", "--json")
     assert rc == 0 and err == ""
     doc = json.loads(out)
     assert doc["engines_agree"] is True
+
+
+@pytest.mark.parametrize("command", ["tutte", "ghw", "profile", "primes",
+                                     "mu", "verify", "conjecture"])
+def test_max_n_is_checked_once_at_load(capsys, monkeypatch, command):
+    # every code command checks the cap where it loads the code, before
+    # any engine runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran on a code over the cap")
+
+    monkeypatch.setattr(matroid, "_span_join", refuse)
+    monkeypatch.setattr(cli, "tutte_deletion_contraction", refuse)
+    monkeypatch.setattr(hilbert, "_afold_from_columns", refuse)
+    for extra in ([], ["--json"]):
+        rc, out, err = run_cli(capsys, command, "--example", "b3",
+                               "--max-n", "8", *extra)
+        assert rc == EXIT_CAP and out == ""
+        assert err == "error: ground set of size 9 exceeds exhaustive cap 8\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+def test_hilbert_oracle_is_capped_by_its_products(capsys, tmp_path,
+                                                  command):
+    # the Tutte routes take the [40,2] code, but the oracle would expand
+    # C(40, a) products for each a: the first a over the cap stops it
+    a = next(a for a in range(41) if comb(40, a) > hilbert.PRODUCT_CAP)
+    rc, out, err = run_cli(capsys, command, forty_column_code(tmp_path),
+                           "--max-n", "40", "--no-cache")
+    assert rc == EXIT_CAP and out == ""
+    assert err == (f"error: {comb(40, a)} {a}-fold products of 40 forms "
+                   f"exceed product cap {hilbert.PRODUCT_CAP}\n")
 
 
 def test_conjecture_honours_max_n(capsys):
@@ -354,7 +389,7 @@ def test_mutated_input_never_raises(base, data):
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "tutte_subset_sum",
-                        lambda m, cap=24: BivarPoly({(0, 0): 1}))
+                        lambda m: BivarPoly({(0, 0): 1}))
     rc, _, err = run_cli(capsys, "tutte", "--example", "e0")
     assert rc == EXIT_INTERNAL
     assert "disagree" in err
@@ -364,7 +399,7 @@ def test_whitney_shift_invariant_is_internal(capsys, monkeypatch):
     # both engines agree on a polynomial with no x^1 term, which no rank-2
     # Tutte polynomial lacks: a bug, not an input error
     monkeypatch.setattr(cli, "tutte_subset_sum",
-                        lambda m, cap=24: BivarPoly.one())
+                        lambda m: BivarPoly.one())
     monkeypatch.setattr(cli, "tutte_deletion_contraction",
                         lambda m, cache=None: BivarPoly.one())
     rc, _, err = run_cli(capsys, "tutte", "--example", "e0")

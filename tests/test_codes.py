@@ -18,7 +18,7 @@ from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
                               whitney_shift)
 
-from conftest import FIELDS, random_code, random_code_any
+from conftest import FIELDS, oracle_rref, random_code, random_code_any
 
 
 def mask(*indices):
@@ -154,6 +154,24 @@ def test_dual_generator_orthogonality_random(rng):
                 for a, b in zip(drow, grow):
                     acc = spec.add(acc, spec.mul(a, b))
                 assert acc == spec.zero
+
+
+def test_dual_generator_is_the_systematic_form(rng):
+    # one row per non-pivot column q of RREF(G): 1 at q, minus RREF(G)'s
+    # column q at the pivots, built from the test-only elimination
+    for _ in range(30):
+        code = random_code_any(rng, max_k=4, max_n=8, fields=FIELDS + [QQ])
+        spec = code.spec
+        reduced, _, pivots = oracle_rref(code.matrix)
+        rows = []
+        for q in (j for j in range(code.n) if j not in pivots):
+            v = [spec.zero] * code.n
+            v[q] = spec.one
+            for i, p in enumerate(pivots):
+                v[p] = spec.neg(reduced.entries[i][q])
+            rows.append(tuple(v))
+        h = dual_generator_matrix(code)
+        assert h.entries == tuple(rows) and h.cols == code.n
 
 
 def test_wei_duality_e0(e0):

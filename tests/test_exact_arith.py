@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from starconfig.fields import (GF, QQ, ExactArithError, ExactMatrix,
                                FieldSpec, column_rank, is_prime,
-                               left_kernel_basis, rref)
+                               left_kernel_basis, primitive, rref)
 
 from conftest import random_matrix
 
@@ -115,6 +115,14 @@ def test_left_kernel_examples():
     assert left_kernel_basis(e0, [0, 1]) == []
     assert left_kernel_basis(e0, [2]) == [(1, 1)]
     assert left_kernel_basis(e0, []) == [(1, 0), (0, 1)]
+
+
+def test_primitive_rows():
+    assert primitive([4, -6, 0]) == [2, -3, 0]
+    assert primitive([0, 0]) == [0, 0] and primitive([]) == []
+    assert primitive([Fraction(1, 2), Fraction(-3, 4)]) == [2, -3]
+    assert primitive([Fraction(6), Fraction(-4)]) == [3, -2]
+    assert primitive([Fraction(0), Fraction(0)]) == [0, 0]
 
 
 def test_rref_idempotent_random(rng):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from starconfig import hilbert, matroid, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
-from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
+from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
+                               ExactMatrix)
 from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
                                 PersistentHF, WindowError, _echelon_int,
                                 _echelon_mod_p, _interpolate,
@@ -762,6 +763,31 @@ def test_conjecture_report_degree_hypothesis(b3):
         # a=7 sits at j=2 inside its interval: the proved hypothesis holds
         assert cell["degree_hypothesis"] == "j>=2 (proved)"
         assert cell["degrees_equal"] is True
+
+
+def test_afold_products_are_capped_before_expanding(b3, monkeypatch):
+    # b3 has n = 9: C(9, 2) = 36 products fit a cap of 36, C(9, 3) = 84 do
+    # not, and neither do the C(8, 3) = 56 that avoid one column; a capped
+    # call expands none of its products (conjecture_report runs a = 2 in
+    # full before a = 3 is capped)
+    expanded = []
+    product_coeffs = hilbert._product_coeffs
+
+    def counted(spec, k, columns):
+        expanded.append(len(columns))
+        return product_coeffs(spec, k, columns)
+
+    monkeypatch.setattr(hilbert, "_product_coeffs", counted)
+    monkeypatch.setattr(hilbert, "PRODUCT_CAP", 36)
+    assert len(afold_generators(b3, 2)) == 36 and len(expanded) == 36
+    expanded.clear()
+    for capped, count in ((lambda: afold_generators(b3, 3), 84),
+                          (lambda: deleted_generators(b3, 0, 3), 56),
+                          (lambda: fit_hilbert_polynomial(b3, 6), 84),
+                          (lambda: conjecture_report(b3, b3.n + 2), 84)):
+        with pytest.raises(CapExceeded, match=f"^{count} "):
+            capped()
+    assert expanded and max(expanded) <= 2
 
 
 def test_conjecture_report_computes_each_value_once(monkeypatch):

@@ -112,7 +112,9 @@ def test_flats_of_rank_matches_closure_enumeration(matrix):
 
 
 def test_rank_table_is_lazy_and_capped(m_b3, monkeypatch):
-    # the span-join pass runs once, on the first query that needs it
+    # the span-join pass runs once, on the first query that needs it; a
+    # pass stopped by the flat cap keeps nothing, and the next query runs
+    # it again
     passes = []
     span_join = matroid._span_join
 
@@ -122,14 +124,16 @@ def test_rank_table_is_lazy_and_capped(m_b3, monkeypatch):
 
     monkeypatch.setattr(matroid, "_span_join", counted)
     assert m_b3._rank_size_counts is None and m_b3._flat_masks is None
-    with pytest.raises(CapExceeded, match="exceeds"):
-        m_b3.rank_size_counts(cap=8)
-    assert m_b3._rank_size_counts is None and not passes
+    cap = matroid.FLAT_CAP
+    monkeypatch.setattr(matroid, "FLAT_CAP", 8)
+    with pytest.raises(CapExceeded, match="exceeds flat cap 8"):
+        m_b3.flats_of_rank(1)
+    assert m_b3._rank_size_counts is None and m_b3._flat_masks is None
+    monkeypatch.setattr(matroid, "FLAT_CAP", cap)
     flats = m_b3.flats_of_rank(1)
-    counts = m_b3.rank_size_counts(cap=9)
+    counts = m_b3.rank_size_counts()
     assert m_b3.rank_size_counts() is counts
-    assert m_b3.rank_size_counts(cap=8) is counts  # built: nothing to cap
-    assert m_b3.flats_of_rank(1) == flats and passes == [5]
+    assert m_b3.flats_of_rank(1) == flats and passes == [5, 5]
 
 
 def test_rank_table_over_gf_2_31_minus_1():
@@ -300,7 +304,7 @@ def test_counts_and_flats_at_the_bitmask_cap():
     m = VectorMatroid(ExactMatrix.from_rows(
         GF(3), [list(row) for row in zip(*columns)]))
     assert m.n == matroid.MAX_GROUND_SET and m.full_rank == 2
-    counts = m.rank_size_counts(cap=m.n).tolist()
+    counts = m.rank_size_counts().tolist()
     parallel = [sum(comb(size, s) for size in sizes) for s in range(64)]
     assert counts[0] == [1] + [0] * 63
     assert counts[1] == [0] + parallel[1:]
@@ -362,11 +366,19 @@ def test_rank_size_counts_are_kept_and_read_only(m_b3):
     assert m_b3.rank_size_counts() is counts
 
 
-def test_rank_size_counts_are_capped(m_b3):
-    with pytest.raises(CapExceeded, match="exceeds"):
-        m_b3.rank_size_counts(cap=m_b3.n - 1)
-    assert m_b3._flat_masks is None
-    assert m_b3._rank_size_counts is None
+def test_rank_size_counts_are_capped(m_b3, monkeypatch):
+    # the flat cap, the only cap of the pass, stops a pass with more flats
+    # than it allows, at its boundary, and the stopped pass keeps nothing
+    flats = sum(len(m_b3.flats_of_rank(s)) for s in range(m_b3.k + 1))
+    for cap, fails in ((flats - 1, True), (flats, False)):
+        m = VectorMatroid(m_b3.matrix)
+        monkeypatch.setattr(matroid, "FLAT_CAP", cap)
+        if fails:
+            with pytest.raises(CapExceeded, match="exceeds flat cap"):
+                m.rank_size_counts()
+            assert m._flat_masks is None and m._rank_size_counts is None
+        else:
+            assert (m.rank_size_counts() == m_b3.rank_size_counts()).all()
 
 
 def test_flat_cap_is_typed(m_b3, monkeypatch):
@@ -454,27 +466,6 @@ def test_contract_loop_is_deletion():
     out = m.contract(1)
     assert out.n == 2
     assert out.full_rank == 1
-
-
-def test_dual_rank(m_e0):
-    assert m_e0.dual_rank(0) == 0
-    assert m_e0.dual_rank(mask(0, 1, 2)) == 1  # n - k
-    assert m_e0.dual_rank(mask(2)) == 1
-
-
-def test_dual_rank_axioms_and_involution(rng):
-    for _ in range(15):
-        spec = rng.choice([GF(2), GF(3), GF(5)])
-        m = VectorMatroid(random_matrix(rng, rng.randint(1, 3),
-                                        rng.randint(1, 6), spec))
-        full = (1 << m.n) - 1
-        dual_full = m.dual_rank(full)
-        for sub in range(1 << m.n):
-            rs = m.dual_rank(sub)
-            assert 0 <= rs <= bin(sub).count("1")
-            # dual of dual is the original rank function
-            ddr = m.dual_rank(full ^ sub) + bin(sub).count("1") - dual_full
-            assert ddr == m.rank(sub)
 
 
 def test_flats_of_rank(m_e0, m_b3):

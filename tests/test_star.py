@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starconfig.codes import (LinearCode, minimal_support_subcode_count,
-                              weight_hierarchy)
+from starconfig.codes import (LinearCode, WeightHierarchy, ghw_from_tutte,
+                              minimal_support_subcode_count, weight_hierarchy)
 from starconfig.fields import GF, ExactArithError, ExactMatrix
 from starconfig.star import (binomial_identity_check, degree_from_primes,
                              degree_from_tutte, full_profile, height_of_ideal,
                              minimal_primes_low_height, mu_of_ideal)
-from starconfig.tutte import tutte_subset_sum, whitney_shift
+from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
+                              whitney_shift)
 
-from conftest import random_code_any
+from conftest import random_code, random_code_any
 
 
 def mask(*indices):
@@ -205,3 +206,27 @@ def test_full_profile_cross_checks_random(seed):
     code = random_code_any(rng, max_k=3, max_n=7)
     coeffs, h = invariants(code)
     full_profile(code, coeffs, h)
+
+
+@pytest.mark.parametrize("k, spec", [(3, GF(2)), (2, GF(3))])
+def test_queries_past_24_columns_need_no_earlier_query(k, spec):
+    # the library caps no ground-set size: on a fresh [30,k] code each
+    # exhaustive query runs the span-join pass itself, with the results of
+    # a code whose pass ran first
+    code = random_code(random.Random(30), k, 30, spec)
+
+    def fresh():
+        return LinearCode(code.matrix)
+
+    shifted = whitney_shift(tutte_deletion_contraction(fresh().matroid), k)
+    hierarchy = weight_hierarchy(fresh())
+    assert hierarchy == WeightHierarchy(tuple(
+        ghw_from_tutte(shifted, code, r) for r in range(k + 1)))
+    profiles = full_profile(fresh(), shifted, hierarchy)
+    assert [p.a for p in profiles] == list(range(1, 31))
+    flats = fresh().matroid.flats_of_rank(1)
+    assert sum(f.size for f in flats) == 30  # the parallel classes
+    assert tutte_subset_sum(fresh().matroid) == tutte_deletion_contraction(
+        fresh().matroid)
+    assert (full_profile(code, shifted, weight_hierarchy(code)) == profiles
+            and code.matroid.flats_of_rank(1) == flats)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starconfig import fields, matroid, tutte
-from starconfig.fields import GF, QQ, CapExceeded, ExactMatrix
+from starconfig.fields import GF, QQ, ExactMatrix
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
                               key_text_writer, tutte_deletion_contraction,
@@ -53,12 +53,6 @@ def test_deletion_contraction_small(m_e0):
     ident = VectorMatroid(ExactMatrix.from_rows(
         GF(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert tutte_deletion_contraction(ident) == poly({(3, 0): 1})
-
-
-def test_exhaustive_cap():
-    m = VectorMatroid(ExactMatrix.from_rows(GF(2), [[1, 0, 1], [0, 1, 1]]))
-    with pytest.raises(CapExceeded):
-        tutte_subset_sum(m, cap=2)
 
 
 def test_deletion_contraction_never_reads_the_table(m_b3, monkeypatch):
