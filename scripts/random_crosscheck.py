@@ -18,7 +18,9 @@ independent computation routes agree:
     every column is a coloop),
   * Tutte duality, T of the dual generator matrix H by deletion-contraction
     vs T of the code by subset sum with x and y swapped,
-  * the three generalized-Hamming-weight routes and Wei duality,
+  * the generalized Hamming weights by brute force vs from the shifted
+    Tutte coefficients (the dual-rank route reads the brute-force counts,
+    so it restates that route), and Wei duality,
   * coefficient-sum degree vs prime-sum degree vs fitted Hilbert degree,
   * the mu coefficient formula vs the generator-span rank,
   * each quotient dimension of R / I_a across the default fit window
@@ -204,8 +206,7 @@ def check_colons(code: LinearCode) -> list:
         for ell in range(code.n):
             col = code.matrix.column(ell)
             for t in range(a - 1, a + 2):
-                got = colon_dim_from_engine(engine, code.spec, code.k, col,
-                                            t)
+                got = colon_dim_from_engine(engine, col, t)
                 want = colon_dim_reference(code.spec, code.k, gens, col, t)
                 if got != want:
                     failures.append(f"a={a}, ell={ell + 1}, t={t}: colon "

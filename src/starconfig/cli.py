@@ -16,16 +16,15 @@ import sys
 import time
 import weakref
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 
 from .codes import (LinearCode, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
 from .fields import (GF, QQ, CapExceeded, ExactArithError, ExactMatrix,
-                     FieldSpec)
-from .hilbert import (WindowError, conjecture_report, fit_hilbert_polynomial,
-                      ideal_engine, mu_oracle, render_conjecture_matrix)
-from .star import (InternalInvariantError, binomial_identity_check,
-                   full_profile, height_of_ideal)
+                     InternalInvariantError)
+from .hilbert import (WindowError, check_product_cap, conjecture_report,
+                      fit_hilbert_polynomial, ideal_engine, mu_oracle,
+                      render_conjecture_matrix)
+from .star import binomial_identity_check, full_profile
 from .tutte import (BivarPoly, poly_matches_key, tutte_deletion_contraction,
                     tutte_subset_sum, whitney_shift)
 
@@ -40,20 +39,7 @@ CACHE_ENV = "STARCONFIG_CACHE_DIR"
 EXHAUSTIVE_CAP = 24
 
 
-@dataclass
-class InputDocument:
-    spec: FieldSpec
-    k: int
-    n: int
-    rows: list
-    labels: list | None = None
-
-    def code(self) -> LinearCode:
-        matrix = ExactMatrix.from_rows(self.spec, self.rows)
-        return LinearCode(matrix, self.labels)
-
-
-def parse_input(text: str) -> InputDocument:
+def parse_input(text: str) -> LinearCode:
     """Parse the matrix file format:
 
         field gf <p>   |   field q
@@ -98,7 +84,7 @@ def parse_input(text: str) -> InputDocument:
                 raise ExactArithError(f"expected {n} labels")
         else:
             raise ExactArithError(f"unexpected line {ln!r}")
-    return InputDocument(spec, k, n, rows, labels)
+    return LinearCode(ExactMatrix.from_rows(spec, rows), labels)
 
 
 # -- built-in examples -------------------------------------------------------
@@ -291,13 +277,20 @@ def load_code(args) -> LinearCode:
         code = EXAMPLES[args.example]()
     elif args.input:
         with open(args.input, encoding="utf-8") as fh:
-            code = parse_input(fh.read()).code()
+            code = parse_input(fh.read())
     else:
         raise ExactArithError("provide an input file or --example")
     if code.n > args.max_n:
         raise CapExceeded(f"ground set of size {code.n} exceeds "
                           f"exhaustive cap {args.max_n}")
     return code
+
+
+def check_oracle_products(code: LinearCode):
+    """The Hilbert oracle's product cap, checked for every a <= n before
+    any engine runs, as verify and conjecture take every a."""
+    for a in range(1, code.n + 1):
+        check_product_cap(code.n, a)
 
 
 def compute_tutte(code: LinearCode, args):
@@ -424,6 +417,7 @@ def cmd_mu(args) -> int:
 
 def cmd_verify(args) -> int:
     code = load_code(args)
+    check_oracle_products(code)
     _, shifted, hierarchy, profiles, timings = _profiles(code, args)
     checks = []
     all_ok = True
@@ -466,6 +460,7 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     code = load_code(args)
+    check_oracle_products(code)
     t_max = args.window[1] if args.window else code.n + 2
     report = conjecture_report(code, t_max)
     table = render_conjecture_matrix(report)

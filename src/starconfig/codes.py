@@ -2,8 +2,8 @@
 
 The weight hierarchy is computed by three routes which must always agree:
 exhaustive subset counts, shifted Tutte coefficients, and dual-matroid
-rank.  The last restates the first on complements, so only the first two
-are independent.
+rank.  The last restates the first on complements and reads the same
+counts, so only the first two are independent.
 """
 
 from __future__ import annotations
@@ -20,17 +20,15 @@ class CodeError(ExactArithError):
     pass
 
 
-def form_label(spec: FieldSpec, col, names=None) -> str:
+def form_label(spec: FieldSpec, col) -> str:
     """Human label of the linear form dual to a matrix column."""
-    k = len(col)
-    names = names or [f"x{i + 1}" for i in range(k)]
     zero = spec.zero
     parts = []
     for i, c in enumerate(col):
         if c == zero:
             continue
-        txt = names[i] if c == spec.one else f"{spec.to_str(c)}*{names[i]}"
-        parts.append(txt)
+        name = f"x{i + 1}"
+        parts.append(name if c == spec.one else f"{spec.to_str(c)}*{name}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -123,15 +121,11 @@ def ghw_from_dual_rank(code: LinearCode, r: int) -> int:
     This restates the brute-force route rather than checking it: since
     |I| - r*(I) = r(M) - r([n] - I), the witnesses I are the complements
     of the subsets J of rank k - r, so the minimum |I| is n minus the
-    largest |J|, read from the same row of the same counts.
+    largest |J|, which the brute-force route reads.
     """
     if not 0 <= r <= code.k:
         raise ExactArithError(f"r={r} out of range")
-    m = code.matroid
-    sizes = m.rank_size_counts()[m.full_rank - r].nonzero()[0]
-    if not sizes.size:
-        raise ExactArithError(f"no witness subset for r={r}")
-    return int((m.n - sizes).min())
+    return _ghw_bruteforce_matroid(code.matroid, r)
 
 
 def weight_hierarchy(code: LinearCode) -> WeightHierarchy:
@@ -160,10 +154,11 @@ def wei_duality_check(code: LinearCode):
     """Check {d_r(C)} = {1..n} minus {n+1-d_s(dual)}; returns
     (holds, primal_set, dual_complement_set, dual_hierarchy).
 
-    The primal side is the exhaustive scan of the code's rank table.  The
-    dual side never reads that table: d_s(dual) = n - p_s - (n-k) + s,
-    with p the Whitney shift of the deletion-contraction Tutte polynomial
-    of the dual generator matrix H, which is worked out from H alone.
+    The primal side is the brute-force route, read off the code's counts
+    of subsets by rank and size.  The dual side never reads those counts:
+    d_s(dual) = n - p_s - (n-k) + s, with p the Whitney shift of the
+    deletion-contraction Tutte polynomial of the dual generator matrix H,
+    which is worked out from H alone.
     (Reading it off the primal's T with x and y swapped would restate the
     primal.)  H has zero columns where the code has coloops, so it is not
     a LinearCode.

@@ -20,6 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral
 
 # Ground sets are encoded as bitmasks of up to MAX_GROUND_SET elements
 MAX_GROUND_SET = 63
@@ -94,7 +95,14 @@ class FieldSpec:
         return 1 if self.kind == "gf" else Fraction(1)
 
     def coerce(self, x):
-        """Map an int / Fraction / element into canonical form."""
+        """Map an int / Fraction / element into canonical form.  Anything
+        else, a float included, is an ExactArithError; a numpy int becomes
+        an int, which cannot wrap around in later products."""
+        if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, Integral):
+                raise ExactArithError(f"{x!r} is not an exact scalar "
+                                      "(an int or a Fraction)")
+            x = int(x)
         if self.kind == "gf":
             if isinstance(x, Fraction):
                 if x.denominator == 1:
@@ -105,7 +113,7 @@ class FieldSpec:
                         f"denominator is divisible by {self.modulus}")
                 return self.div(x.numerator % self.modulus,
                                 x.denominator % self.modulus)
-            return int(x) % self.modulus
+            return x % self.modulus
         return Fraction(x)
 
     def parse(self, token: str):

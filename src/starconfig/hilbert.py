@@ -141,14 +141,6 @@ class DensePoly:
         return all(c == zero for c in self.coeffs)
 
 
-def expand_product(spec: FieldSpec, k: int, columns) -> dict:
-    """Expand a product of linear forms (given as coefficient columns)
-    into an exponent-tuple -> coefficient table of its nonzero terms."""
-    coeffs = _product_coeffs(spec, k, columns)
-    return {exps: c for exps, c in zip(monomials(k, len(columns)), coeffs)
-            if c}
-
-
 def _product_coeffs(spec: FieldSpec, k: int, columns) -> list:
     """Graded-lex coefficient vector of a product of linear forms.
 
@@ -191,11 +183,17 @@ def afold_generators(code: LinearCode, a: int) -> list:
                                code.matrix.columns(), a)
 
 
-def _afold_from_columns(spec, k, columns, a) -> list:
-    count = comb(len(columns), a)
+def check_product_cap(n: int, a: int):
+    """CapExceeded when the C(n, a) a-fold products of n forms are more
+    than PRODUCT_CAP."""
+    count = comb(n, a)
     if count > PRODUCT_CAP:
-        raise CapExceeded(f"{count} {a}-fold products of {len(columns)} "
-                          f"forms exceed product cap {PRODUCT_CAP}")
+        raise CapExceeded(f"{count} {a}-fold products of {n} forms exceed "
+                          f"product cap {PRODUCT_CAP}")
+
+
+def _afold_from_columns(spec, k, columns, a) -> list:
+    check_product_cap(len(columns), a)
     return [DensePoly(spec, k, a, tuple(_product_coeffs(
                 spec, k, [columns[j] for j in subset])))
             for subset in combinations(range(len(columns)), a)]
@@ -625,18 +623,13 @@ class FittedHP:
     @property
     def degree_invariant(self) -> int:
         if not self.poly:
-            total = self._finite_length
-            return total
+            return sum(self.samples.values())
         lead = self.poly[-1] * factorial(self.dim_proj)
         if lead.denominator != 1:
             raise ExactArithError(
                 f"leading Hilbert coefficient {self.poly[-1]} is not "
                 f"1/{self.dim_proj}! times an integer")
         return lead.numerator
-
-    @property
-    def _finite_length(self) -> int:
-        return sum(self.samples.values())
 
     def hp_at(self, t: int) -> Fraction:
         acc = Fraction(0)
@@ -796,8 +789,7 @@ def _linear_multiplication_rows(spec, k, col, t, sources=None):
     return rows
 
 
-def colon_dim_from_engine(engine: GradedIdealEngine, spec, k, col,
-                          t: int) -> int:
+def colon_dim_from_engine(engine: GradedIdealEngine, col, t: int) -> int:
     """dim (I : ell)_t = dim R_t - rank of the multiplication image
     modulo the degree-(t+1) piece of I.
 
@@ -805,14 +797,14 @@ def colon_dim_from_engine(engine: GradedIdealEngine, spec, k, col,
     the degree-t basis span R_t modulo I_t, so only their images can add
     to the rank.
     """
-    extra = _linear_multiplication_rows(spec, k, col, t,
+    extra = _linear_multiplication_rows(engine.spec, engine.k, col, t,
                                         engine.free_monomials(t))
     joint = engine.rank_with_extra_rows(t + 1, extra)
     image_mod_ideal = joint - engine.ideal_dim(t + 1)
-    return ring_dim(k, t) - image_mod_ideal
+    return ring_dim(engine.k, t) - image_mod_ideal
 
 
-def colon_dims(engine: GradedIdealEngine, spec, k, col):
+def colon_dims(engine: GradedIdealEngine, col):
     """t -> dim (I : ell)_t, for I the ideal of engine; the conjecture
     cells and the colon fit share it, so each colon at
     t >= engine.max_degree - 1 is computed once.
@@ -824,8 +816,10 @@ def colon_dims(engine: GradedIdealEngine, spec, k, col):
     degree where it settles, its values come from colon_dim_from_engine,
     the one exact colon computation, and past it no colon is eliminated.
     """
+    k = engine.k
+
     def plus_ell(u):
-        return (colon_dim_from_engine(engine, spec, k, col, u - 1)
+        return (colon_dim_from_engine(engine, col, u - 1)
                 - ring_dim(k, u - 1) + engine.quotient_dim(u))
 
     hf = PersistentHF(engine.max_degree or 1)
@@ -842,7 +836,7 @@ def colon_graded_dim(code: LinearCode, ell_index: int, a: int,
         raise ExactArithError(f"column {ell_index} out of range")
     engine = ideal_engine(code, a)
     col = code.matrix.column(ell_index)
-    return colon_dim_from_engine(engine, code.spec, code.k, col, t)
+    return colon_dim_from_engine(engine, col, t)
 
 
 def colon_dim_reference(spec, k, gens, col, t: int) -> int:
@@ -963,8 +957,7 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                 deleted = GradedIdealEngine(
                     code.spec, code.k,
                     deleted_generators(code, ell, a - 1, prev_gens))
-                colon_dim = colon_dims(engine, code.spec, code.k,
-                                       code.matrix.column(ell))
+                colon_dim = colon_dims(engine, code.matrix.column(ell))
                 cells = {}
                 for t in range(a - 1, t_max + 1):
                     lhs = colon_dim(t)

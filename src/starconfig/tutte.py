@@ -456,7 +456,7 @@ class ShiftedCoeffs:
         }
 
 
-def whitney_shift(t: BivarPoly, k: int | None = None) -> ShiftedCoeffs:
+def whitney_shift(t: BivarPoly, k: int) -> ShiftedCoeffs:
     """Substitute x -> x + 1 by exact binomial expansion and read off p_r.
 
     Raises InternalInvariantError when some x^r, r <= k, has no nonzero
@@ -471,8 +471,6 @@ def whitney_shift(t: BivarPoly, k: int | None = None) -> ShiftedCoeffs:
                 c[key] = new
             else:
                 c.pop(key, None)
-    if k is None:
-        k = max((r for r, _ in c), default=0)
     p = []
     for r in range(k + 1):
         js = [j for (rr, j) in c if rr == r]

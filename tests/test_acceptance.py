@@ -17,8 +17,8 @@ from starconfig.codes import (LinearCode, ghw_bruteforce, ghw_from_dual_rank,
                               wei_duality_check)
 from starconfig.fields import GF, ExactMatrix
 from starconfig.hilbert import (DensePoly, GradedIdealEngine, _echelon_mod_p,
-                                colon_dim_from_engine, deleted_ideal_engine,
-                                default_windows, expand_product,
+                                _afold_from_columns, colon_dim_from_engine,
+                                deleted_ideal_engine, default_windows,
                                 fit_graded_quotient, fit_hilbert_polynomial,
                                 ideal_engine, monomials, mu_oracle, ring_dim)
 from starconfig.star import (full_profile, minimal_primes_low_height,
@@ -197,8 +197,8 @@ def test_criterion_8_proved_colon_slices(codes50):
         for a in range(2, code.n + 1):
             engine = ideal_engine(code, a)
             for ell in range(code.n):
-                lhs = colon_dim_from_engine(engine, code.spec, code.k,
-                                            code.matrix.column(ell), a - 1)
+                lhs = colon_dim_from_engine(engine, code.matrix.column(ell),
+                                            a - 1)
                 rhs = deleted_ideal_engine(code, ell, a - 1).ideal_dim(a - 1)
                 ok &= lhs == rhs
     # full coloop equality in every sampled degree
@@ -210,8 +210,7 @@ def test_criterion_8_proved_colon_slices(codes50):
         engine = ideal_engine(code, a)
         deleted = deleted_ideal_engine(code, ell, a - 1)
         for t in range(a - 1, a + 4):
-            lhs = colon_dim_from_engine(engine, code.spec, code.k,
-                                        code.matrix.column(ell), t)
+            lhs = colon_dim_from_engine(engine, code.matrix.column(ell), t)
             ok &= lhs == deleted.ideal_dim(t)
     elapsed = time.monotonic() - t0
     _report(8, "proved colon slices (t = a-1 always; coloop everywhere)",
@@ -225,8 +224,7 @@ def _linear_prime_power_engine(spec, k, forms, power):
     independent linear forms (each a length-k coefficient vector)."""
     gens = []
     for combo in combinations_with_replacement(forms, power):
-        table = expand_product(spec, k, list(combo))
-        gens.append(DensePoly.from_dict(spec, k, power, table))
+        gens += _afold_from_columns(spec, k, list(combo), power)
     return GradedIdealEngine(spec, k, gens)
 
 

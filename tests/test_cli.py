@@ -10,7 +10,6 @@ import threading
 from collections import Counter
 from contextlib import closing, redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -45,20 +44,20 @@ def write_input(tmp_path, text, name="code.txt"):
 
 
 def test_parse_input_basic():
-    doc = parse_input(E0_TEXT)
-    assert doc.spec.kind == "gf" and doc.spec.modulus == 2
-    assert (doc.k, doc.n) == (2, 3)
-    assert doc.rows == [[1, 0, 1], [0, 1, 1]]
-    assert doc.labels == ["x1", "x2", "x1+x2"]
-    code = doc.code()
+    code = parse_input(E0_TEXT)
+    assert code.spec.kind == "gf" and code.spec.modulus == 2
+    assert (code.k, code.n) == (2, 3)
+    assert code.matrix.entries == ((1, 0, 1), (0, 1, 1))
     assert code.labels == ("x1", "x2", "x1+x2")
 
 
 def test_parse_input_rationals():
-    doc = parse_input("field q\nsize 1 2\n1/2 -3\n")
-    assert doc.spec.kind == "q"
-    assert doc.rows == [[Fraction(1, 2), Fraction(-3)]]
-    assert doc.labels is None
+    code = parse_input("field q\nsize 1 2\n1/2 -3\n")
+    assert code.spec.kind == "q"
+    assert code.matrix.entries == ((Fraction(1, 2), Fraction(-3)),)
+    assert all(type(x) is Fraction for x in code.matrix.entries[0])
+    # with no labels line, each form is labelled by its coefficients
+    assert code.labels == ("1/2*x1", "-3*x1")
 
 
 def test_parse_input_errors():
@@ -268,16 +267,31 @@ def test_max_n_is_checked_once_at_load(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "conjecture"])
-def test_hilbert_oracle_is_capped_by_its_products(capsys, tmp_path,
-                                                  command):
-    # the Tutte routes take the [40,2] code, but the oracle would expand
-    # C(40, a) products for each a: the first a over the cap stops it
-    a = next(a for a in range(41) if comb(40, a) > hilbert.PRODUCT_CAP)
-    rc, out, err = run_cli(capsys, command, forty_column_code(tmp_path),
-                           "--max-n", "40", "--no-cache")
-    assert rc == EXIT_CAP and out == ""
-    assert err == (f"error: {comb(40, a)} {a}-fold products of 40 forms "
-                   f"exceed product cap {hilbert.PRODUCT_CAP}\n")
+def test_hilbert_oracle_is_capped_by_its_products(capsys, monkeypatch,
+                                                  tmp_path, command):
+    # the Tutte routes take the [40,2] code and a random [17,2] code, but
+    # the oracle would expand C(n, a) products for each a: the first a over
+    # the cap (a = 4 and a = 7) stops the run before any Tutte or Hilbert
+    # work, not after the oracle has run every smaller a
+    code = random_code(random.Random(1), 2, 17, GF(3))
+    rows = "\n".join(" ".join(map(str, row)) for row in code.matrix.entries)
+    seventeen = write_input(tmp_path, f"field gf 3\nsize 2 17\n{rows}\n",
+                            name="seventeen.txt")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran on a code over the product cap")
+
+    monkeypatch.setattr(matroid, "_span_join", refuse)
+    monkeypatch.setattr(cli, "tutte_deletion_contraction", refuse)
+    monkeypatch.setattr(hilbert, "_product_coeffs", refuse)
+    for path, line in ((forty_column_code(tmp_path),
+                        "91390 4-fold products of 40 forms"),
+                       (seventeen, "19448 7-fold products of 17 forms")):
+        for extra in ([], ["--json"]):
+            rc, out, err = run_cli(capsys, command, path, "--max-n", "40",
+                                   "--no-cache", *extra)
+            assert rc == EXIT_CAP and out == ""
+            assert err == f"error: {line} exceed product cap 16384\n"
 
 
 def test_conjecture_honours_max_n(capsys):

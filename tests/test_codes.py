@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starconfig import codes
 from starconfig.codes import (CodeError, LinearCode, WeightHierarchy,
                               _ghw_bruteforce_matroid,
                               dual_generator_matrix, form_label,
@@ -18,7 +19,8 @@ from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
                               whitney_shift)
 
-from conftest import FIELDS, oracle_rref, random_code, random_code_any
+from conftest import (FIELDS, oracle_rank_table, oracle_rref, random_code,
+                      random_code_any)
 
 
 def mask(*indices):
@@ -124,6 +126,31 @@ def test_ghw_range_checks(e0):
             fn(-1)
         with pytest.raises(ExactArithError):
             fn(e0.k + 1)
+
+
+def test_dual_rank_route_is_the_dual_witness_minimum(e0, b3, monkeypatch):
+    # d_r = min{|I| : |I| - r*(I) = r}, with r* the column ranks of the
+    # dual generator matrix by the test eliminator, for every r; the route
+    # equals brute force and reads its counts without calling
+    # ghw_bruteforce, so no traced frame nests inside another
+    rng = random.Random(19)
+    sample = [e0, b3] + [random_code_any(rng, max_k=4, max_n=8,
+                                         fields=FIELDS + [QQ])
+                         for _ in range(24)]
+    brute = [[ghw_bruteforce(code, r) for r in range(code.k + 1)]
+             for code in sample]
+
+    def refuse(*args):
+        raise AssertionError("the dual-rank route called ghw_bruteforce")
+
+    monkeypatch.setattr(codes, "ghw_bruteforce", refuse)
+    for code, want in zip(sample, brute):
+        dual_ranks = oracle_rank_table(dual_generator_matrix(code))
+        witness = [min(bin(i).count("1") for i, rank in enumerate(dual_ranks)
+                       if bin(i).count("1") - rank == r)
+                   for r in range(code.k + 1)]
+        got = [ghw_from_dual_rank(code, r) for r in range(code.k + 1)]
+        assert got == witness == want
 
 
 def test_dual_generator_e0(e0):

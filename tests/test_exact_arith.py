@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,25 @@ def test_denominator_divisible_by_p_has_no_value():
     with pytest.raises(ExactArithError, match="denominator"):
         GF(5).parse("1/5")
     assert GF(5).coerce(Fraction(10, 5)) == 2  # 10/5 reduces to 2
+
+
+@pytest.mark.parametrize("spec", [GF(5), QQ], ids=["gf5", "q"])
+def test_coerce_takes_only_exact_scalars(spec):
+    # GF(5) would truncate 1.9 to 1, and Q would take 0.1 as the binary
+    # fraction nearest it
+    for x in (1.9, 0.1, 2.0, np.float64(3.0), np.float32(0.5)):
+        with pytest.raises(ExactArithError, match="not an exact scalar"):
+            ExactMatrix.from_rows(spec, [[1, x]])
+        with pytest.raises(ExactArithError, match="not an exact scalar"):
+            spec.coerce(x)
+    # ints, numpy ints and Fractions stay exact; a numpy int becomes a
+    # Python int, which cannot wrap around
+    big = np.int64(2**62)
+    m = ExactMatrix.from_rows(spec, [[np.int64(7), True, Fraction(3, 2), big]])
+    assert m.entries == ((spec.coerce(7), spec.one,
+                          spec.coerce(Fraction(3, 2)), spec.coerce(2**62)),)
+    assert {type(x) for x in m.entries[0]} == {type(spec.one)}
+    assert spec.mul(m.entries[0][3], m.entries[0][3]) == spec.coerce(2**124)
 
 
 def test_rational_arithmetic_canonical():

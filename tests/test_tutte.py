@@ -312,7 +312,7 @@ def test_whitney_shift_e0(m_e0):
 
 
 def test_whitney_shift_constant():
-    shifted = whitney_shift(BivarPoly({(0, 0): 1}))
+    shifted = whitney_shift(BivarPoly({(0, 0): 1}), 0)
     assert shifted.c == {(0, 0): 1}
     assert shifted.p == (0,)
 
@@ -345,7 +345,7 @@ def test_shift_matches_direct_evaluation(rng):
         m = VectorMatroid(random_matrix(rng, rng.randint(1, 3),
                                         rng.randint(1, 6), spec))
         t = tutte_subset_sum(m)
-        shifted = whitney_shift(t)
+        shifted = whitney_shift(t, m.full_rank)
         for x, y in [(0, 0), (1, 1), (2, 3), (-1, 2)]:
             direct = t.evaluate(x + 1, y)
             via = sum(c * x**r * y**j for (r, j), c in shifted.c.items())
