@@ -17,7 +17,10 @@ independent computation routes agree:
     is json.dumps of that canonical_matrix_key, and its memo is empty when
     every column is a coloop),
   * Tutte duality, T of the dual generator matrix H by deletion-contraction
-    vs T of the code by subset sum with x and y swapped,
+    vs T of the code by subset sum with x and y swapped, in memory and
+    through an on-disk TutteCache in a fresh directory, once cold and once
+    warm (H's series classes are the code's parallel classes, and
+    deletion-contraction removes each in one step),
   * the generalized Hamming weights by brute force vs from the shifted
     Tutte coefficients (the dual-rank route reads the brute-force counts,
     so it restates that route), and Wei duality,
@@ -146,10 +149,17 @@ def check_code(code: LinearCode, hilbert: bool) -> list:
                 stripped.matrix))]:
             failures.append("the warm call's memo key is not the text of "
                             "the canonical key of the stripped code")
-    dual = tutte_deletion_contraction(
-        VectorMatroid(dual_generator_matrix(code)))
-    if dual != BivarPoly({(j, i): c for (i, j), c in tutte.terms.items()}):
+    dual = VectorMatroid(dual_generator_matrix(code))
+    swapped = BivarPoly({(j, i): c for (i, j), c in tutte.terms.items()})
+    if tutte_deletion_contraction(dual) != swapped:
         failures.append("T of the dual generator matrix is not T(y, x)")
+    with tempfile.TemporaryDirectory() as tmp, TutteCache(tmp) as cache:
+        if tutte_deletion_contraction(dual, cache=cache) != swapped:
+            failures.append("T of the dual generator matrix through a cold "
+                            "disk cache is not T(y, x)")
+        if tutte_deletion_contraction(dual, cache=cache) != swapped:
+            failures.append("T of the dual generator matrix through a warm "
+                            "disk cache is not T(y, x)")
     shifted = whitney_shift(tutte, code.k)
     hierarchy = weight_hierarchy(code)
     for r in range(code.k + 1):

@@ -21,9 +21,9 @@ from .codes import (LinearCode, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
 from .fields import (GF, QQ, CapExceeded, ExactArithError, ExactMatrix,
                      InternalInvariantError)
-from .hilbert import (WindowError, check_product_cap, conjecture_report,
-                      fit_hilbert_polynomial, ideal_engine, mu_oracle,
-                      render_conjecture_matrix)
+from .hilbert import (WindowError, check_product_cap, check_window,
+                      conjecture_report, fit_hilbert_polynomial, ideal_engine,
+                      mu_oracle, render_conjecture_matrix)
 from .star import binomial_identity_check, full_profile
 from .tutte import (BivarPoly, poly_matches_key, tutte_deletion_contraction,
                     tutte_subset_sum, whitney_shift)
@@ -417,6 +417,8 @@ def cmd_mu(args) -> int:
 
 def cmd_verify(args) -> int:
     code = load_code(args)
+    if args.window is not None:
+        check_window(args.window, code.k)
     check_oracle_products(code)
     _, shifted, hierarchy, profiles, timings = _profiles(code, args)
     checks = []

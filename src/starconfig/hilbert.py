@@ -739,6 +739,14 @@ def ideal_engine(code: LinearCode, a: int) -> GradedIdealEngine:
     return GradedIdealEngine(code.spec, code.k, afold_generators(code, a))
 
 
+def check_window(window: tuple, k: int):
+    """ExactArithError when the degree window (lo, hi) is narrower than a
+    fit in k variables needs."""
+    lo, hi = window
+    if hi - lo < k + 1:
+        raise ExactArithError("window must span at least k+1 degrees")
+
+
 def fit_hilbert_polynomial(code: LinearCode, a: int, window=None,
                            engine=None) -> FittedHP:
     """Hilbert polynomial of R / I_a, fitted from exact graded dimensions.
@@ -749,9 +757,8 @@ def fit_hilbert_polynomial(code: LinearCode, a: int, window=None,
     if engine is None:
         engine = ideal_engine(code, a)
     if window is not None:
+        check_window(window, code.k)
         lo, hi = window
-        if hi - lo < code.k + 1:
-            raise ExactArithError("window must span at least k+1 degrees")
         his = [hi]
     else:
         lo, his = default_windows(a, code.k)

@@ -14,11 +14,17 @@ P, of size m, at once, as Haggard, Pearce and Royle do ("Computing Tutte
 polynomials", ACM TOMS 2010).  With e in P and N = M/e \\ (P - e):
 T(M) = T(M \\ P) + (1 + y + ... + y^(m-1)) T(N) when deleting P keeps the
 rank, and T(M) = (x + y + ... + y^(m-1)) T(N) when it drops it; this is
-the single-element step applied m times.  So one minor is keyed per
-class, not one per element.  Its memo and a persistent cache are keyed
-by one string per such minor: the text json.dumps(canonical_matrix_key)
-of the minor's matrix, written straight from the carried RREF by
-key_text_writer, with no key tuple built and no json.dumps per node.
+the single-element step applied m times.  When e has no parallel partner
+but M \\ e has coloops, e and those coloops are e's series class S, of
+size m, and the step removes S instead, by the dual rule:
+T(M) = T(M / S) + (1 + x + ... + x^(m-1)) T(M \\ S) when S is
+independent, and T(M) = (y + x + ... + x^(m-1)) T(M \\ S) when S is a
+circuit.  So one minor is keyed per class, not one per element; the
+series classes of a dual generator matrix are the code's parallel
+classes.  Its memo and a persistent cache are keyed by one string per
+such minor: the text json.dumps(canonical_matrix_key) of the minor's
+matrix, written straight from the carried RREF by key_text_writer, with
+no key tuple built and no json.dumps per node.
 canonical_matrix_key is the tuple form of that text.  The keys, and the
 gets and puts of the cache, are byte for byte those of a recursion that
 builds every minor, strips its loops and coloops, and reduces what is
@@ -302,8 +308,20 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
     never built.  For m = 1 this is T(M') = T(M' \\ e) + T(M' / e), and
     applying that step m times, to the members of P in turn, proves both
     forms (the parallel-class step of Haggard, Pearce and Royle,
-    "Computing Tutte polynomials", ACM TOMS 2010).  Only M' is keyed, so
-    minors that differ only in their loops and coloops share one entry.
+    "Computing Tutte polynomials", ACM TOMS 2010).
+
+    When P is e alone and M' \\ e has coloops, those coloops and e are e's
+    series class S, of size m, and M' \\ S is M' \\ e with them
+    contracted.  The step removes S at once by the dual rule:
+
+        T(M') = T(M' / S) + (1 + x + ... + x^(m-1)) T(M' \\ S)
+
+    when S is independent, and T(M') = (y + x + ... + x^(m-1)) T(M' \\ S)
+    when S is a circuit, and M' / S is never keyed.  Applying the
+    single-element step to the members of S in turn proves both: deleting
+    any member leaves the rest coloops.  The deletion is visited first in
+    every step.  Only M' is keyed, so minors that differ only in their
+    loops and coloops share one entry.
 
     An optional external cache persists results across runs: get(key)
     returns the BivarPoly stored under a key string or None, put(key,
@@ -329,15 +347,21 @@ def tutte_deletion_contraction(m: VectorMatroid, memo: dict | None = None,
     key_text = key_text_writer(m.spec)
     with nullcontext() if cache is None else cache.batch():
         poly = _dc(m.spec, rows, pivots, k, n, memo, cache, key_text)
-    return poly.shift_degrees(coloops, len(loops))
+    return poly.shift_degrees(len(coloops), len(loops))
 
 
 def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
         key_text) -> BivarPoly:
     """T of the k x n matrix with RREF rows (sorted by pivot) and pivots,
     which has no loop (zero column) and no coloop (pivot whose row is a
-    unit vector), by one parallel-class step on column 0 (see
-    tutte_deletion_contraction)."""
+    unit vector), by one parallel-class or series-class step on column 0
+    (see tutte_deletion_contraction).
+
+    M \\ S is the deletion join with its unit rows contracted.  M / S is
+    built from the rows of M / e: each column of S - e is cleared by the
+    last row nonzero in it, and that row is dropped (_contracted), so
+    nothing is eliminated again; a column of S - e with no nonzero row
+    left shows that S is a circuit."""
     if n == 0:
         return BivarPoly.one()
     key = key_text(rows, k, n)
@@ -367,31 +391,78 @@ def _dc(spec, rows, pivots: tuple, k: int, n: int, memo: dict, cache,
     joined = rref_join(c_rows, c_pivots, head, spec)
     if joined is None:
         # e is a coloop of M \ (P - e): T = (x + y + ... + y^(m-1)) T(N)
-        deleted, dx = BivarPoly.zero(), 1
+        poly = _times_class(
+            _dc(spec, c_rows, c_pivots, k - 1, c_n, memo, cache, key_text),
+            (1, 0), len(parallels), series=False)
     else:
-        # T = T(M \ P) + (1 + y + ... + y^(m-1)) T(N)
         d_rows, d_pivots, d_k, d_n, coloops = _without_coloops(
             *joined, k, c_n)
         deleted = _dc(spec, d_rows, d_pivots, d_k, d_n, memo, cache,
-                      key_text).shift_degrees(coloops, 0)
-        dx = 0
-    poly = deleted + _times_class(
-        _dc(spec, c_rows, c_pivots, k - 1, c_n, memo, cache, key_text),
-        len(parallels), dx)
+                      key_text)
+        if parallels or not coloops:
+            # T = T(M \ P) + (1 + y + ... + y^(m-1)) T(N)
+            poly = deleted.shift_degrees(len(coloops), 0) + _times_class(
+                _dc(spec, c_rows, c_pivots, k - 1, c_n, memo, cache,
+                    key_text), (0, 0), len(parallels), series=False)
+        else:
+            # e alone, and the coloops of M \ e are the rest of e's series
+            # class S, of size m: the deleted minor is M \ S
+            contracted = _contracted(c_rows, c_pivots, coloops, spec)
+            if contracted is None:
+                # S is a circuit: T = (y + x + ... + x^(m-1)) T(M \ S)
+                poly = _times_class(deleted, (0, 1), len(coloops),
+                                    series=True)
+            else:
+                # T = T(M / S) + (1 + x + ... + x^(m-1)) T(M \ S); the
+                # columns of S - e are among the loops of M / S
+                s_rows, s_pivots, s_n, loops = _without_loops(
+                    *contracted, c_n)
+                s_poly = _dc(spec, s_rows, s_pivots, k - 1 - len(coloops),
+                             s_n, memo, cache, key_text)
+                poly = s_poly.shift_degrees(
+                    0, len(loops) - len(coloops)) + _times_class(
+                    deleted, (0, 0), len(coloops), series=True)
     memo[key] = poly
     if cache is not None:
         cache.put(key, poly)
     return poly
 
 
-def _times_class(poly: BivarPoly, parallels: int, dx: int) -> BivarPoly:
-    """(x^dx + y + y^2 + ... + y^parallels) poly: T(N) times the factor of
-    the parallel-class step, dx being 1 when deleting the class drops the
-    rank and 0 when it does not; poly itself for (0, 0)."""
-    out = poly.shift_degrees(dx, 0)
-    for j in range(1, parallels + 1):
-        out = out + poly.shift_degrees(0, j)
+def _times_class(poly: BivarPoly, lead: tuple, run: int,
+                 series: bool) -> BivarPoly:
+    """(x^i y^j + z + z^2 + ... + z^run) poly for lead = (i, j), with
+    z = x for a series class and z = y for a parallel class: T of the minor
+    a class step recurses on, times the factor of the step; poly itself for
+    lead (0, 0) and run 0."""
+    out = poly.shift_degrees(*lead)
+    for t in range(1, run + 1):
+        out = out + poly.shift_degrees(*((t, 0) if series else (0, t)))
     return out
+
+
+def _contracted(rows, pivots: tuple, cols: list, spec):
+    """(rows, pivots): the RREF with the columns cols contracted, or None
+    when cols are dependent.
+
+    Each column is cleared by the last row nonzero in it, and that row is
+    dropped.  The rows below it are zero in the column, and the rows above
+    it change only in columns right of their pivots, none of them another
+    row's pivot, so the result is an RREF with no further step.  The
+    columns cols are left zero.
+    """
+    rows, pivots = list(rows), list(pivots)
+    for f in cols:
+        r = next((i for i in reversed(range(len(rows))) if rows[i][f]), None)
+        if r is None:  # f is a loop of the contraction so far
+            return None
+        row = rows.pop(r)
+        del pivots[r]
+        inv = spec.inv(row[f])
+        for i in range(r):
+            if rows[i][f]:
+                rows[i] = spec.sub_scaled(rows[i], spec.mul(rows[i][f], inv),
+                                          row)
+    return rows, tuple(pivots)
 
 
 def _without_loops(rows, pivots: tuple, n: int):
@@ -409,15 +480,17 @@ def _without_loops(rows, pivots: tuple, n: int):
 
 
 def _without_coloops(rows, pivots: tuple, k: int, n: int):
-    """(rows, pivots, k, n, c): the RREF with its c unit rows, and their
-    pivot columns, contracted; every other row is zero in those columns."""
+    """(rows, pivots, k, n, coloops): the RREF with its unit rows, and
+    their pivot columns, the coloops, ascending, contracted; every other
+    row is zero in those columns."""
     coloops = [p for p, row in zip(pivots, rows) if not any(row[p + 1:])]
     if not coloops:
-        return rows, pivots, k, n, 0
+        return rows, pivots, k, n, coloops
     kept = [(p, row) for p, row in zip(pivots, rows) if p not in coloops]
     c = len(coloops)
     return (_without_columns([row for _, row in kept], coloops),
-            tuple(p - bisect(coloops, p) for p, _ in kept), k - c, n - c, c)
+            tuple(p - bisect(coloops, p) for p, _ in kept), k - c, n - c,
+            coloops)
 
 
 def _without_columns(rows, cols: list) -> list:

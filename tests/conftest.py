@@ -179,7 +179,8 @@ def assert_matches_table(matrix: ExactMatrix, table: list | None = None):
 # instead of a carried RREF: every node builds its minors, probes loops and
 # coloops by elimination, deletes the loops and contracts the coloops, keys
 # what is left by canonical_matrix_key (as it was before key_text_writer),
-# and removes the parallel class of its first element in one step.  An
+# and removes the parallel class of its first element in one step, or,
+# when that element has no parallel partner, its series class.  An
 # independent reference for the polynomial, the memo keys and the cache
 # traffic.
 
@@ -231,19 +232,38 @@ def _dc(m, memo: dict, cache) -> BivarPoly:
             poly = memo[key] = BivarPoly.from_json(stored)
     if poly is None:
         # every element of m is ordinary; the parallel class P of e = 0 is
-        # e and the loops of m / e, and N = m / e \ (P - e)
+        # e and the loops of m / e, and N = m / e \ (P - e).  When P is e
+        # alone, e's series class S is e and the coloops of m \ e
         con = m.contract(0)
         parallels = [j for j in range(con.n) if con.is_loop(j)]
-        rest = _without(m, [0] + [j + 1 for j in parallels])
-        y_sum = BivarPoly({(0, j): 1 for j in range(1, len(parallels) + 1)})
-        if rest.full_rank == m.full_rank:
-            # T(m) = T(m \ P) + (1 + y + ... + y^(|P|-1)) T(N)
-            deleted, lead = _dc(rest, memo, cache), BivarPoly.one()
+        deleted = m.delete(0)
+        series = [] if parallels else [
+            j for j in range(deleted.n) if deleted.is_coloop(j)]
+        if series:
+            # m \ S is m \ e with those coloops contracted
+            t_rest = _dc(_stripped(deleted)[0], memo, cache)
+            x_sum = BivarPoly({(i, 0): 1 for i in range(1, len(series) + 1)})
+            if m.rank(1 | sum(1 << j + 1 for j in series)) == len(series):
+                # S is a circuit: T(m) = (y + x + ... + x^(|S|-1)) T(m \ S)
+                poly = t_rest * (BivarPoly.monomial(0, 1) + x_sum)
+            else:
+                # T(m) = T(m / S) + (1 + x + ... + x^(|S|-1)) T(m \ S)
+                for j in reversed(series):
+                    con = con.contract(j)
+                poly = t_rest * (BivarPoly.one() + x_sum) + _dc(con, memo,
+                                                                cache)
         else:
-            # T(m) = (x + y + ... + y^(|P|-1)) T(N)
-            deleted, lead = BivarPoly.zero(), BivarPoly.monomial(1, 0)
-        poly = deleted + _dc(_without(con, parallels), memo, cache) * (
-            lead + y_sum)
+            rest = _without(m, [0] + [j + 1 for j in parallels])
+            y_sum = BivarPoly({(0, j): 1
+                               for j in range(1, len(parallels) + 1)})
+            if rest.full_rank == m.full_rank:
+                # T(m) = T(m \ P) + (1 + y + ... + y^(|P|-1)) T(N)
+                t_rest, lead = _dc(rest, memo, cache), BivarPoly.one()
+            else:
+                # T(m) = (x + y + ... + y^(|P|-1)) T(N)
+                t_rest, lead = BivarPoly.zero(), BivarPoly.monomial(1, 0)
+            poly = t_rest + _dc(_without(con, parallels), memo, cache) * (
+                lead + y_sum)
         memo[key] = poly
         if cache is not None:
             cache.put(json.dumps(key), poly.to_json())

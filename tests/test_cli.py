@@ -294,6 +294,25 @@ def test_hilbert_oracle_is_capped_by_its_products(capsys, monkeypatch,
             assert err == f"error: {line} exceed product cap 16384\n"
 
 
+def test_verify_checks_the_window_width_at_load(capsys, monkeypatch,
+                                               tmp_path):
+    # a window narrower than k + 1 degrees is an input error, reported
+    # before the product cap of the [40,2] code and before any engine runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran on a window too narrow to fit")
+
+    monkeypatch.setattr(matroid, "_span_join", refuse)
+    monkeypatch.setattr(cli, "tutte_deletion_contraction", refuse)
+    monkeypatch.setattr(hilbert, "_afold_from_columns", refuse)
+    for source in (["--example", "b3"], [forty_column_code(tmp_path)]):
+        for extra in ([], ["--json"]):
+            rc, out, err = run_cli(capsys, "verify", *source, "--window",
+                                   "0:1", "--max-n", "40", "--no-cache",
+                                   *extra)
+            assert rc == EXIT_INPUT and out == ""
+            assert err == "error: window must span at least k+1 degrees\n"
+
+
 def test_conjecture_honours_max_n(capsys):
     rc, _, err = run_cli(capsys, "conjecture", "--example", "b3",
                          "--max-n", "3")
@@ -675,7 +694,7 @@ def put_rows(cache: LoggingTutteCache) -> dict:
 def test_dc_call_writes_in_batches_before_it_returns(tmp_path):
     """Puts are held back and written FLUSH_ROWS at a time while DC runs,
     and the rest when the call returns, the cache still open.  The [22,6]
-    GF(2) code makes 648 puts, so two batches are written mid-call."""
+    GF(2) code makes 629 puts, so two batches are written mid-call."""
     m = VectorMatroid(random_code(random.Random(1), 6, 22, GF(2)).matrix)
     cache_dir = str(tmp_path / "cache")
     committed = []
@@ -688,7 +707,7 @@ def test_dc_call_writes_in_batches_before_it_returns(tmp_path):
     cache = Watched(cache_dir)
     tutte_deletion_contraction(m, cache=cache)
     flush = TutteCache.FLUSH_ROWS
-    assert len(committed) == 648 > 2 * flush
+    assert len(committed) == 629 > 2 * flush
     assert committed == [(i + 1) // flush * flush
                          for i in range(len(committed))]
     assert cache_rows(cache_dir) == put_rows(cache)

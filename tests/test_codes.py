@@ -232,6 +232,41 @@ def test_wei_duality_random(seed):
     assert holds
 
 
+@st.composite
+def codes_with_parallel_classes(draw):
+    """A code over GF(2), GF(3), GF(5) or Q whose columns, shuffled, are
+    the unit vectors, up to three random nonzero columns and one to four
+    scaled copies of those: each planted parallel class of the code is a
+    series class of its dual matroid, of size 2 or more."""
+    spec = draw(st.sampled_from(FIELDS + [QQ]))
+    if spec.kind == "gf":
+        entry = st.integers(0, spec.modulus - 1).map(spec.coerce)
+    else:
+        entry = st.fractions(-3, 3, max_denominator=3).map(spec.coerce)
+    unit = entry.filter(bool)
+    k = draw(st.integers(1, 3))
+    base = [[spec.one if i == j else spec.zero for i in range(k)]
+            for j in range(k)]
+    base += draw(st.lists(st.lists(entry, min_size=k, max_size=k).filter(
+        any), max_size=3))
+    copies = [spec.scale(draw(unit), draw(st.sampled_from(base)))
+              for _ in range(draw(st.integers(1, 4)))]
+    cols = draw(st.permutations(base + copies))
+    return LinearCode(ExactMatrix.from_rows(
+        spec, [[col[i] for col in cols] for i in range(k)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_with_parallel_classes())
+def test_tutte_duality_through_the_dual_generator(code):
+    # T(H) by deletion-contraction on the dual generator matrix H is the
+    # code's T by subset sum with x and y swapped
+    t = tutte_subset_sum(code.matroid)
+    dual = tutte_deletion_contraction(
+        VectorMatroid(dual_generator_matrix(code)))
+    assert dual.terms == {(j, i): c for (i, j), c in t.terms.items()}
+
+
 def dual_hierarchy_by_rank_table(code):
     """d_1..d_{n-k} of the dual code from the rank-size counts of the
     dual matroid, the route wei_duality_check took before."""

@@ -214,6 +214,66 @@ def test_a_parallel_class_inside_u2n(m, n):
     assert tutte_deletion_contraction(matroid) == tutte_subset_sum(matroid)
 
 
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_a_circuit_series_class_keys_one_minor(m):
+    # U_{m-1,m} is one series class, a circuit: deleting it leaves the
+    # empty matroid, so the root is the only keyed minor.  Contracting one
+    # element at a time keys m - 1 minors, U_{j-1,j} for j = m down to 2
+    spec = GF(3)
+    rows = [[int(i == j) for j in range(m - 1)] + [2] for i in range(m - 1)]
+    matrix = ExactMatrix.from_rows(spec, rows)
+    memo = {}
+    t = tutte_deletion_contraction(VectorMatroid(matrix), memo)
+    assert t == poly({(0, 1): 1, **{(i, 0): 1 for i in range(1, m)}})
+    assert len(memo) == 1
+    assert assert_dc_matches_oracle(matrix) == [
+        canonical_matrix_key(matrix)]
+
+
+@st.composite
+def planted_series(draw, spec, circuit: bool):
+    """A matrix with a planted series class S of size m >= 2, columns
+    shuffled.  An independent S subdivides a column j of a random core:
+    each of m - 1 new rows is nonzero at j and at one new column alone.  A
+    circuit S is a block of its own: m - 1 scaled unit columns in m - 1 new
+    rows and a column nonzero in all of them."""
+    if spec.kind == "gf":
+        entry = st.integers(0, spec.modulus - 1).map(spec.coerce)
+        unit = st.integers(1, spec.modulus - 1).map(spec.coerce)
+    else:
+        entry = st.fractions(-3, 3, max_denominator=3).map(spec.coerce)
+        unit = entry.filter(bool)
+    k = draw(st.integers(1, 3))
+    core = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=1, max_size=4))
+    m = draw(st.integers(2, 4))
+    zero = spec.zero
+    j = draw(st.integers(0, len(core) - 1))
+    cols = [col + [draw(unit) if i == j and not circuit else zero
+                   for _ in range(m - 1)] for i, col in enumerate(core)]
+    for t in range(m - 1):
+        col = [zero] * (k + m - 1)
+        col[k + t] = draw(unit)
+        cols.append(col)
+    if circuit:
+        cols.append([zero] * k + [draw(unit) for _ in range(m - 1)])
+    cols = draw(st.permutations(cols))
+    return ExactMatrix.from_rows(
+        spec, [[col[i] for col in cols] for i in range(k + m - 1)])
+
+
+@pytest.mark.parametrize("circuit", [False, True],
+                         ids=["independent", "circuit"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_planted_series_class_matches_oracle_and_subset_sum(circuit, data):
+    spec = data.draw(st.sampled_from(DC_FIELDS))
+    matrix = data.draw(planted_series(spec, circuit))
+    assert_dc_matches_oracle(matrix)
+    m = VectorMatroid(matrix)
+    assert tutte_deletion_contraction(m) == tutte_subset_sum(m)
+
+
 def test_parallel_class_step_pins_the_keyed_minors():
     # one keyed minor per parallel class, not one per element: peeling a
     # class one element at a time keys 136 minors of this code
