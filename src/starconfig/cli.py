@@ -3,19 +3,26 @@
 Subcommands: tutte, ghw, profile, primes, mu, verify, conjecture, identity.
 Input is either a matrix file (see parse_input) or a built-in example
 (--example e0|b3).  Default output is a human table; --json emits the same
-values as JSON.  Exit codes: 1 input error (a usage error included), 2 cap
-exceeded, 3 internal invariant violation, 141 stdout closed by its reader.
+values as JSON, written by json_text.  One argument parser serves every
+call of main in a process (build_parser).  Exit codes: 1 input error
+(InputError, OSError or a usage error), 2 cap exceeded, 3 internal error
+(InternalInvariantError, or any other ValueError that escapes a
+subcommand), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
+import threading
 import time
 import weakref
 from contextlib import contextmanager, nullcontext
+from json.encoder import encode_basestring_ascii
 
 from .codes import (LinearCode, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
@@ -39,51 +46,71 @@ CACHE_ENV = "STARCONFIG_CACHE_DIR"
 EXHAUSTIVE_CAP = 24
 
 
+class InputError(ExactArithError):
+    """A fault in what the CLI reads: the input file, the example or an
+    option checked against the code.  Raised only by the CLI's input
+    layer, so that main can tell it from an internal error."""
+
+
 def parse_input(text: str) -> LinearCode:
     """Parse the matrix file format:
 
         field gf <p>   |   field q
         size <k> <n>
         <k rows of n whitespace-separated entries; rationals as a/b>
-        labels <n names>            (optional)
+        labels <n names>            (optional, at most once)
+
+    A '#' starts a comment that runs to the end of its line, on any line,
+    so labels cannot contain '#'.  Every fault in the text, including a
+    LinearCode check, raises InputError; a CapExceeded passes through.
     """
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    try:
+        return _parse_lines(text)
+    except (InputError, CapExceeded):
+        raise
+    except ValueError as exc:  # int(), a scalar token or a LinearCode check
+        raise InputError(str(exc)) from exc
+
+
+def _parse_lines(text: str) -> LinearCode:
+    lines = [ln for ln in (raw.partition("#")[0].strip()
+                           for raw in text.splitlines()) if ln]
     if len(lines) < 2:
-        raise ExactArithError("input needs a field line and a size line")
+        raise InputError("input needs a field line and a size line")
     field_parts = lines[0].split()
     if field_parts[0] != "field":
-        raise ExactArithError("first line must start with 'field'")
+        raise InputError("first line must start with 'field'")
     if field_parts[1:] == ["q"]:
         spec = QQ
     elif len(field_parts) == 3 and field_parts[1] == "gf":
         spec = GF(int(field_parts[2]))
     else:
-        raise ExactArithError(f"bad field line {lines[0]!r}")
+        raise InputError(f"bad field line {lines[0]!r}")
     size_parts = lines[1].split()
     if size_parts[0] != "size" or len(size_parts) != 3:
-        raise ExactArithError("second line must be 'size <k> <n>'")
+        raise InputError("second line must be 'size <k> <n>'")
     k, n = int(size_parts[1]), int(size_parts[2])
     if k < 1 or n < 1:
-        raise ExactArithError(f"size {k} {n}: k and n must be at least 1")
+        raise InputError(f"size {k} {n}: k and n must be at least 1")
     if len(lines) < 2 + k:
-        raise ExactArithError(f"expected {k} matrix rows")
+        raise InputError(f"expected {k} matrix rows")
     rows = []
     for ln in lines[2:2 + k]:
         entries = [spec.parse(tok) for tok in ln.split()]
         if len(entries) != n:
-            raise ExactArithError(
+            raise InputError(
                 f"row has {len(entries)} entries, expected {n}")
         rows.append(entries)
     labels = None
     for ln in lines[2 + k:]:
         parts = ln.split()
-        if parts[0] == "labels":
-            labels = parts[1:]
-            if len(labels) != n:
-                raise ExactArithError(f"expected {n} labels")
-        else:
-            raise ExactArithError(f"unexpected line {ln!r}")
+        if parts[0] != "labels":
+            raise InputError(f"unexpected line {ln!r}")
+        if labels is not None:
+            raise InputError("more than one labels line")
+        labels = parts[1:]
+        if len(labels) != n:
+            raise InputError(f"expected {n} labels")
     return LinearCode(ExactMatrix.from_rows(spec, rows), labels)
 
 
@@ -272,14 +299,19 @@ def cache_from_args(args) -> TutteCache | None:
 
 def load_code(args) -> LinearCode:
     """The code the arguments name; the one check of --max-n, made before
-    any engine runs."""
+    any engine runs.  A file that cannot be opened raises OSError, and one
+    that is not UTF-8, or does not parse, InputError."""
     if args.example:
         code = EXAMPLES[args.example]()
     elif args.input:
         with open(args.input, encoding="utf-8") as fh:
-            code = parse_input(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise InputError(str(exc)) from exc
+        code = parse_input(text)
     else:
-        raise ExactArithError("provide an input file or --example")
+        raise InputError("provide an input file or --example")
     if code.n > args.max_n:
         raise CapExceeded(f"ground set of size {code.n} exceeds "
                           f"exhaustive cap {args.max_n}")
@@ -308,11 +340,67 @@ def compute_tutte(code: LinearCode, args):
 
 
 def emit(args, doc: dict, table: str):
-    if args.json:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(table)
+    print(json_text(doc) if args.json else table)
+
+
+def _float_text(x: float) -> str:
+    """x as json writes it: NaN and the infinities as JavaScript names."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each scalar type, by exact type, as json writes it
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                float: _float_text,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _int_key_text(key) -> str:
+    """An int key quoted, as json writes it; TypeError for a key of any
+    type but str or int."""
+    if type(key) is not int:
+        raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+    return f'"{int.__repr__(key)}"'
+
+
+def json_text(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2), byte for byte, for the shapes the
+    commands emit: dicts with str or int keys, lists and tuples, and str,
+    int, float, bool and None, each of that exact type.  Any other type
+    raises TypeError.  indent is the line break and indentation of the
+    line doc starts on.
+
+    With indent set, json.dumps always runs the stdlib's pure-Python
+    encoder; this writer does the same work in one call per container,
+    and strings still go through json's C escaper."""
+    scalar = _SCALAR_TEXT.get
+    kind = type(doc)
+    if kind is dict:
+        if not doc:
+            return "{}"
+        inner = indent + "  "
+        items = [(encode_basestring_ascii(key) if type(key) is str
+                  else _int_key_text(key)) + ": "
+                 + (text(value) if (text := scalar(type(value)))
+                    else json_text(value, inner))
+                 for key, value in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        inner = indent + "  "
+        items = [text(value) if (text := scalar(type(value)))
+                 else json_text(value, inner) for value in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    text = scalar(kind)
+    if text is None:
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable")
+    return text(doc)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -418,7 +506,10 @@ def cmd_mu(args) -> int:
 def cmd_verify(args) -> int:
     code = load_code(args)
     if args.window is not None:
-        check_window(args.window, code.k)
+        try:
+            check_window(args.window, code.k)
+        except ExactArithError as exc:
+            raise InputError(str(exc)) from exc
     check_oracle_products(code)
     _, shifted, hierarchy, profiles, timings = _profiles(code, args)
     checks = []
@@ -510,13 +601,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def window_arg(text: str) -> tuple:
-    """--window lo:hi as the pair (lo, hi) of ints."""
+    """--window lo:hi as the pair (lo, hi) of ints, with lo <= hi."""
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi with integer bounds, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with lo <= hi, got {text!r}")
+    return lo, hi
 
 
 def cap_arg(text: str) -> int:
@@ -530,8 +625,15 @@ def cap_arg(text: str) -> int:
         f"expected an integer of at least 0, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: each takes the same options."""
+    """One parser for every command, built once per process: each command
+    takes the same options.
+
+    Its usage text is set once, to what argparse would format, because
+    parse_intermixed_args formats it again on every call when it is
+    unset.  parse_intermixed_args also edits the parser's actions while it
+    runs and restores them, so parse_args holds a lock around it."""
     parser = _Parser(
         prog="starconfig",
         description="Exact Tutte / star-configuration invariant tool")
@@ -544,12 +646,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--max-n", type=cap_arg, default=EXHAUSTIVE_CAP)
+    parser.usage = parser.format_usage().removeprefix("usage: ")
     return parser
+
+
+_PARSER_LOCK = threading.Lock()
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the one parser; SystemExit on -h or a usage error."""
+    with _PARSER_LOCK:
+        return build_parser().parse_intermixed_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_intermixed_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # -h exits 0, a usage error EXIT_INPUT
         return exc.code
     try:
@@ -569,9 +681,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: stdout's encoding cannot write a label
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ValueError as exc:  # an ExactArithError the input did not cause
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

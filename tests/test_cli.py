@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starconfig import cli, hilbert, matroid
-from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, TutteCache,
-                            example_b3, example_e0, main, parse_input,
-                            poly_text)
+from starconfig.cli import (EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, InputError,
+                            TutteCache, example_b3, example_e0, json_text,
+                            main, parse_input, poly_text)
 from starconfig.fields import GF, QQ, ExactArithError
 from starconfig.matroid import VectorMatroid
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
@@ -66,9 +66,35 @@ def test_parse_input_errors():
                 "field gf 2\nsize 1 2\n1 0 1\n",
                 "field gf 2\nsize 1 2\n1 0\nlabels a\n",
                 "field gf 2\nsize 1 2\n1 0\nbogus line\n",
-                "field gf 4\nsize 1 1\n1\n"):
-        with pytest.raises((ExactArithError, ValueError)):
+                "field gf 4\nsize 1 1\n1\n",
+                "field gf x\nsize 1 1\n1\n",
+                "field gf 2\nsize 1 2\n1 x\n",
+                "field gf 2\nsize 2 2\n1 1\n1 1\n",
+                "field gf 2\nsize 1 2\n1 0\n",
+                "field gf 2\nsize 1 2\n1 1\nlabels a#1 b#2\n"):
+        with pytest.raises(InputError):
             parse_input(bad)
+
+
+def test_readme_input_example_parses():
+    # a '#' starts a comment on any line, as the README's example has
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Input file format", 1)[1]
+    block = section.split("```", 2)[1].partition("\n")[2]
+    code = parse_input(block)
+    assert code.spec.kind == "gf" and code.spec.modulus == 5
+    assert (code.k, code.n) == (3, 9)
+    assert code.labels == ("x1", "x2", "x3", "x1+x2", "x1-x2", "x1+x3",
+                           "x1-x3", "x2+x3", "x2-x3")
+    assert code.matrix == example_b3().matrix
+
+
+def test_second_labels_line_is_input_error(capsys, tmp_path):
+    path = write_input(tmp_path, "field gf 2\nsize 1 3\n1 1 1\n"
+                       "labels a b c\nlabels d e f\n")
+    rc, out, err = run_cli(capsys, "primes", path)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == "error: more than one labels line\n"
 
 
 def test_builtin_examples_match_fixtures(e0, b3):
@@ -204,12 +230,17 @@ def test_identity_command(capsys):
     assert doc["checked"] > 0
 
 
-def test_missing_input_is_input_error(capsys):
+def test_missing_input_is_input_error(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "tutte")
     assert rc == EXIT_INPUT
     assert "input file" in err
     rc, _, err = run_cli(capsys, "tutte", "/nonexistent/file.txt")
     assert rc == EXIT_INPUT
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"field gf 2\nsize 1 1\n1\nlabels \xe9\n")
+    rc, out, err = run_cli(capsys, "tutte", str(path))
+    assert rc == EXIT_INPUT and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_zero_column_is_input_error(capsys, tmp_path):
@@ -351,6 +382,14 @@ def test_malformed_window_is_input_error(capsys, command, window):
     assert f"expected lo:hi with integer bounds, got {window!r}" in err
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_window_with_lo_above_hi_is_a_usage_error(capsys, command):
+    rc, out, err = run_cli(capsys, command, "--example", "e0",
+                           "--window", "9:2")
+    assert rc == EXIT_INPUT and out == "" and err.startswith("usage:")
+    assert "expected lo:hi with lo <= hi, got '9:2'" in err
+
+
 def test_options_may_come_before_the_command(capsys):
     rc, out, _ = run_cli(capsys, "--json", "--example", "e0", "tutte")
     assert rc == 0
@@ -395,7 +434,8 @@ FUZZ_TOKENS = ["0", "1", "-1", "2", "3", "5", "7", "1/5", "2/10", "1/0",
 @given(st.sampled_from(FUZZ_BASES), st.data())
 def test_mutated_input_never_raises(base, data):
     """Replace, delete or insert tokens of a valid input file: the CLI
-    answers with exit 0, 1 or 2, never with an exception."""
+    answers with exit 0, 1 or 2, never with an exception or an internal
+    error (exit 3)."""
     lines = [ln.split() for ln in base.splitlines()]
     token = st.one_of(st.sampled_from(FUZZ_TOKENS),
                       st.text("0123456789-/#q", min_size=1, max_size=5))
@@ -426,6 +466,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "tutte", "--example", "e0")
     assert rc == EXIT_INTERNAL
     assert "disagree" in err
+
+
+def test_internal_arithmetic_error_exits_3(capsys, monkeypatch):
+    # an ExactArithError that the input did not cause is a bug: exit 3,
+    # not the input-error exit 1
+    def broken(code):
+        raise ExactArithError("hierarchy must increase strictly")
+
+    monkeypatch.setattr(cli, "weight_hierarchy", broken)
+    for extra in ([], ["--json"]):
+        rc, out, err = run_cli(capsys, "profile", "--example", "b3", *extra)
+        assert rc == EXIT_INTERNAL and out == ""
+        assert err == ("internal invariant violated: hierarchy must "
+                       "increase strictly\n")
 
 
 def test_whitney_shift_invariant_is_internal(capsys, monkeypatch):
@@ -757,6 +811,132 @@ def test_poly_text_is_json_dumps_of_to_json(terms):
     assert poly_text(poly) == json.dumps(poly.to_json())
 
 
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT | st.integers(), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_DOCS)
+@example({})
+@example([[], {}, ()])
+@example({"a": {}, 3: [], -7: "\ud800", "\udfff": '"\\\x00\x1f\x7f'})
+@example({"é\"\\": [1.5, -0.0, 1e300, 5e-324, True, False, None]})
+@example({-10**100: 10**100, 0: -1})
+@example([float("nan"), float("inf"), float("-inf")])
+def test_json_text_is_json_dumps_with_indent_2(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {1, 2}, Fraction(1, 2), b"x", {(1, 2): 3}, [1, object()],
+    {"a": {"b": Fraction(1, 3)}}])
+def test_json_text_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        json_text(doc)
+
+
+QUOTED_LABELS = """\
+field q
+size 2 4
+1 0 1/2 -3
+0 1 2/3 1
+labels \u00e9"\\1 \u00e9"\\2 \u00e9"\\3 \u00e9"\\4
+"""
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_json_output_is_json_dumps_with_indent_2(capsys, tmp_path,
+                                                 command):
+    sources = [["--example", "e0"], ["--example", "b3"],
+               [write_input(tmp_path, QUOTED_LABELS)]]
+    for source in sources:
+        rc, out, err = run_cli(capsys, command, *source, "--json",
+                               "--no-cache")
+        assert rc == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if command == "conjecture":
+        labels = [cell["label"] for cell in
+                  json.loads(out)["entries"][0]["columns"]]
+        assert labels == [f'\u00e9"\\{i}' for i in range(1, 5)]
+
+
+def fresh_parser():
+    """A parser built as build_parser builds one, with argparse's own
+    usage text."""
+    parser = cli.build_parser.__wrapped__()
+    parser.usage = None
+    return parser
+
+
+def fresh_parse(capsys, argv):
+    """(namespace or exit code, stdout, stderr) of a fresh parser."""
+    try:
+        result = fresh_parser().parse_intermixed_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_main_reuses_one_parser_as_a_fresh_one_would_parse(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["profile", "--bogus"], ["-h"],
+                 ["conjecture", "--example", "e0", "--window", "0:4",
+                  "--json"],
+                 ["conjecture", "--example", "e0", "--json"]):
+        expected, out, err = fresh_parse(capsys, argv)
+        if isinstance(expected, int):  # -h or a usage error
+            assert run_cli(capsys, *argv) == (expected, out, err)
+        else:
+            assert cli.parse_args(argv) == expected
+            rc, main_out, _ = run_cli(capsys, *argv)
+            assert rc == 0
+    # the earlier --window 0:4 does not leak: t runs up to n + 2
+    assert json.loads(main_out)["t_max"] == 5
+
+
+def test_threads_share_the_one_parser():
+    # parse_intermixed_args edits the parser's actions while it runs
+    argvs = [["--json", "--example", "e0", "tutte"],
+             ["profile", "code.txt", "--window", "1:4", "--max-n", "9"]]
+    expected = [fresh_parser().parse_intermixed_args(argv)
+                for argv in argvs]
+    failures = []
+
+    def parse_repeatedly(i):
+        for _ in range(300):
+            try:
+                ok = cli.parse_args(argvs[i % 2]) == expected[i % 2]
+            except SystemExit:
+                ok = False
+            if not ok:
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_repeatedly, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
 def test_two_processes_share_one_cache(tmp_path):
     code = random_code(random.Random(7), 4, 14, GF(3))
     rows = "\n".join(" ".join(map(str, row)) for row in code.matrix.entries)
@@ -800,6 +980,19 @@ def test_closed_stdout_ends_quietly(command, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
+
+
+def test_stdout_that_cannot_encode_a_label_is_exit_1(tmp_path):
+    # an error of the output stream, as an OSError is, not a bug
+    path = write_input(tmp_path, QUOTED_LABELS)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+    proc = subprocess.run(
+        [sys.executable, "-m", "starconfig.cli", "primes", path,
+         "--no-cache"], capture_output=True, env=env, text=True,
+        timeout=300)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: 'ascii' codec can't encode")
 
 
 PLANTED_COLOOP = """\
