@@ -152,6 +152,15 @@ class TutteCache:
     computes, and a run killed inside a batch loses at most the
     FLUSH_ROWS - 1 rows not yet written.
 
+    The cache also holds in memory every row it knows the database has:
+    the rows of each transaction it committed, and each row get read that
+    passed every check below.  get answers held keys before any SQL runs,
+    with the BivarPoly held, so a row is read and parsed at most once per
+    cache.  A skipped batch, a miss and a rejected row are not held, so a
+    row another process writes later is still read.  The held rows cost
+    one BivarPoly per key the cache wrote or read, as a
+    deletion-contraction memo does per call; close() drops them.
+
     The database runs in WAL mode with synchronous=NORMAL, so concurrent
     runs on one directory read while another writes and queue their
     writes behind SQLite's lock; rows still locked out after the busy
@@ -182,6 +191,7 @@ class TutteCache:
         # a Connection waits for the cyclic GC; close it with the cache
         self._finalizer = weakref.finalize(self, db.close)
         self._pending = {}
+        self._held = {}
         self._depth = 0
 
     def _path(self, key: str) -> str:
@@ -190,6 +200,7 @@ class TutteCache:
         return self.path
 
     def close(self):
+        self._held = {}
         self._finalizer()
 
     def __enter__(self):
@@ -213,6 +224,8 @@ class TutteCache:
     def get(self, key: str) -> BivarPoly | None:
         """The polynomial stored under key, or None on a miss."""
         poly = self._pending.get(key)
+        if poly is None:
+            poly = self._held.get(key)
         if poly is not None:
             return poly
         try:
@@ -226,7 +239,10 @@ class TutteCache:
             poly = BivarPoly.from_json(json.loads(row[0]))
         except (TypeError, ValueError, RecursionError):
             return None  # ValueError covers from_json's ExactArithError
-        return poly if poly_matches_key(poly, key) else None
+        if not poly_matches_key(poly, key):
+            return None
+        self._held[key] = poly
+        return poly
 
     def put(self, key: str, poly: BivarPoly):
         self._pending[key] = poly
@@ -245,7 +261,8 @@ class TutteCache:
                 self._db.executemany(
                     "INSERT OR REPLACE INTO entry VALUES (?, ?)", rows)
         except self._error:
-            pass
+            return
+        self._held.update(pending)
 
 
 def _switch_to_wal(db):

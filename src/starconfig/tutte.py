@@ -33,6 +33,9 @@ Polynomials go into the cache and come out of it as BivarPoly; the text
 they are stored as is the cache's: cli.TutteCache keeps each as the text
 json.dumps(BivarPoly.to_json()) gives, in a row of one SQLite database,
 and writes the rows of one deletion-contraction call in a few batches.
+It also holds the BivarPoly of each row it wrote or read, until it is
+closed, and answers a key it holds with no SQL and no parsing, so calls
+that share one cache read each row at most once.
 """
 
 from __future__ import annotations

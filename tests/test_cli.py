@@ -390,6 +390,17 @@ def test_window_with_lo_above_hi_is_a_usage_error(capsys, command):
     assert "expected lo:hi with lo <= hi, got '9:2'" in err
 
 
+def test_negative_window_lo_needs_the_equals_form(capsys):
+    """argparse reads a negative LO after a space as an option, so only
+    --window=-3:5 parses."""
+    args = cli.parse_args(["verify", "--example", "e0", "--window=-3:5"])
+    assert args.window == (-3, 5)
+    rc, out, err = run_cli(capsys, "verify", "--example", "e0",
+                           "--window", "-3:5")
+    assert rc == EXIT_INPUT and out == "" and err.startswith("usage:")
+    assert "argument --window: expected one argument" in err
+
+
 def test_options_may_come_before_the_command(capsys):
     rc, out, _ = run_cli(capsys, "--json", "--example", "e0", "tutte")
     assert rc == 0
@@ -799,6 +810,92 @@ def test_nested_batches_write_at_the_outer_exit(tmp_path):
         cache.put("other", poly)  # outside a batch: written at once
         assert cache_rows(cache_dir)["other"] == json.dumps(poly.to_json())
 
+
+def trace_selects(cache: TutteCache, log: list):
+    """Append ("select",) to log at each SELECT the cache runs from now
+    on, as SQLite traces them."""
+    def trace(sql):
+        if sql.startswith("SELECT"):
+            log.append(("select",))
+    cache._db.set_trace_callback(trace)
+
+
+def test_tutte_cache_answers_a_row_it_wrote_from_memory(tmp_path):
+    key = e0_cache_key()
+    with TutteCache(str(tmp_path / "cache")) as cache:
+        selects = []
+        trace_selects(cache, selects)
+        cache.put(key, E0_TUTTE)
+        with cache.batch():
+            cache.put("other", BivarPoly({(0, 3): 1}))
+        assert cache.get(key) is E0_TUTTE
+        assert cache.get("other") == BivarPoly({(0, 3): 1})
+        assert selects == []
+
+
+def test_tutte_cache_reads_a_valid_row_once(tmp_path):
+    """A row another connection wrote is read and checked once; the cache
+    then answers it from memory, even after the row is deleted, while a
+    fresh cache on the directory misses."""
+    key = e0_cache_key()
+    cache_dir = str(tmp_path / "cache")
+    with TutteCache(cache_dir) as cache:
+        selects = []
+        trace_selects(cache, selects)
+        write_entry(cache, key, poly_text(E0_TUTTE))
+        poly = cache.get(key)
+        assert poly == E0_TUTTE
+        assert cache.get(key) is poly
+        assert len(selects) == 1
+        with closing(sqlite3.connect(cache.path)) as db:
+            db.execute("DELETE FROM entry")
+            db.commit()
+        assert cache.get(key) is poly
+        assert len(selects) == 1
+        with TutteCache(cache_dir) as fresh:
+            assert fresh.get(key) is None
+
+
+def test_tutte_cache_reads_a_poisoned_row_on_every_get(tmp_path):
+    key = e0_cache_key()
+    with TutteCache(str(tmp_path / "cache")) as cache:
+        selects = []
+        trace_selects(cache, selects)
+        write_entry(cache, key, poly_text(BivarPoly({(0, 0): 7})))
+        assert cache.get(key) is None
+        assert cache.get(key) is None
+        assert len(selects) == 2
+        write_entry(cache, key, poly_text(E0_TUTTE))
+        assert cache.get(key) == E0_TUTTE
+        assert cache.get(key) == E0_TUTTE
+        assert len(selects) == 3
+
+
+def test_one_cache_through_dc_and_every_deletion(tmp_path):
+    """DC on a code and then on each of its deletions, all through one
+    cache, as the dc_cache benchmark runs it: the polynomials and the gets
+    and puts are those of a dict, and no key the cache wrote is looked up
+    in the database again."""
+    m = VectorMatroid(random_code(random.Random(3), 4, 12, GF(2)).matrix)
+    minors = [m] + [m.delete(ell) for ell in range(m.n)]
+    reference = DictCache()
+    polys = [tutte_deletion_contraction(minor, cache=reference)
+             for minor in minors]
+    with LoggingTutteCache(str(tmp_path / "cache")) as cache:
+        trace_selects(cache, cache.log)
+        assert [tutte_deletion_contraction(minor, cache=cache)
+                for minor in minors] == polys
+    log = [entry for entry in cache.log if entry[0] != "select"]
+    assert log == reference.log
+    written, selects, hits = set(), 0, 0
+    for entry, after in zip(cache.log, cache.log[1:] + [("end",)]):
+        if entry[0] == "put":
+            written.add(entry[1])
+        elif entry[0] == "get":
+            assert (after == ("select",)) == (entry[1] not in written)
+            selects += after == ("select",)
+            hits += entry[1] in written
+    assert selects and hits
 
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 10**12),
