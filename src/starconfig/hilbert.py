@@ -718,8 +718,8 @@ def fit_graded_quotient(k: int, hf, gen_degree: int,
                              **{t: sample(t)
                                 for t in range(gen_degree, ts[-1] + 1)}})
         return FittedHP(k, poly, stable_from, dict(samples))
-    raise WindowError(
-        f"Hilbert function not stabilized by t={hi_steps[-1]}; widen window")
+    raise WindowError(f"Hilbert function not stabilized by t={hi_steps[-1]}, "
+                      "the last degree of the oracle's windows")
 
 
 def default_windows(a: int, k: int):
@@ -739,30 +739,17 @@ def ideal_engine(code: LinearCode, a: int) -> GradedIdealEngine:
     return GradedIdealEngine(code.spec, code.k, afold_generators(code, a))
 
 
-def check_window(window: tuple, k: int):
-    """ExactArithError when the degree window (lo, hi) is narrower than a
-    fit in k variables needs."""
-    lo, hi = window
-    if hi - lo < k + 1:
-        raise ExactArithError("window must span at least k+1 degrees")
-
-
-def fit_hilbert_polynomial(code: LinearCode, a: int, window=None,
-                           engine=None) -> FittedHP:
-    """Hilbert polynomial of R / I_a, fitted from exact graded dimensions.
+def fit_hilbert_polynomial(code: LinearCode, a: int, engine=None) -> FittedHP:
+    """Hilbert polynomial of R / I_a, fitted from exact graded dimensions
+    over default_windows(a, k).
 
     engine, if given, must be ideal_engine(code, a); its cached bases are
     reused and extended.
     """
     if engine is None:
         engine = ideal_engine(code, a)
-    if window is not None:
-        check_window(window, code.k)
-        lo, hi = window
-        his = [hi]
-    else:
-        lo, his = default_windows(a, code.k)
-    return fit_graded_quotient(code.k, engine.quotient_dim, a, lo, his)
+    return fit_graded_quotient(code.k, engine.quotient_dim, a,
+                               *default_windows(a, code.k))
 
 
 def mu_oracle(code: LinearCode, a: int, engine=None) -> int:

@@ -29,13 +29,10 @@ canonical_matrix_key is the tuple form of that text.  The keys, and the
 gets and puts of the cache, are byte for byte those of a recursion that
 builds every minor, strips its loops and coloops, and reduces what is
 left.
-Polynomials go into the cache and come out of it as BivarPoly; the text
-they are stored as is the cache's: cli.TutteCache keeps each as the text
-json.dumps(BivarPoly.to_json()) gives, in a row of one SQLite database,
-and writes the rows of one deletion-contraction call in a few batches.
-It also holds the BivarPoly of each row it wrote or read, until it is
-closed, and answers a key it holds with no SQL and no parsing, so calls
-that share one cache read each row at most once.
+A cache is any object with get(key) -> BivarPoly or None, put(key, poly)
+and a batch() context that each deletion-contraction call runs in;
+cli.TutteCache is the persistent one, and its docstring says how it
+stores the rows.
 """
 
 from __future__ import annotations

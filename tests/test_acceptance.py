@@ -107,9 +107,9 @@ def test_criterion_2_b3_reproduction(b3):
           and [p.degree for p in profiles]
           == [1, 4, 10, 20, 35, 3, 13, 36, 9]
           and [p.mu for p in profiles] == [3, 6, 10, 15, 21, 25, 23, 9, 1])
-    # independent Hilbert oracle, sampling window capped at t = 14
+    # independent Hilbert oracle, over its own default windows
     for p in profiles:
-        fit = fit_hilbert_polynomial(b3, p.a, window=(p.a - 1, 14))
+        fit = fit_hilbert_polynomial(b3, p.a)
         ok &= (fit.degree_invariant == p.degree
                and fit.implied_height == p.height
                and mu_oracle(b3, p.a) == p.mu)

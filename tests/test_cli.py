@@ -89,6 +89,13 @@ def test_readme_input_example_parses():
     assert code.matrix == example_b3().matrix
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_second_labels_line_is_input_error(capsys, tmp_path):
     path = write_input(tmp_path, "field gf 2\nsize 1 3\n1 1 1\n"
                        "labels a b c\nlabels d e f\n")
@@ -213,6 +220,24 @@ def test_verify_over_q_matches_recorded_output(capsys, tmp_path):
     assert doc == recorded["verify"]
 
 
+@pytest.mark.parametrize("source", ["e0", "b3", "q_3x5"])
+def test_verify_ignores_the_window(capsys, tmp_path, source):
+    # each a is fitted over the oracle's own windows, whatever --window says
+    if source == "q_3x5":
+        data = Path(__file__).parent / "data" / "verify_q_3x5.json"
+        args = [write_input(tmp_path, json.loads(data.read_text())["input"])]
+    else:
+        args = ["--example", source]
+    docs = []
+    for extra in ([], ["--window=0:1"], ["--window=1:6"], ["--window=-5:-1"]):
+        rc, out, _ = run_cli(capsys, "verify", *args, "--json", *extra)
+        assert rc == 0, extra
+        doc = json.loads(out)
+        doc.pop("timings")
+        docs.append(doc)
+    assert docs[1:] == [docs[0]] * 3
+
+
 def test_conjecture_json(capsys):
     rc, out, _ = run_cli(capsys, "conjecture", "--example", "e0", "--json",
                          "--window", "1:6")
@@ -323,25 +348,6 @@ def test_hilbert_oracle_is_capped_by_its_products(capsys, monkeypatch,
                                    "--no-cache", *extra)
             assert rc == EXIT_CAP and out == ""
             assert err == f"error: {line} exceed product cap 16384\n"
-
-
-def test_verify_checks_the_window_width_at_load(capsys, monkeypatch,
-                                               tmp_path):
-    # a window narrower than k + 1 degrees is an input error, reported
-    # before the product cap of the [40,2] code and before any engine runs
-    def refuse(*args, **kwargs):
-        raise AssertionError("an engine ran on a window too narrow to fit")
-
-    monkeypatch.setattr(matroid, "_span_join", refuse)
-    monkeypatch.setattr(cli, "tutte_deletion_contraction", refuse)
-    monkeypatch.setattr(hilbert, "_afold_from_columns", refuse)
-    for source in (["--example", "b3"], [forty_column_code(tmp_path)]):
-        for extra in ([], ["--json"]):
-            rc, out, err = run_cli(capsys, "verify", *source, "--window",
-                                   "0:1", "--max-n", "40", "--no-cache",
-                                   *extra)
-            assert rc == EXIT_INPUT and out == ""
-            assert err == "error: window must span at least k+1 degrees\n"
 
 
 def test_conjecture_honours_max_n(capsys):

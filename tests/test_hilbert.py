@@ -635,13 +635,6 @@ def test_window_error():
         fit_graded_quotient(1, lambda t: 2**t, 0, 0, [6])
 
 
-def test_explicit_window(e0):
-    fit = fit_hilbert_polynomial(e0, 2, window=(1, 8))
-    assert fit.degree_invariant == 3
-    with pytest.raises(ExactArithError):
-        fit_hilbert_polynomial(e0, 2, window=(2, 3))  # span below k+1
-
-
 def test_colon_e0_example(e0):
     # I_3 : (x1+x2) = <x1 x2>, whose degree-t piece has dimension t-1
     assert colon_graded_dim(e0, 2, 3, 1) == 0
