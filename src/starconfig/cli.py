@@ -565,8 +565,7 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     code = load_code(args)
     check_oracle_products(code)
-    t_max = args.window[1] if args.window else code.n + 2
-    report = conjecture_report(code, t_max)
+    report = conjecture_report(code, code.n + 2)
     table = render_conjecture_matrix(report)
     if report["note"]:
         table = f"note: {report['note']}\n{table}"
@@ -611,20 +610,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def window_arg(text: str) -> tuple:
-    """--window lo:hi as the pair (lo, hi) of ints, with lo <= hi."""
-    lo, _, hi = text.partition(":")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected lo:hi with integer bounds, got {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(
-            f"expected lo:hi with lo <= hi, got {text!r}")
-    return lo, hi
-
-
 def cap_arg(text: str) -> int:
     """--max-n as an int of at least 0."""
     try:
@@ -652,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", nargs="?", help="matrix file")
     parser.add_argument("--example", choices=sorted(EXAMPLES))
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--window", type=window_arg, metavar="LO:HI",
-                        help="degree window")
     parser.add_argument("--cache-dir")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--max-n", type=cap_arg, default=EXHAUSTIVE_CAP)

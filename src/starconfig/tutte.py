@@ -62,10 +62,6 @@ class BivarPoly:
                     self.terms[(i, j)] = int(c)
 
     @classmethod
-    def monomial(cls, i: int, j: int, coeff: int = 1) -> "BivarPoly":
-        return cls({(i, j): coeff})
-
-    @classmethod
     def zero(cls) -> "BivarPoly":
         return cls()
 

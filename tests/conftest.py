@@ -221,7 +221,7 @@ def _without(m, cols: list):
 
 def _dc(m, memo: dict, cache) -> BivarPoly:
     m, coloops, loops = _stripped(m)
-    factor = BivarPoly.monomial(coloops, loops)
+    factor = BivarPoly({(coloops, loops): 1})
     if m.n == 0:
         return factor
     key = canonical_matrix_key(m.matrix)
@@ -245,7 +245,7 @@ def _dc(m, memo: dict, cache) -> BivarPoly:
             x_sum = BivarPoly({(i, 0): 1 for i in range(1, len(series) + 1)})
             if m.rank(1 | sum(1 << j + 1 for j in series)) == len(series):
                 # S is a circuit: T(m) = (y + x + ... + x^(|S|-1)) T(m \ S)
-                poly = t_rest * (BivarPoly.monomial(0, 1) + x_sum)
+                poly = t_rest * (BivarPoly({(0, 1): 1}) + x_sum)
             else:
                 # T(m) = T(m / S) + (1 + x + ... + x^(|S|-1)) T(m \ S)
                 for j in reversed(series):
@@ -261,7 +261,7 @@ def _dc(m, memo: dict, cache) -> BivarPoly:
                 t_rest, lead = _dc(rest, memo, cache), BivarPoly.one()
             else:
                 # T(m) = (x + y + ... + y^(|P|-1)) T(N)
-                t_rest, lead = BivarPoly.zero(), BivarPoly.monomial(1, 0)
+                t_rest, lead = BivarPoly.zero(), BivarPoly({(1, 0): 1})
             poly = t_rest + _dc(_without(con, parallels), memo, cache) * (
                 lead + y_sum)
         memo[key] = poly

@@ -96,6 +96,24 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
+def readme_cli_examples() -> list:
+    """The argv of each `starconfig ...` line in the README's sh blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in readme.split("```sh\n")[1:]:
+        for line in block.split("```", 1)[0].splitlines():
+            argv = line.partition("#")[0].split()
+            if argv[:1] == ["starconfig"]:
+                examples.append(argv[1:])
+    return examples
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out
+
+
 def test_second_labels_line_is_input_error(capsys, tmp_path):
     path = write_input(tmp_path, "field gf 2\nsize 1 3\n1 1 1\n"
                        "labels a b c\nlabels d e f\n")
@@ -220,30 +238,11 @@ def test_verify_over_q_matches_recorded_output(capsys, tmp_path):
     assert doc == recorded["verify"]
 
 
-@pytest.mark.parametrize("source", ["e0", "b3", "q_3x5"])
-def test_verify_ignores_the_window(capsys, tmp_path, source):
-    # each a is fitted over the oracle's own windows, whatever --window says
-    if source == "q_3x5":
-        data = Path(__file__).parent / "data" / "verify_q_3x5.json"
-        args = [write_input(tmp_path, json.loads(data.read_text())["input"])]
-    else:
-        args = ["--example", source]
-    docs = []
-    for extra in ([], ["--window=0:1"], ["--window=1:6"], ["--window=-5:-1"]):
-        rc, out, _ = run_cli(capsys, "verify", *args, "--json", *extra)
-        assert rc == 0, extra
-        doc = json.loads(out)
-        doc.pop("timings")
-        docs.append(doc)
-    assert docs[1:] == [docs[0]] * 3
-
-
 def test_conjecture_json(capsys):
-    rc, out, _ = run_cli(capsys, "conjecture", "--example", "e0", "--json",
-                         "--window", "1:6")
+    rc, out, _ = run_cli(capsys, "conjecture", "--example", "e0", "--json")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["t_max"] == 6
+    assert doc["t_max"] == 5  # n + 2
     assert {e["a"] for e in doc["entries"]} == {2, 3}
 
 
@@ -379,32 +378,12 @@ def test_help_exits_zero(capsys, argv):
     assert all(name in out for name in cli.COMMANDS)
 
 
-@pytest.mark.parametrize("command", ["verify", "conjecture"])
-@pytest.mark.parametrize("window", ["5", "1:x", ":3", "1:2:3"])
-def test_malformed_window_is_input_error(capsys, command, window):
-    rc, out, err = run_cli(capsys, command, "--example", "e0",
-                           "--window", window)
-    assert rc == EXIT_INPUT and out == ""
-    assert f"expected lo:hi with integer bounds, got {window!r}" in err
-
-
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_window_with_lo_above_hi_is_a_usage_error(capsys, command):
+def test_window_option_is_a_usage_error(capsys, command):
     rc, out, err = run_cli(capsys, command, "--example", "e0",
-                           "--window", "9:2")
+                           "--window=0:4")
     assert rc == EXIT_INPUT and out == "" and err.startswith("usage:")
-    assert "expected lo:hi with lo <= hi, got '9:2'" in err
-
-
-def test_negative_window_lo_needs_the_equals_form(capsys):
-    """argparse reads a negative LO after a space as an option, so only
-    --window=-3:5 parses."""
-    args = cli.parse_args(["verify", "--example", "e0", "--window=-3:5"])
-    assert args.window == (-3, 5)
-    rc, out, err = run_cli(capsys, "verify", "--example", "e0",
-                           "--window", "-3:5")
-    assert rc == EXIT_INPUT and out == "" and err.startswith("usage:")
-    assert "argument --window: expected one argument" in err
+    assert "unrecognized arguments: --window=0:4" in err
 
 
 def test_options_may_come_before_the_command(capsys):
@@ -416,9 +395,9 @@ def test_options_may_come_before_the_command(capsys):
 def test_conjecture_table_on_a_code_with_no_entries(capsys, tmp_path):
     # n = 1: no a in [2, n], so the matrix is its header alone
     path = write_input(tmp_path, "field gf 2\nsize 1 1\n1\n")
-    rc, out, _ = run_cli(capsys, "conjecture", path, "--window", "1:2")
+    rc, out, _ = run_cli(capsys, "conjecture", path)
     assert rc == 0
-    assert out.splitlines()[1:] == ["      t=1  t=2"]
+    assert out.splitlines()[1:] == ["      t=1  t=2  t=3"]
 
 
 @pytest.mark.parametrize("size", ["0 3", "0 0", "-1 3"])
@@ -994,7 +973,7 @@ def fresh_parse(capsys, argv):
 def test_main_reuses_one_parser_as_a_fresh_one_would_parse(capsys):
     assert cli.build_parser() is cli.build_parser()
     for argv in (["profile", "--bogus"], ["-h"],
-                 ["conjecture", "--example", "e0", "--window", "0:4",
+                 ["conjecture", "--example", "e0", "--max-n", "9",
                   "--json"],
                  ["conjecture", "--example", "e0", "--json"]):
         expected, out, err = fresh_parse(capsys, argv)
@@ -1004,14 +983,15 @@ def test_main_reuses_one_parser_as_a_fresh_one_would_parse(capsys):
             assert cli.parse_args(argv) == expected
             rc, main_out, _ = run_cli(capsys, *argv)
             assert rc == 0
-    # the earlier --window 0:4 does not leak: t runs up to n + 2
+    # the earlier --max-n 9 does not leak into the last namespace
+    assert cli.parse_args(argv).max_n == cli.EXHAUSTIVE_CAP
     assert json.loads(main_out)["t_max"] == 5
 
 
 def test_threads_share_the_one_parser():
     # parse_intermixed_args edits the parser's actions while it runs
     argvs = [["--json", "--example", "e0", "tutte"],
-             ["profile", "code.txt", "--window", "1:4", "--max-n", "9"]]
+             ["profile", "code.txt", "--no-cache", "--max-n", "9"]]
     expected = [fresh_parser().parse_intermixed_args(argv)
                 for argv in argvs]
     failures = []
