@@ -57,7 +57,7 @@ from starconfig.codes import (LinearCode, dual_generator_matrix,
                               ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
-from starconfig.fields import GF, QQ, ExactMatrix
+from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.hilbert import (GradedIdealEngine, afold_generators,
                                 colon_dim_from_engine, colon_dim_reference,
                                 default_windows, fit_hilbert_polynomial,
@@ -268,6 +268,15 @@ def main(argv=None) -> int:
     parser.add_argument("--no-hilbert", action="store_true",
                         help="skip the Hilbert-oracle comparison")
     args = parser.parse_args(argv)
+    if args.max_k < 1:
+        parser.error(f"--max-k must be at least 1, got {args.max_k}")
+    if args.max_n < args.max_k:
+        parser.error(f"--max-n {args.max_n} is below --max-k {args.max_k}")
+    for p in args.primes:
+        try:
+            GF(p)
+        except ExactArithError as exc:
+            parser.error(f"--primes: {exc}")
     config = ExperimentConfig(num_codes=args.num_codes, max_k=args.max_k,
                               max_n=args.max_n, primes=tuple(args.primes),
                               seed=args.seed, hilbert=not args.no_hilbert)

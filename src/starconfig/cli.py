@@ -317,7 +317,10 @@ def cache_from_args(args) -> TutteCache | None:
 def load_code(args) -> LinearCode:
     """The code the arguments name; the one check of --max-n, made before
     any engine runs.  A file that cannot be opened raises OSError, and one
-    that is not UTF-8, or does not parse, InputError."""
+    that is not UTF-8, or does not parse, InputError, as do both a file
+    and --example."""
+    if args.example and args.input:
+        raise InputError("provide an input file or --example, not both")
     if args.example:
         code = EXAMPLES[args.example]()
     elif args.input:

@@ -10,8 +10,9 @@ of the matroid module, goes through one kernel, rref_join: it joins one
 vector to a row space in reduced row echelon form.  rref, column_rank and
 kernel_basis fold rows through it.  The matroid module's span-join pass
 joins each column to many subspaces at once in numpy, mod p
-(matroid._span_join), and the Hilbert oracle keeps its own integer and
-mod-p kernels; both take rational rows through primitive.
+(matroid._span_join), and the Hilbert oracle keeps its own numpy mod-p
+kernel and a fraction-free kernel over Q; both take rational rows through
+primitive, and both numpy kernels choose their dtype by exact_dtype.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Integral
+
+import numpy as np
 
 # Ground sets are encoded as bitmasks of up to MAX_GROUND_SET elements
 MAX_GROUND_SET = 63
@@ -304,6 +307,13 @@ def left_kernel_basis(m: ExactMatrix, cols) -> list:
     """
     # v . G_cols = 0  <=>  (G_cols)^T v = 0: the chosen columns are the rows
     return kernel_basis(map(m.column, cols), m.rows, m.spec)
+
+
+def exact_dtype(p: int, terms: int):
+    """The numpy dtype in which a sum of terms products of residues mod p
+    is exact: int64 when terms (p - 1)^2 < 2^63, so that no such sum
+    overflows, else object (Python ints)."""
+    return np.int64 if terms * (p - 1) ** 2 < 1 << 63 else object
 
 
 def primitive(row) -> list:

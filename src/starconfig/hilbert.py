@@ -6,15 +6,16 @@ finite differences and interpolation, and recovers degree / height / mu
 with zero reliance on the Tutte route.
 
 Monomials of a fixed total degree are indexed in graded lexicographic
-order.  Over GF(p) with p < 2^31 ranks run on int64 numpy arrays with all
-arithmetic done mod p, which is still exact, and each degree's basis is
-kept in reduced row echelon form (RREF) with its pivot columns.  Over the
-rationals, and over GF(p) for larger p, they run in one pure-Python kernel
-on plain ints: fraction-free elimination of primitive integer rows over Q,
-mod-p elimination otherwise, with each degree's echelon rows kept by
-pivot.  Fractions appear in the rational generators and colon rows, whose
-denominators are cleared as a row enters the kernel, and in the fitted
-Hilbert polynomial, never in elimination.
+order.  Each degree's basis is kept as a numpy array of rows sorted by
+pivot, with an array of its pivot columns.  Over GF(p) the rows are the
+reduced row echelon form (RREF) mod p, eliminated in numpy in the dtype
+that fields.exact_dtype gives: int64 while no sum of products can
+overflow, Python ints (dtype object) past that, so every prime is exact.
+Over the rationals the rows are primitive integer echelon rows (dtype
+object), eliminated by a fraction-free pure-Python kernel.  Fractions
+appear in the rational generators and colon rows, whose denominators are
+cleared as a row enters the kernel, and in the fitted Hilbert
+polynomial, never in elimination.
 
 The engine eliminates only what a cached basis does not already settle.
 The x_0 multiples of a degree's basis are the next degree's starting
@@ -48,15 +49,8 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from .codes import LinearCode, weight_hierarchy
-from .fields import CapExceeded, ExactArithError, FieldSpec, primitive
-
-# Below this prime ranks use int64 numpy arrays; larger primes use the
-# pure-Python kernel.  _echelon_mod_p reduces mod p after every product,
-# so its values stay below p^2 < 2^62.  A matrix product of residues, as in
-# a colon cell's reduction against an RREF basis, sums its inner products
-# in chunks of at most (2^63 - 1) // (p - 1)^2 - 1 terms and reduces after
-# each (_sub_mul_mod_p): one term per chunk for p near 2^31.
-_NUMPY_P_CAP = 1 << 31
+from .fields import (CapExceeded, ExactArithError, FieldSpec, exact_dtype,
+                     primitive)
 
 # Without the gcd passes of _echelon_int, a row's entries grow by every
 # multiplier applied to it: on a [8,4] code over Q the fit for a = 6 took
@@ -65,8 +59,9 @@ _NUMPY_P_CAP = 1 << 31
 _GROWTH_BITS = 64
 
 # The most a-fold products one ideal may have, checked before any is
-# expanded: verify and conjecture take every a <= n, so n <= 16.  Their
-# elimination still grows with k, and over Q (README, "--max-n")
+# expanded: verify and conjecture take every a <= n, so n <= 16.  It bounds
+# the generators, not their elimination, whose cost still grows with k and
+# over Q with the size of the entries (README, "--max-n").
 PRODUCT_CAP = 1 << 14
 
 
@@ -201,17 +196,18 @@ def _afold_from_columns(spec, k, columns, a) -> list:
 
 # -- exact rank engines ------------------------------------------------------
 
-def _echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
+def _echelon_mod_p(mat, p: int) -> np.ndarray:
     """Reduced row echelon form over GF(p); returns the nonzero rows, each
-    with its pivot 1 and zeros above and below it, pivots increasing.
+    with its pivot 1 and zeros above and below it, pivots increasing, in
+    dtype exact_dtype(p, 1).
 
     One any() over the rows not yet used lists the columns that can still
     hold a pivot, so columns without one cost nothing; they are taken in
     order, and the list is made again only when a listed column has lost
     its last nonzero entry.  Each pivot clears its column in the rows where
-    it is nonzero.  Entries stay below p, so products stay below p^2.
+    it is nonzero.  Entries stay below p, so each step sums one product.
     """
-    a = np.array(mat, dtype=np.int64) % p
+    a = np.array(mat, dtype=exact_dtype(p, 1)) % p
     n_rows = len(a)
     r = c = 0
     while r < n_rows:
@@ -238,23 +234,14 @@ def _echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 def _sub_mul_mod_p(acc: np.ndarray, x: np.ndarray, y: np.ndarray,
                    p: int) -> np.ndarray:
-    """(acc - x @ y) mod p for int64 arrays with entries in [0, p).
-
-    The inner terms are summed in chunks of at most
-    (2^63 - 1) // (p - 1)^2 - 1 terms, reduced mod p after each chunk, so
-    no int64 value overflows.  When one chunk holds them all, the product
-    is taken at once; otherwise, as for p near 2^31, where a chunk is one
-    term, the terms whose column of x or row of y is zero are dropped first.
-    """
-    step = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)
-    if x.shape[1] <= step:  # one chunk: always so for small p
-        return (acc - x @ y) % p
-    used = x.any(axis=0) & y.any(axis=1)  # the inner terms not all zero
-    if not used.all():
-        x, y = x[:, used], y[used]
-    for s in range(0, x.shape[1], step):
-        acc = (acc - x[:, s:s + step] @ y[s:s + step]) % p
-    return acc
+    """(acc - x @ y) mod p, in acc's dtype, for arrays with entries in
+    [0, p).  Each entry sums x.shape[1] products and one entry of acc, so
+    it is taken in exact_dtype(p, x.shape[1] + 1): over Python ints when
+    int64 could overflow, as for p near 2^31."""
+    work = exact_dtype(p, x.shape[1] + 1)
+    out = (acc.astype(work, copy=False)
+           - x.astype(work, copy=False) @ y.astype(work, copy=False)) % p
+    return out.astype(acc.dtype, copy=False)
 
 
 def _leading(v, start):
@@ -262,58 +249,51 @@ def _leading(v, start):
     return next(compress(range(start, len(v)), islice(v, start, None)), None)
 
 
-def _echelon_int(rows, p=None, basis=None) -> list:
-    """Row echelon form over Q (p None) or GF(p), on plain int rows; returns
-    the nonzero echelon rows sorted by pivot column.
+def _echelon_int(rows, basis=None) -> list:
+    """Row echelon form over Q, fraction-free on plain ints; returns the
+    nonzero echelon rows sorted by pivot column, each a primitive integer
+    list with a positive pivot.
 
     basis, if given, is a dict pivot column -> row of rows in the form this
     function returns, with distinct pivots; the rows are reduced against it
     and join it, so the dict is extended in place and its rows are reused,
     never copied or changed.  The result then spans the basis rows too.
 
-    A row v is reduced at its leading entry piv, against the basis row b
-    with that pivot, until its leading entry is no pivot; v is zero before
-    piv, so a step touches v[piv:] only.  Over Q the step is fraction-free,
-    after Bareiss (1968): v enters as a primitive integer vector, and
-    v <- (b[piv]/g) v - (v[piv]/g) b with g = gcd(v[piv], b[piv]).  The gcd
-    of v's entries is divided out whenever the multipliers b[piv]/g since
-    the last division exceed _GROWTH_BITS, and when v becomes a basis row,
-    with its pivot made positive.  Over GF(p) basis rows are scaled to
-    pivot 1 and the step is v <- v - v[piv] b mod p.  Only row operations
+    A row v (ints or Fractions) enters as a primitive integer vector and is
+    reduced at its leading entry piv, against the basis row b with that
+    pivot, until its leading entry is no pivot; v is zero before piv, so a
+    step touches v[piv:] only.  The step is fraction-free, after Bareiss
+    (1968): v <- (b[piv]/g) v - (v[piv]/g) b with g = gcd(v[piv], b[piv]).
+    The gcd of v's entries is divided out whenever the multipliers
+    b[piv]/g since the last division exceed _GROWTH_BITS, and when v
+    becomes a basis row, with its pivot made positive.  Only row operations
     are used and the pivots are distinct, so the rows returned span the
     input rows and their number is the rank.
     """
     if basis is None:
         basis = {}
     for row in rows:
-        v = primitive(row) if p is None else [int(x) % p for x in row]
+        v = primitive(row)
         piv = _leading(v, 0)
         grown = 0
         while piv in basis:
             b, c = basis[piv], v[piv]
-            if p is None:
-                g = gcd(c, b[piv])
-                d, c = b[piv] // g, c // g
-                w = [d * x - c * y for x, y in zip(v[piv:], b[piv:])]
-                grown += d.bit_length()
-                if grown > _GROWTH_BITS:
-                    grown = 0
-                    g = gcd(*w)
-                    if g > 1:
-                        w = [x // g for x in w]
-            else:
-                w = [(x - c * y) % p for x, y in zip(v[piv:], b[piv:])]
+            g = gcd(c, b[piv])
+            d, c = b[piv] // g, c // g
+            w = [d * x - c * y for x, y in zip(v[piv:], b[piv:])]
+            grown += d.bit_length()
+            if grown > _GROWTH_BITS:
+                grown = 0
+                g = gcd(*w)
+                if g > 1:
+                    w = [x // g for x in w]
             v[piv:] = w
             piv = _leading(v, piv + 1)
         if piv is None:
             continue
-        if p is None:
-            g = gcd(*v) if v[piv] > 0 else -gcd(*v)
-            if g != 1:
-                v = [x // g for x in v]
-        else:
-            inv = pow(v[piv], -1, p)
-            v = [x * inv % p for x in v]
+        g = gcd(*v) if v[piv] > 0 else -gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
         basis[piv] = v
     return [basis[piv] for piv in sorted(basis)]
 
@@ -412,15 +392,17 @@ class GradedIdealEngine:
                 self.by_degree.setdefault(g.degree, []).append(g)
         self.min_degree = min(self.by_degree, default=None)
         self.max_degree = max(self.by_degree, default=None)
-        self._gf = spec.kind == "gf" and spec.modulus < _NUMPY_P_CAP
-        self._basis = {}   # t -> basis rows
-        self._pivots = {}  # t -> pivot columns (numpy), or pivot -> row
+        self._dtype = (object if spec.kind == "q"
+                       else exact_dtype(spec.modulus, 1))
+        self._basis = {}   # t -> basis rows, an array sorted by pivot
+        self._pivots = {}  # t -> their pivot columns, an int array
         self._hilbert = PersistentHF(self.max_degree or 1)
 
     def basis(self, t: int):
-        """Basis rows of the degree-t piece of the ideal, sorted by pivot:
-        an int64 RREF array over GF(p) below _NUMPY_P_CAP, else echelon
-        int lists (primitive over Q, pivot 1 over GF(p))."""
+        """Basis rows of the degree-t piece of the ideal, as an array
+        sorted by pivot: the RREF mod p over GF(p), in dtype
+        exact_dtype(p, 1); over Q echelon rows of primitive integers with
+        positive pivots, in dtype object."""
         if t in self._basis:
             return self._basis[t]
         width = ring_dim(self.k, t)
@@ -429,15 +411,15 @@ class GradedIdealEngine:
         prev = self.basis(t - 1)
         if t > self.min_degree and len(prev) == ring_dim(self.k, t - 1):
             return self._store_unit_rows(t, width, width)
+        rows = np.zeros((len(prev), width), dtype=self._dtype)
+        rows[:, :prev.shape[1]] = prev
+        pivots = self._pivots[t - 1]
         blocks = [self._shift(prev, t, var) for var in range(1, self.k)]
-        gens = [list(g.coeffs) for g in self.by_degree.get(t, [])]
-        if self._gf:
+        gens = [g.coeffs for g in self.by_degree.get(t, [])]
+        blocks.append(np.array(gens, dtype=self._dtype).reshape(-1, width))
+        if self.spec.kind == "gf":
             p = self.spec.modulus
-            rows = np.zeros((len(prev), width), dtype=np.int64)
-            rows[:, :prev.shape[1]] = prev
-            pivots = self._pivots[t - 1]
-            blocks.append(np.array(gens, dtype=np.int64)
-                          .reshape(len(gens), width) % p)
+            blocks[-1] %= p
             # Block by block, each block is reduced against every pivot
             # found so far by one product.  Stacked, the later blocks would
             # be cleared of the earlier blocks' pivots one outer product at
@@ -445,55 +427,34 @@ class GradedIdealEngine:
             for block in blocks:
                 if len(block):
                     rows, pivots = _extend_rref(rows, pivots, block, p)
-            self._basis[t], self._pivots[t] = rows, pivots
         else:
-            pad = [0] * (width - ring_dim(self.k, t - 1))
-            start = {piv: row + pad
-                     for piv, row in self._pivots[t - 1].items()}
-            rows = [row for block in blocks for row in block] + gens
-            self._basis[t] = _echelon_int(rows, self.spec.modulus, start)
-            self._pivots[t] = start
-        return self._basis[t]
+            start = dict(zip(pivots.tolist(), rows.tolist()))
+            rows = _echelon_int(np.concatenate(blocks).tolist(), start)
+            rows = np.array(rows, dtype=object).reshape(-1, width)
+            pivots = np.fromiter(sorted(start), dtype=np.int64)
+        self._basis[t], self._pivots[t] = rows, pivots
+        return rows
 
     def _shift(self, prev, t, var):
         """x_var times each degree-(t-1) basis row, as degree-t rows."""
-        mp = list(_mult_map(self.k, t - 1, var))
-        width = ring_dim(self.k, t)
-        if self._gf:
-            out = np.zeros((len(prev), width), dtype=np.int64)
-            out[:, mp] = prev
-            return out
-        out = []
-        for row in prev:
-            v = [0] * width
-            for src, dst in enumerate(mp):
-                v[dst] = row[src]
-            out.append(v)
+        out = np.zeros((len(prev), ring_dim(self.k, t)), dtype=self._dtype)
+        out[:, list(_mult_map(self.k, t - 1, var))] = prev
         return out
 
     def _store_unit_rows(self, t, width, rank):
         """Cache the unit rows e_0 .. e_{rank-1} as the degree-t basis: the
         empty basis for rank 0, the full degree for rank width."""
-        if self._gf:
-            self._basis[t] = np.eye(rank, width, dtype=np.int64)
-            self._pivots[t] = np.arange(rank)
-        else:
-            rows = [[int(i == j) for j in range(width)] for i in range(rank)]
-            self._basis[t] = rows
-            self._pivots[t] = dict(enumerate(rows))
+        self._basis[t] = np.eye(rank, width, dtype=self._dtype)
+        self._pivots[t] = np.arange(rank)
         return self._basis[t]
 
     def free_monomials(self, t: int) -> list:
         """Indices of the degree-t monomials that are no pivot of the
         degree-t basis; their unit vectors span R_t modulo I_t."""
-        width = ring_dim(self.k, t)
         self.basis(t)
-        pivots = self._pivots[t]
-        if self._gf:
-            free = np.ones(width, dtype=bool)
-            free[pivots] = False
-            return free.nonzero()[0].tolist()
-        return [m for m in range(width) if m not in pivots]
+        free = np.ones(ring_dim(self.k, t), dtype=bool)
+        free[self._pivots[t]] = False
+        return free.nonzero()[0].tolist()
 
     def ideal_dim(self, t: int) -> int:
         return ring_dim(self.k, t) - self.quotient_dim(t)
@@ -508,19 +469,19 @@ class GradedIdealEngine:
         """Rank of the degree-t ideal piece together with extra vectors.
 
         Only the extra rows are reduced, against the cached basis: over
-        GF(p) below the cap to the quotient_dim(t) columns without a pivot,
-        whose rank is added to the basis's.
+        GF(p) down to the quotient_dim(t) columns without a pivot, whose
+        rank is added to the basis's.
         """
         base = self.basis(t)
         width = ring_dim(self.k, t)
         if len(base) == width:
             return width
-        if not self._gf:
-            return len(_echelon_int(extra, self.spec.modulus,
-                                    dict(self._pivots[t])))
+        if self.spec.kind == "q":
+            start = dict(zip(self._pivots[t].tolist(), base.tolist()))
+            return len(_echelon_int(extra, start))
         p = self.spec.modulus
-        extra = np.array(extra, dtype=np.int64).reshape(len(extra), width)
-        _, rest = _reduce_mod_p(base, self._pivots[t], extra % p, p)
+        extra = np.array(extra, dtype=self._dtype).reshape(-1, width) % p
+        _, rest = _reduce_mod_p(base, self._pivots[t], extra, p)
         return len(base) + len(_echelon_mod_p(rest, p))
 
 
@@ -545,7 +506,7 @@ def _extend_rref(start, piv, extra, p):
         return start, piv
     # each row's pivot is its first nonzero entry
     new_piv = np.flatnonzero(free)[(new != 0).argmax(axis=1)]
-    added = np.zeros((len(new), start.shape[1]), dtype=np.int64)
+    added = np.zeros((len(new), start.shape[1]), dtype=start.dtype)
     added[:, free] = new
     # clear the new pivot columns in the old rows; added is zero at piv
     start = _sub_mul_mod_p(start, start[:, new_piv], added, p)
@@ -590,10 +551,9 @@ def _echelon_from_scratch(spec, rows) -> list:
     """Echelon rows of the rows by one elimination, with no cached basis."""
     if not rows:
         return []
-    if spec.kind == "gf" and spec.modulus < _NUMPY_P_CAP:
-        return _echelon_mod_p(np.array(rows, dtype=np.int64),
-                              spec.modulus).tolist()
-    return _echelon_int(rows, spec.modulus)
+    if spec.kind == "gf":
+        return _echelon_mod_p(rows, spec.modulus).tolist()
+    return _echelon_int(rows)
 
 
 # -- Hilbert polynomial fitting ----------------------------------------------

@@ -1,8 +1,9 @@
 """Column matroid of an exact matrix: rank, closure, flats and minors.
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
-Point queries (rank, closure, coloops) run one elimination each, through
-fields.rref_join.  Exhaustive questions go through rank_size_counts, the
+Point queries run eliminations through fields.rref_join: rank and
+is_coloop one each, closure one for the subset and one for each element
+outside it.  Exhaustive questions go through rank_size_counts, the
 number of subsets of each rank and size, and flats_of_rank.  Both come
 from one span-join pass over GF(p), run on first use, which keys every
 subspace spanned by some of the columns (one per flat) and carries its
@@ -27,7 +28,8 @@ from math import prod
 import numpy as np
 
 from .fields import (MAX_GROUND_SET, CapExceeded, ExactArithError,
-                     ExactMatrix, GF, is_prime, primitive, rref_join)
+                     ExactMatrix, GF, exact_dtype, is_prime, primitive,
+                     rref_join)
 
 
 # work-array entries of one batch of joins (k x k per subspace) or count
@@ -317,11 +319,11 @@ def _span_join(columns, spec, k: int):
     v - vB is v reduced against the subspace.  A nonzero residual is
     scaled to a leading 1 at its first nonzero column q, q is cleared from
     the other rows with one outer product, and the new rows are packed and
-    keyed.  Work arrays are int64 when k (p-1)^2 < 2^63, so that no sum of
-    products overflows, and Python ints (dtype object) otherwise.
+    keyed.  Work arrays hold sums of k products mod p, so their dtype is
+    exact_dtype(p, k): int64, or Python ints (dtype object) for large p.
     """
     p = spec.modulus
-    work = np.int64 if k * (p - 1) ** 2 < 1 << 63 else object
+    work = exact_dtype(p, k)
     store = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                  if p - 1 <= np.iinfo(t).max)
     row_bytes = k * np.dtype(store).itemsize

@@ -254,6 +254,18 @@ def test_identity_command(capsys):
     assert doc["checked"] > 0
 
 
+def test_input_file_with_example_is_input_error(capsys, tmp_path):
+    # the example used to win and the file was ignored
+    path = tmp_path / "code.txt"
+    path.write_text("field gf 2\nsize 1 1\n1\n")
+    for argv in (("tutte", str(path), "--example", "e0"),
+                 ("verify", "--example", "b3", "/nonexistent/file.txt")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == EXIT_INPUT and out == ""
+        assert err == ("error: provide an input file or --example, "
+                       "not both\n")
+
+
 def test_missing_input_is_input_error(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "tutte")
     assert rc == EXIT_INPUT

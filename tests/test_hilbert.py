@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from starconfig import hilbert, matroid, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
-                               ExactMatrix)
-from starconfig.hilbert import (_NUMPY_P_CAP, DensePoly, GradedIdealEngine,
+                               ExactMatrix, exact_dtype)
+from starconfig.hilbert import (DensePoly, GradedIdealEngine,
                                 PersistentHF, WindowError, _echelon_int,
                                 _echelon_mod_p, _interpolate,
                                 _linear_multiplication_rows, _mult_map,
@@ -34,8 +34,9 @@ from starconfig.tutte import tutte_subset_sum, whitney_shift
 
 from conftest import FIELDS, random_code, random_code_any
 
-P_BELOW = (1 << 31) - 1   # largest prime below the numpy cap
+P_BELOW = (1 << 31) - 1   # largest prime below 2^31
 P_ABOVE = (1 << 31) + 11  # smallest prime above it
+P_61 = (1 << 61) - 1      # every array over it holds Python ints
 ORACLE_FIELDS = [GF(2), GF(5), GF(7), GF(P_BELOW), QQ]
 
 
@@ -59,6 +60,17 @@ def echelon_oracle(rows, spec):
             out.append((piv, [spec.mul(inv, x) for x in v]))
     out.sort()
     return [r for _, r in out]
+
+
+def patch_oracle_kernels(patch, spec):
+    """Route both kernels of the Hilbert module through echelon_oracle."""
+    def oracle_rank_array(mat, p):
+        rows = np.asarray(mat).tolist()
+        return np.array(echelon_oracle(rows, spec),
+                        dtype=exact_dtype(p, 1)).reshape(-1, len(rows[0]))
+    patch.setattr(hilbert, "_echelon_int",
+                  lambda rows: echelon_oracle(rows, spec))
+    patch.setattr(hilbert, "_echelon_mod_p", oracle_rank_array)
 
 
 def product_oracle(spec, k, columns) -> dict:
@@ -88,10 +100,11 @@ def product_oracle(spec, k, columns) -> dict:
 
 
 def assert_rref(rows, p):
-    """rows (numpy) are nonzero RREF rows mod p: each pivot 1, its column
-    otherwise zero, pivots strictly increasing; returns the pivots."""
+    """rows (numpy) are nonzero RREF rows mod p, in the dtype of the mod-p
+    kernel: each pivot 1, its column otherwise zero, pivots strictly
+    increasing; returns the pivots."""
     rows = np.asarray(rows)
-    assert rows.dtype == np.int64
+    assert rows.dtype == exact_dtype(p, 1)
     assert ((0 <= rows) & (rows < p)).all()
     pivots = [int(np.flatnonzero(r)[0]) for r in rows]
     assert pivots == sorted(set(pivots))
@@ -124,24 +137,20 @@ def row_lists(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(row_lists(), st.sampled_from([None, 2, 7, P_ABOVE]))
-def test_int_kernel_matches_fraction_oracle(rows, p):
-    spec = QQ if p is None else GF(p)
-    if p is not None:
-        rows = [[Fraction(x).numerator for x in row] for row in rows]
-    got = _echelon_int(rows, p)
-    want = echelon_oracle(rows, spec)
+@given(row_lists())
+def test_int_kernel_matches_fraction_oracle(rows):
+    # the integer kernel is the Q kernel; GF(p) rows go through the mod-p
+    # kernel (test_mod_p_kernel_returns_rref)
+    got = _echelon_int(rows)
+    want = echelon_oracle(rows, QQ)
     assert len(got) == len(want)
     # same row space: the oracle's rows add nothing to the kernel's
-    assert len(echelon_oracle(got + want, spec)) == len(want)
+    assert len(echelon_oracle(got + want, QQ)) == len(want)
     pivots = [next(i for i, x in enumerate(r) if x) for r in got]
     assert pivots == sorted(set(pivots))
     for row, piv in zip(got, pivots):
         assert all(type(x) is int for x in row)
-        if p is None:
-            assert row[piv] > 0 and gcd(*row) == 1
-        else:
-            assert row[piv] == 1 and all(0 <= x < p for x in row)
+        assert row[piv] > 0 and gcd(*row) == 1
 
 
 def test_monomials_graded_lex():
@@ -244,42 +253,49 @@ def test_engine_matches_reference_random(rng):
 
 @pytest.mark.parametrize("spec", [QQ, GF(P_ABOVE)], ids=["Q", "GF(2^31+11)"])
 def test_engine_matches_fieldspec_oracle(rng, monkeypatch, spec):
-    # the pure-Python kernel serves Q and primes at or above the numpy cap;
-    # the reference is graded_dim_ideal's rows through the FieldSpec oracle
+    # Q goes through the integer kernel, and GF(2^31 + 11) through the
+    # mod-p kernel with its products summed over Python ints; the reference
+    # is graded_dim_ideal's rows through the FieldSpec oracle
     for _ in range(4):
         k = rng.randint(2, 3)
         code = random_code(rng, k, rng.randint(k, 5), spec)
         a = rng.randint(1, code.n)
         gens = afold_generators(code, a)
         with monkeypatch.context() as patch:
-            patch.setattr(hilbert, "_echelon_int",
-                          lambda rows, p=None: echelon_oracle(rows, spec))
+            patch_oracle_kernels(patch, spec)
             want = [graded_dim_ideal(gens, t) for t in range(a + 3)]
         engine = GradedIdealEngine(code.spec, code.k, gens)
-        assert not engine._gf
         assert [engine.ideal_dim(t) for t in range(a + 3)] == want
 
 
 def test_numpy_engine_at_prime_below_2_31(rng):
-    # residues below 2^31 keep every int64 product below 2^62
-    assert P_BELOW < _NUMPY_P_CAP <= P_ABOVE
+    # residues below 2^31 keep one int64 product below 2^62, so the bases
+    # are int64; the integer kernel runs on the same entries over Q, where
+    # every rank is at least the rank mod p
     spec = GF(P_BELOW)
+    assert exact_dtype(P_BELOW, 1) is np.int64
     for _ in range(4):
         code = random_code(rng, 3, rng.randint(3, 5), spec)
+        lifted = LinearCode(ExactMatrix.from_rows(QQ, code.matrix.entries))
         a = rng.randint(1, code.n)
         gens = afold_generators(code, a)
         fast = GradedIdealEngine(spec, code.k, gens)
-        slow = GradedIdealEngine(spec, code.k, gens)
-        slow._gf = False
-        assert fast._gf
+        slow = ideal_engine(lifted, a)
         for t in range(a + 3):
-            assert fast.ideal_dim(t) == slow.ideal_dim(t)
-            both = [list(map(int, r)) for r in fast.basis(t)] + slow.basis(t)
-            assert len(_echelon_int(both, P_BELOW)) == slow.ideal_dim(t)
+            rows = hilbert._generator_multiples(spec, code.k, gens, t)
+            want = echelon_oracle(rows, spec)
+            basis = fast.basis(t)
+            assert_rref(basis, P_BELOW)
+            assert fast.ideal_dim(t) == len(want)
+            assert len(echelon_oracle(basis.tolist() + want, spec)) \
+                == len(want)
+            assert fast.ideal_dim(t) <= slow.ideal_dim(t) == len(
+                echelon_oracle(hilbert._generator_multiples(
+                    QQ, code.k, slow.by_degree[a], t), QQ))
     full = [[rng.randrange(P_BELOW) for _ in range(6)] for _ in range(4)]
     rows = full + [[(x + y) % P_BELOW for x, y in zip(*full[:2])]]
     assert len(_echelon_mod_p(np.array(rows, dtype=np.int64), P_BELOW)) \
-        == len(_echelon_int(rows, P_BELOW)) == 4
+        == len(echelon_oracle(rows, spec)) == 4
 
 
 @st.composite
@@ -298,21 +314,22 @@ def int64_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(int64_matrices(), st.sampled_from([2, 5, 7, P_BELOW]))
+@given(int64_matrices(), st.sampled_from([2, 5, 7, P_BELOW, P_ABOVE, P_61]))
 def test_mod_p_kernel_returns_rref(mat, p):
     rows = mat.tolist()
     got = _echelon_mod_p(mat, p)
     assert_rref(got, p)
-    want = _echelon_int(rows, p)
+    want = echelon_oracle(rows, GF(p))
     assert len(got) == len(want)
     # same row space: the input rows add nothing to the kernel's
-    assert len(_echelon_int(got.tolist() + rows, p)) == len(want)
+    assert len(echelon_oracle(got.tolist() + rows, GF(p))) == len(want)
 
 
-@pytest.mark.parametrize("p", [2, 7, P_BELOW])
+@pytest.mark.parametrize("p", [2, 7, P_BELOW, P_61])
 def test_sub_mul_mod_p_is_exact(rng, p):
-    # at p = 2^31 - 1 each chunk holds one product of two residues; near
-    # p - 1 two such products overflow int64
+    # at p = 2^31 - 1 the arrays are int64, but near p - 1 two products of
+    # residues overflow it, so the product is taken over Python ints; at
+    # p = 2^61 - 1 the arrays hold Python ints themselves
     def residue():
         return p - 1 - rng.randrange(min(p, 1000))
     x = [[residue() for _ in range(9)] for _ in range(4)]
@@ -320,9 +337,23 @@ def test_sub_mul_mod_p_is_exact(rng, p):
     acc = [[residue() for _ in range(5)] for _ in range(4)]
     want = [[(acc[i][j] - sum(x[i][s] * y[s][j] for s in range(9))) % p
              for j in range(5)] for i in range(4)]
-    got = _sub_mul_mod_p(*(np.array(m, dtype=np.int64) for m in (acc, x, y)),
+    dtype = exact_dtype(p, 1)
+    got = _sub_mul_mod_p(*(np.array(m, dtype=dtype) for m in (acc, x, y)),
                          p)
+    assert got.dtype == dtype
     assert got.tolist() == want
+
+
+def test_exact_dtype_boundary():
+    # int64 exactly when terms (p - 1)^2 <= 2^63 - 1
+    assert exact_dtype(2, 2**63 - 1) is np.int64
+    assert exact_dtype(2, 2**63) is object
+    assert 2 * (P_BELOW - 1) ** 2 < 2**63 < 3 * (P_BELOW - 1) ** 2
+    assert exact_dtype(P_BELOW, 2) is np.int64
+    assert exact_dtype(P_BELOW, 3) is object
+    assert exact_dtype(P_ABOVE, 1) is np.int64
+    assert exact_dtype(P_ABOVE, 2) is object
+    assert exact_dtype(P_61, 1) is object
 
 
 def test_x0_shift_keeps_monomial_order():
@@ -351,14 +382,6 @@ def test_engine_and_colon_match_from_scratch_oracle(code, data):
     # neither the cached bases nor the numpy and integer kernels are shared
     spec, k = code.spec, code.k
     p = spec.modulus
-
-    def oracle_rank_rows(rows, p=None):
-        return echelon_oracle(rows, spec)
-
-    def oracle_rank_array(mat, p):
-        return np.array(echelon_oracle(mat.tolist(), spec),
-                        dtype=np.int64).reshape(-1, mat.shape[1])
-
     ell = data.draw(st.integers(0, code.n - 1))
     col = code.matrix.column(ell)
     for a in range(1, code.n + 1):
@@ -367,13 +390,12 @@ def test_engine_and_colon_match_from_scratch_oracle(code, data):
         ts = range(a - 1, a + k + 4)
         dims = [engine.ideal_dim(t) for t in ts]
         colons = [colon_dim_from_engine(engine, col, t) for t in ts]
-        if engine._gf:
+        if spec.kind == "gf":
             for t in ts:
                 pivots = assert_rref(engine.basis(t), p)
                 assert engine._pivots[t].tolist() == pivots
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hilbert, "_echelon_int", oracle_rank_rows)
-            patch.setattr(hilbert, "_echelon_mod_p", oracle_rank_array)
+            patch_oracle_kernels(patch, spec)
             assert dims == [graded_dim_ideal(gens, t) for t in ts]
             assert colons == [colon_dim_reference(spec, k, gens, col, t)
                               for t in ts]
@@ -394,22 +416,24 @@ def _counted_kernels(monkeypatch):
 @pytest.mark.parametrize("numpy_kernel", [True, False],
                          ids=["mod-p", "int"])
 def test_full_degree_needs_no_elimination(b3, monkeypatch, numpy_kernel):
+    # b3 over GF(5) runs the mod-p kernel; the same matrix over Q, the
+    # integer kernel
+    code = b3 if numpy_kernel else LinearCode(
+        ExactMatrix.from_rows(QQ, b3.matrix.entries))
     calls = _counted_kernels(monkeypatch)
-    engine = ideal_engine(b3, 2)
-    engine._gf = numpy_kernel
-    lo, his = default_windows(2, b3.k)
+    engine = ideal_engine(code, 2)
+    lo, his = default_windows(2, code.k)
     full = next(t for t in range(lo, his[0] + 1)
                 if engine.quotient_dim(t) == 0)
     assert calls
+    assert set(calls) == {"_echelon_mod_p" if numpy_kernel
+                          else "_echelon_int"}
     calls.clear()
     for t in range(full + 1, full + 4):
         assert engine.quotient_dim(t) == 0
-        if numpy_kernel:
-            assert (engine.basis(t) == np.eye(ring_dim(3, t))).all()
-        else:
-            assert engine.basis(t) == np.eye(ring_dim(3, t), dtype=int).tolist()
-    col = b3.matrix.column(3)
-    extra = _linear_multiplication_rows(b3.spec, 3, col, full - 1)
+        assert (engine.basis(t) == np.eye(ring_dim(3, t), dtype=int)).all()
+    col = code.matrix.column(3)
+    extra = _linear_multiplication_rows(code.spec, 3, col, full - 1)
     assert engine.rank_with_extra_rows(full, extra) == ring_dim(3, full)
     assert colon_dim_from_engine(engine, col, full) == ring_dim(3, full)
     assert calls == []
@@ -440,25 +464,24 @@ def test_macaulay_bound_known_values():
 def test_mixed_degree_ideal_persists_from_its_largest_degree():
     # (x^2, y^5) in K[x, y]: H = 1, 2, 2, 2, 2, 1, 0, and H(3) = H(2)^<2>
     # already, so persistence from the smallest generator degree is wrong
-    spec = GF(5)
-    gens = [DensePoly.from_dict(spec, 2, 2, {(2, 0): 1}),
-            DensePoly.from_dict(spec, 2, 5, {(0, 5): 1})]
     want = [1, 2, 2, 2, 2, 1, 0, 0, 0, 0]
-    for numpy_kernel in (True, False):
+    for spec in (GF(5), QQ):  # the mod-p and the integer kernel
+        gens = [DensePoly.from_dict(spec, 2, 2, {(2, 0): 1}),
+                DensePoly.from_dict(spec, 2, 5, {(0, 5): 1})]
         engine = GradedIdealEngine(spec, 2, gens)
-        engine._gf = numpy_kernel
         assert engine.max_degree == 5
         assert [engine.quotient_dim(t) for t in range(10)] == want
         assert engine._hilbert.settled == 7
-    exact = GradedIdealEngine(spec, 2, gens)
-    assert PersistentHF(2)(5, exact._eliminated_quotient_dim) == 2
+        exact = GradedIdealEngine(spec, 2, gens)
+        assert PersistentHF(2)(5, exact._eliminated_quotient_dim) == 2
 
 
-SETTLED_FIELDS = [GF(2), GF(3), GF(5), GF(P_ABOVE), QQ]
+SETTLED_FIELDS = [GF(2), GF(3), GF(5), GF(P_ABOVE), GF(P_61), QQ]
 
 
 @pytest.mark.parametrize("spec", SETTLED_FIELDS,
-                         ids=["GF(2)", "GF(3)", "GF(5)", "GF(2^31+11)", "Q"])
+                         ids=["GF(2)", "GF(3)", "GF(5)", "GF(2^31+11)",
+                              "GF(2^61-1)", "Q"])
 def test_settled_dims_match_from_scratch(rng, spec):
     settled = 0
     for _ in range(3 if spec.kind == "q" else 4):
