@@ -318,13 +318,13 @@ def load_code(args) -> LinearCode:
     """The code the arguments name; the one check of --max-n, made before
     any engine runs.  A file that cannot be opened raises OSError, and one
     that is not UTF-8, or does not parse, InputError, as do both a file
-    and --example."""
+    and --example.  A leading UTF-8 byte-order mark is skipped."""
     if args.example and args.input:
         raise InputError("provide an input file or --example, not both")
     if args.example:
         code = EXAMPLES[args.example]()
     elif args.input:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Linear codes, generalized Hamming weights and the flats/subcodes dictionary.
+"""Linear codes, generalized Hamming weights and Wei duality.
 
 The weight hierarchy is computed by three routes which must always agree:
 exhaustive subset counts, shifted Tutte coefficients, and dual-matroid
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import (ExactArithError, ExactMatrix, FieldSpec, kernel_basis,
-                     left_kernel_basis)
-from .matroid import Flat, VectorMatroid, bits_of
+from .fields import ExactArithError, ExactMatrix, FieldSpec, kernel_basis
+from .matroid import VectorMatroid
 from .tutte import ShiftedCoeffs, tutte_deletion_contraction, whitney_shift
 
 
@@ -176,53 +175,3 @@ def wei_duality_check(code: LinearCode):
     rhs = set(range(1, n + 1)) - removed
     return primal == rhs, sorted(primal), sorted(rhs), dual_d
 
-
-# -- flats <-> subcodes ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Subcode:
-    """Subcode spanned by v_i G for a left-kernel basis {v_i} of G_I."""
-
-    basis: tuple  # codewords, length-n tuples
-    support: int  # bitmask
-    source_flat: Flat
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def support_size(self) -> int:
-        return bin(self.support).count("1")
-
-
-def subcode_from_flat(code: LinearCode, f: Flat) -> Subcode:
-    m = code.matroid
-    if m.closure(f.members).members != f.members:
-        raise ExactArithError("subset is not a flat")
-    if f.rank >= code.k:
-        raise ExactArithError("flat of full rank yields the zero subcode")
-    spec = code.spec
-    kernel = left_kernel_basis(code.matrix, bits_of(f.members))
-    words = []
-    support = 0
-    for v in kernel:
-        w = []
-        for j in range(code.n):
-            col = code.matrix.column(j)
-            acc = spec.zero
-            for vi, gij in zip(v, col):
-                acc = spec.add(acc, spec.mul(vi, gij))
-            w.append(acc)
-            if acc != spec.zero:
-                support |= 1 << j
-        words.append(tuple(w))
-    return Subcode(tuple(words), support, f)
-
-
-def minimal_support_subcode_count(code: LinearCode, coeffs: ShiftedCoeffs,
-                                  r: int) -> int:
-    """c_{r, p_r}: the number of r-dimensional subcodes of minimal support."""
-    if not 1 <= r <= code.k:
-        raise ExactArithError(f"r={r} out of range")
-    return coeffs.coeff(r, coeffs.p[r])

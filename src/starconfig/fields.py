@@ -7,8 +7,8 @@ ever.  All matrices are immutable after construction.
 
 Every Gauss-Jordan elimination over a FieldSpec here, and every point rank
 of the matroid module, goes through one kernel, rref_join: it joins one
-vector to a row space in reduced row echelon form.  rref, column_rank and
-kernel_basis fold rows through it.  The matroid module's span-join pass
+vector to a row space in reduced row echelon form.  rref and kernel_basis
+fold rows through it.  The matroid module's span-join pass
 joins each column to many subspaces at once in numpy, mod p
 (matroid._span_join), and the Hilbert oracle keeps its own numpy mod-p
 kernel and a fraction-free kernel over Q; both take rational rows through
@@ -139,9 +139,6 @@ class FieldSpec:
 
     def add(self, a, b):
         return (a + b) % self.modulus if self.kind == "gf" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus if self.kind == "gf" else a - b
 
     def mul(self, a, b):
         return (a * b) % self.modulus if self.kind == "gf" else a * b
@@ -279,11 +276,6 @@ def rref(m: ExactMatrix):
     return reduced, len(pivots), pivots
 
 
-def column_rank(m: ExactMatrix, cols) -> int:
-    """Rank of the submatrix on the selected columns; 0 for the empty set."""
-    return len(_rref_rows(m.submatrix_cols(cols).entries, m.spec)[1])
-
-
 def kernel_basis(rows, width: int, spec: FieldSpec) -> list:
     """Basis of {v in K^width : row . v = 0 for every row}, as tuples: one
     per column f, increasing, that is no pivot of the RREF of rows, with
@@ -297,16 +289,6 @@ def kernel_basis(rows, width: int, spec: FieldSpec) -> list:
             v[c] = spec.neg(basis_rows[r][f])
         basis.append(tuple(v))
     return basis
-
-
-def left_kernel_basis(m: ExactMatrix, cols) -> list:
-    """Basis of {v in K^k : v . G_cols = 0}, as length-k tuples.
-
-    Always has size k - column_rank(m, cols); for cols = [] this is the
-    standard basis of K^k.
-    """
-    # v . G_cols = 0  <=>  (G_cols)^T v = 0: the chosen columns are the rows
-    return kernel_basis(map(m.column, cols), m.rows, m.spec)
 
 
 def exact_dtype(p: int, terms: int):

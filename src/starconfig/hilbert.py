@@ -49,8 +49,8 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from .codes import LinearCode, weight_hierarchy
-from .fields import (CapExceeded, ExactArithError, FieldSpec, exact_dtype,
-                     primitive)
+from .fields import (CapExceeded, ExactArithError, FieldSpec,
+                     InternalInvariantError, exact_dtype, primitive)
 
 # Without the gcd passes of _echelon_int, a row's entries grow by every
 # multiplier applied to it: on a [8,4] code over Q the fit for a = 6 took
@@ -122,14 +122,6 @@ class DensePoly:
     def __post_init__(self):
         if len(self.coeffs) != ring_dim(self.k, self.degree):
             raise ExactArithError("coefficient vector has wrong length")
-
-    @classmethod
-    def from_dict(cls, spec, k, degree, table) -> "DensePoly":
-        idx = monomial_index(k, degree)
-        coeffs = [spec.zero] * ring_dim(k, degree)
-        for exps, c in table.items():
-            coeffs[idx[exps]] = spec.coerce(c)
-        return cls(spec, k, degree, tuple(coeffs))
 
     def is_zero(self) -> bool:
         zero = self.spec.zero
@@ -516,46 +508,6 @@ def _extend_rref(start, piv, extra, p):
     return rows[order], pivots[order]
 
 
-def graded_dim_ideal(gens, t: int) -> int:
-    """dim of the degree-t piece of the ideal spanned by the given
-    homogeneous generators (monomial multiples, exact rank).
-
-    Reference implementation; agrees with GradedIdealEngine by tests.
-    """
-    if not gens:
-        return 0
-    spec, k = gens[0].spec, gens[0].k
-    return len(_echelon_from_scratch(spec, _generator_multiples(spec, k, gens,
-                                                               t)))
-
-
-def _generator_multiples(spec, k, gens, t) -> list:
-    """Coefficient rows of every monomial multiple of degree t of the
-    generators."""
-    idx = monomial_index(k, t)
-    rows = []
-    for g in gens:
-        if t < g.degree:
-            continue
-        terms = [(exps, c) for exps, c in zip(monomials(k, g.degree), g.coeffs)
-                 if c != spec.zero]
-        for mono in monomials(k, t - g.degree):
-            row = [spec.zero] * ring_dim(k, t)
-            for exps, c in terms:
-                row[idx[tuple(e + m for e, m in zip(exps, mono))]] = c
-            rows.append(row)
-    return rows
-
-
-def _echelon_from_scratch(spec, rows) -> list:
-    """Echelon rows of the rows by one elimination, with no cached basis."""
-    if not rows:
-        return []
-    if spec.kind == "gf":
-        return _echelon_mod_p(rows, spec.modulus).tolist()
-    return _echelon_int(rows)
-
-
 # -- Hilbert polynomial fitting ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -590,12 +542,6 @@ class FittedHP:
                 f"leading Hilbert coefficient {self.poly[-1]} is not "
                 f"1/{self.dim_proj}! times an integer")
         return lead.numerator
-
-    def hp_at(self, t: int) -> Fraction:
-        acc = Fraction(0)
-        for i, c in enumerate(self.poly):
-            acc += c * t**i
-        return acc
 
     def to_json(self) -> dict:
         return {
@@ -724,17 +670,14 @@ def mu_oracle(code: LinearCode, a: int, engine=None) -> int:
 
 # -- colon ideals ------------------------------------------------------------
 
-def _linear_multiplication_rows(spec, k, col, t, sources=None):
+def _linear_multiplication_rows(spec, k, col, t, sources):
     """Rows of multiplication by the linear form of column col, mapping
-    the degree-t monomials (by index: all, or those in sources) into
-    degree t+1."""
+    the degree-t monomials whose indices are in sources into degree t+1."""
     width = ring_dim(k, t + 1)
     rows = []
     zero = spec.zero
     terms = [(_mult_map(k, t, var), c) for var, c in enumerate(col[:k])
              if c != zero]
-    if sources is None:
-        sources = range(ring_dim(k, t))
     for src in sources:
         row = [zero] * width
         for targets, c in terms:  # x_var * m differ for distinct var
@@ -781,56 +724,13 @@ def colon_dims(engine: GradedIdealEngine, col):
                       + hf(t + 1, plus_ell))
 
 
-def colon_graded_dim(code: LinearCode, ell_index: int, a: int,
-                     t: int) -> int:
-    """dim of the degree-t piece of (I_a : ell), by exact linear algebra."""
-    if not 2 <= a <= code.n:
-        raise ExactArithError(f"a={a} out of range 2..{code.n}")
-    if not 0 <= ell_index < code.n:
-        raise ExactArithError(f"column {ell_index} out of range")
-    engine = ideal_engine(code, a)
-    col = code.matrix.column(ell_index)
-    return colon_dim_from_engine(engine, col, t)
-
-
-def colon_dim_reference(spec, k, gens, col, t: int) -> int:
-    """dim (I : ell)_t from scratch: dim R_t minus the rank that the
-    multiplication image of R_t adds to the degree-(t+1) multiples of the
-    generators, by eliminations with no cached basis.
-
-    Reference implementation; agrees with colon_dim_from_engine by tests.
-    """
-    ideal = _echelon_from_scratch(
-        spec, _generator_multiples(spec, k, gens, t + 1))
-    image = _linear_multiplication_rows(spec, k, col, t)
-    added = len(_echelon_from_scratch(spec, ideal + image)) - len(ideal)
-    return ring_dim(k, t) - added
-
-
 def deleted_generators(code: LinearCode, ell_index: int, a: int,
-                       gens=None) -> list:
+                       gens) -> list:
     """The a-fold products of the code's columns other than ell_index, in
-    the order of combinations of those columns.
-
-    gens, if given, must be afold_generators(code, a): the products that
-    avoid the column are then picked out of it, in that order, instead of
-    being expanded again.
-    """
-    if gens is not None:
-        return [g for subset, g in zip(combinations(range(code.n), a), gens)
-                if ell_index not in subset]
-    columns = [code.matrix.column(j) for j in range(code.n)
-               if j != ell_index]
-    return _afold_from_columns(code.spec, code.k, columns, a) if \
-        1 <= a <= len(columns) else []
-
-
-def deleted_ideal_engine(code: LinearCode, ell_index: int,
-                         a: int) -> GradedIdealEngine:
-    """Engine for the (a)-fold ideal of the code with one column removed
-    (same ambient ring, even if the remaining columns span less)."""
-    return GradedIdealEngine(code.spec, code.k,
-                             deleted_generators(code, ell_index, a))
+    the order of combinations of those columns, picked out of gens, which
+    must be afold_generators(code, a), in that order."""
+    return [g for subset, g in zip(combinations(range(code.n), a), gens)
+            if ell_index not in subset]
 
 
 # -- conjecture diagnostics --------------------------------------------------
@@ -840,7 +740,12 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
     degree diagnostics for the linear-resolution and colon conjectures.
 
     The per-degree equalities at t >= a are reported observations, never
-    assertions; the t = a-1 slice and coloop columns are proved facts.
+    assertions; the t = a-1 slice, coloop columns and the degree
+    comparisons under a "(proved)" hypothesis are proved facts.  Over Q
+    each proved fact is checked, and one that fails raises
+    InternalInvariantError.  Over GF(p) none is: the conjecture is stated
+    for characteristic 0, and which of its proofs hold in positive
+    characteristic is not settled.
     An a with C(n, a) > PRODUCT_CAP raises CapExceeded when reached.
 
     Every matroid fact a cell needs is read once per report from the
@@ -939,9 +844,28 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                         cell["degrees_equal"] = "inconclusive"
                     cell["degree_hypothesis"] = _degree_hypothesis(
                         j, coloop[ell], bool(in_every_largest[r] >> ell & 1))
+            if code.spec.kind == "q":
+                _check_proved(a, cell)
             entry["columns"].append(cell)
         report["entries"].append(entry)
     return report
+
+
+def _check_proved(a: int, cell: dict):
+    """InternalInvariantError when a column's cells contradict a proved
+    fact: a "!=" at t = a-1 or anywhere in a coloop column, or unequal
+    degrees under a proved hypothesis."""
+    for t, verdict in cell["cells"].items():
+        if verdict == "!=" and (t == a - 1 or cell["coloop"]):
+            raise InternalInvariantError(
+                f"a={a}, ell={cell['ell']}, t={t}: the colon ideal and the "
+                f"deleted ideal differ in a proved cell")
+    if (cell.get("degrees_equal") is False
+            and "(proved" in cell["degree_hypothesis"]):
+        raise InternalInvariantError(
+            f"a={a}, ell={cell['ell']}: colon degree {cell['colon_degree']} "
+            f"!= deleted degree {cell['deleted_degree']} under "
+            f"{cell['degree_hypothesis']}")
 
 
 def _degree_hypothesis(j: int, coloop: bool, in_every_largest: bool) -> str:

@@ -1,9 +1,8 @@
-"""Column matroid of an exact matrix: rank, closure, flats and minors.
+"""Column matroid of an exact matrix: rank, flats and minors.
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
-Point queries run eliminations through fields.rref_join: rank and
-is_coloop one each, closure one for the subset and one for each element
-outside it.  Exhaustive questions go through rank_size_counts, the
+Point queries, rank and is_coloop, run one elimination each through
+fields.rref_join.  Exhaustive questions go through rank_size_counts, the
 number of subsets of each rank and size, and flats_of_rank.  Both come
 from one span-join pass over GF(p), run on first use, which keys every
 subspace spanned by some of the columns (one per flat) and carries its
@@ -143,17 +142,7 @@ class VectorMatroid:
         self._rank_size_counts = counts
         return counts
 
-    # -- closure and flats ---------------------------------------------------
-
-    def closure(self, mask: int) -> Flat:
-        """cl(I) = {j : r(I + j) = r(I)}; same rank as I."""
-        base = self.rank(mask)
-        members = mask
-        for j in range(self.n):
-            bit = 1 << j
-            if not mask & bit and self.rank(mask | bit) == base:
-                members |= bit
-        return Flat(members, base)
+    # -- flats ---------------------------------------------------------------
 
     def flats_of_rank(self, s: int) -> list:
         """All flats of rank exactly s, sorted by bitmask."""

@@ -60,14 +60,6 @@ class IdealProfile:
         }
 
 
-def height_of_ideal(code: LinearCode, hierarchy: WeightHierarchy,
-                    a: int) -> int:
-    """k - r on the interval d_r < a <= d_{r+1}."""
-    if not 1 <= a <= code.n:
-        raise ExactArithError(f"a={a} out of range 1..{code.n}")
-    return code.k - hierarchy.interval_index(a)
-
-
 def degree_from_tutte(code: LinearCode, coeffs: ShiftedCoeffs,
                       hierarchy: WeightHierarchy, a: int) -> int:
     """Sum of the top j shifted coefficients in the x^r slice."""

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from starconfig.fields import GF, QQ, ExactMatrix, rref
 from starconfig.codes import LinearCode
+from starconfig.hilbert import (GradedIdealEngine, afold_generators,
+                                deleted_generators)
 from starconfig.matroid import VectorMatroid, iter_bits
 from starconfig.tutte import BivarPoly
 
@@ -31,6 +33,13 @@ def random_code(rng: random.Random, k: int, n: int, spec) -> LinearCode:
             return LinearCode(m)
         except Exception:
             continue
+
+
+def deleted_engine(code: LinearCode, ell: int, a: int) -> GradedIdealEngine:
+    """Engine of the a-fold ideal of the code's columns other than ell, in
+    the code's ring, as conjecture_report builds it."""
+    return GradedIdealEngine(code.spec, code.k, deleted_generators(
+        code, ell, a, afold_generators(code, a)))
 
 
 def random_code_any(rng: random.Random, max_k=4, max_n=9,
@@ -70,9 +79,10 @@ def matrices(draw, specs=(GF(2), GF(3), GF(5), GF(257), QQ)):
 
 # -- test-only elimination oracle ---------------------------------------------
 #
-# The Gauss-Jordan loop that fields.rref, column_rank and left_kernel_basis
-# ran before they shared fields.rref_join with the matroid: an independent
-# reference for that kernel, the span-join pass and the point ranks.
+# The Gauss-Jordan loop that fields.rref ran before it shared
+# fields.rref_join with the matroid: an independent reference for that
+# kernel (rref, ranks of column subsets, and crosscheck.left_kernel_basis
+# through fields.kernel_basis), the span-join pass and the point ranks.
 
 def _eliminate(rows: list, spec):
     """In-place forward + backward elimination; returns pivot column list."""
@@ -92,7 +102,7 @@ def _eliminate(rows: list, spec):
         for i in range(n_rows):
             if i != r and rows[i][c] != zero:
                 f = rows[i][c]
-                rows[i] = [spec.sub(x, spec.mul(f, y))
+                rows[i] = [spec.add(x, spec.neg(spec.mul(f, y)))
                            for x, y in zip(rows[i], rows[r])]
         piv_cols.append(c)
         r += 1

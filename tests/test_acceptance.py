@@ -16,17 +16,18 @@ from starconfig.codes import (LinearCode, ghw_bruteforce, ghw_from_dual_rank,
                               ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
 from starconfig.fields import GF, ExactMatrix
-from starconfig.hilbert import (DensePoly, GradedIdealEngine, _echelon_mod_p,
+from starconfig.hilbert import (GradedIdealEngine, _echelon_mod_p,
                                 _afold_from_columns, colon_dim_from_engine,
-                                deleted_ideal_engine, default_windows,
-                                fit_graded_quotient, fit_hilbert_polynomial,
-                                ideal_engine, monomials, mu_oracle, ring_dim)
+                                default_windows, fit_graded_quotient,
+                                fit_hilbert_polynomial, ideal_engine,
+                                monomials, mu_oracle, ring_dim)
 from starconfig.star import (full_profile, minimal_primes_low_height,
                              mu_of_ideal)
 from starconfig.tutte import (BivarPoly, tutte_deletion_contraction,
                               tutte_subset_sum, whitney_shift)
 
-from conftest import random_code
+from conftest import deleted_engine, random_code
+from crosscheck import poly_from_dict
 
 SEED = 0xACCE97
 FIELDS = [GF(2), GF(3), GF(5)]
@@ -199,7 +200,7 @@ def test_criterion_8_proved_colon_slices(codes50):
             for ell in range(code.n):
                 lhs = colon_dim_from_engine(engine, code.matrix.column(ell),
                                             a - 1)
-                rhs = deleted_ideal_engine(code, ell, a - 1).ideal_dim(a - 1)
+                rhs = deleted_engine(code, ell, a - 1).ideal_dim(a - 1)
                 ok &= lhs == rhs
     # full coloop equality in every sampled degree
     code = LinearCode(ExactMatrix.from_rows(
@@ -208,7 +209,7 @@ def test_criterion_8_proved_colon_slices(codes50):
     ok &= code.matroid.is_coloop(ell)
     for a in range(2, code.n + 1):
         engine = ideal_engine(code, a)
-        deleted = deleted_ideal_engine(code, ell, a - 1)
+        deleted = deleted_engine(code, ell, a - 1)
         for t in range(a - 1, a + 4):
             lhs = colon_dim_from_engine(engine, code.matrix.column(ell), t)
             ok &= lhs == deleted.ideal_dim(t)
@@ -249,7 +250,7 @@ def test_criterion_9_prime_power_degrees():
     for k in range(2, 6):
         for c in range(1, min(3, k - 1) + 1):
             for i in range(1, 5):
-                gens = [DensePoly.from_dict(spec, k, i, {m: 1})
+                gens = [poly_from_dict(spec, k, i, {m: 1})
                         for mono in monomials(c, i)
                         for m in [tuple(mono) + (0,) * (k - c)]]
                 engine = GradedIdealEngine(spec, k, gens)

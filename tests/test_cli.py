@@ -196,11 +196,14 @@ def test_primes_table(capsys):
 
 
 def test_mu_command_file_input(capsys, tmp_path):
-    path = write_input(tmp_path, E0_TEXT)
-    rc, out, _ = run_cli(capsys, "mu", path, "--json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert [int(row["mu"]) for row in doc["mu"]] == [2, 3, 1]
+    # a leading byte-order mark is skipped, not read as part of "field"
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "code.txt"
+        path.write_bytes(prefix + E0_TEXT.encode())
+        rc, out, _ = run_cli(capsys, "mu", str(path), "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert [int(row["mu"]) for row in doc["mu"]] == [2, 3, 1]
 
 
 def test_verify_ok(capsys):
@@ -244,6 +247,49 @@ def test_conjecture_json(capsys):
     doc = json.loads(out)
     assert doc["t_max"] == 5  # n + 2
     assert {e["a"] for e in doc["entries"]} == {2, 3}
+
+
+def flip_colon_cell(monkeypatch, a, col, t):
+    """Make the colon dimension of column col at degree t, for I_a, one
+    too large, so that its conjecture cell reads "!="."""
+    colon_dims = hilbert.colon_dims
+
+    def flipped(engine, c):
+        dim = colon_dims(engine, c)
+        if engine.max_degree == a and tuple(c) == tuple(col):
+            return lambda u: dim(u) + (u == t)
+        return dim
+
+    monkeypatch.setattr(hilbert, "colon_dims", flipped)
+
+
+def q_code_path(tmp_path):
+    data = Path(__file__).parent / "data" / "verify_q_3x5.json"
+    return write_input(tmp_path, json.loads(data.read_text())["input"])
+
+
+@pytest.mark.parametrize("example, col, t, rc", [
+    (None, (1, 0, 0), 1, EXIT_INTERNAL),  # t = a - 1: proved
+    (None, (1, 0, 0), 2, 0),              # t >= a, below d_1: open
+    ("e0", (1, 0), 1, 0),                 # GF(2): outside characteristic 0
+], ids=["proved-Q", "open-Q", "proved-GF"])
+def test_flipped_conjecture_cell(capsys, tmp_path, monkeypatch, example, col,
+                                 t, rc):
+    # the cell of column 1 at degree t for a = 2; over Q the proved facts
+    # are checked, over GF(p) nothing is asserted
+    source = ["--example", example] if example else [q_code_path(tmp_path)]
+    flip_colon_cell(monkeypatch, 2, col, t)
+    got, out, err = run_cli(capsys, "conjecture", *source, "--json")
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert err == ("internal invariant violated: a=2, ell=1, t=1: the "
+                       "colon ideal and the deleted ideal differ in a "
+                       "proved cell\n")
+    else:
+        cell = json.loads(out)["entries"][0]["columns"][0]
+        assert cell["cells"][str(t)] == "!="
+        assert not cell["coloop"] and "degree_hypothesis" not in cell
 
 
 def test_identity_command(capsys):

@@ -11,8 +11,7 @@ from starconfig.codes import (CodeError, LinearCode, WeightHierarchy,
                               _ghw_bruteforce_matroid,
                               dual_generator_matrix, form_label,
                               ghw_bruteforce, ghw_from_dual_rank,
-                              ghw_from_tutte, minimal_support_subcode_count,
-                              subcode_from_flat, weight_hierarchy,
+                              ghw_from_tutte, weight_hierarchy,
                               wei_duality_check)
 from starconfig.fields import GF, QQ, ExactArithError, ExactMatrix
 from starconfig.matroid import VectorMatroid
@@ -21,6 +20,7 @@ from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
 
 from conftest import (FIELDS, oracle_rank_table, oracle_rref, random_code,
                       random_code_any)
+from crosscheck import subcode_from_flat
 
 
 def mask(*indices):
@@ -342,15 +342,12 @@ def test_subcode_from_nonflat_rejected(e0):
 
 
 def test_minimal_support_counts(e0, b3):
-    assert minimal_support_subcode_count(e0, shifted(e0), 1) == 3
-    assert minimal_support_subcode_count(e0, shifted(e0), 2) == 1
+    # c_{r, p_r}: the number of r-dimensional subcodes of minimal support
+    c_e0 = shifted(e0)
+    assert [c_e0.coeff(r, c_e0.p[r]) for r in (1, 2)] == [3, 1]
     c_b3 = shifted(b3)
-    assert minimal_support_subcode_count(b3, c_b3, 1) == 3
     # every single column is a rank-1 flat, so nine minimal 2-dim subcodes
-    assert minimal_support_subcode_count(b3, c_b3, 2) == 9
-    assert minimal_support_subcode_count(b3, c_b3, 3) == 1
-    with pytest.raises(ExactArithError):
-        minimal_support_subcode_count(e0, shifted(e0), 0)
+    assert [c_b3.coeff(r, c_b3.p[r]) for r in (1, 2, 3)] == [3, 9, 1]
 
 
 def test_minimal_support_count_matches_enumeration(rng):
@@ -364,7 +361,7 @@ def test_minimal_support_count_matches_enumeration(rng):
             d_r = ghw_bruteforce(code, r)
             count = sum(1 for f in m.flats_of_rank(code.k - r)
                         if f.size == code.n - d_r)
-            assert minimal_support_subcode_count(code, coeffs, r) == count
+            assert coeffs.coeff(r, coeffs.p[r]) == count
 
 
 def greene_code(spec, k, n, seed):

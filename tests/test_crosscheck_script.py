@@ -1,5 +1,4 @@
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,12 +10,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "random_crosscheck
 def crosscheck():
     spec = importlib.util.spec_from_file_location("random_crosscheck", SCRIPT)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -24,11 +19,14 @@ def crosscheck():
     (["--primes", "2", "1"], "--primes: prime field needs a modulus >= 2"),
     (["--max-k", "0"], "--max-k must be at least 1, got 0"),
     (["--max-k", "5", "--max-n", "3"], "--max-n 3 is below --max-k 5"),
-], ids=["composite", "below-2", "max-k-0", "max-n-below-max-k"])
+    (["--num-codes", "-3"], "--num-codes must be at least 1, got -3"),
+], ids=["composite", "below-2", "max-k-0", "max-n-below-max-k",
+        "num-codes-negative"])
 def test_bad_arguments_are_usage_errors(crosscheck, capsys, argv, message):
-    # each of these used to end in a traceback from the sampler
+    # each of these used to end in a traceback from the sampler, or in a
+    # run of no codes; argv comes last, so that a row's own --num-codes wins
     with pytest.raises(SystemExit) as exc:
-        crosscheck.main(argv + ["--num-codes", "1"])
+        crosscheck.main(["--num-codes", "1"] + argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -36,6 +34,14 @@ def test_bad_arguments_are_usage_errors(crosscheck, capsys, argv, message):
 
 
 def test_one_code_runs(crosscheck, capsys):
-    assert crosscheck.main(["--num-codes", "1", "--max-k", "2",
-                            "--max-n", "3", "--primes", "2"]) == 0
-    assert "all 1 codes consistent" in capsys.readouterr().out
+    # a seeded draw over GF(2), GF(3), GF(5) and Q, so that every check of
+    # the crosscheck module runs over both kinds of field
+    assert crosscheck.main(["--num-codes", "12", "--max-k", "3",
+                            "--max-n", "7", "--primes", "2", "3", "5",
+                            "--seed", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert any(" over Q  ok" in line for line in lines)
+    assert any(" over GF(" in line for line in lines)
+    assert lines[-1].startswith("all 12 codes consistent; 0 over Q with "
+                                "k >= 4 skipped the Hilbert and colon checks")

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starconfig.fields import (GF, QQ, ExactArithError, ExactMatrix,
-                               FieldSpec, column_rank, is_prime,
-                               left_kernel_basis, primitive, rref)
+                               FieldSpec, is_prime, primitive, rref)
 
 from conftest import random_matrix
+from crosscheck import left_kernel_basis
+
+
+def column_rank(m: ExactMatrix, cols) -> int:
+    """Rank of the submatrix on the selected columns; 0 for the empty set."""
+    return rref(m.submatrix_cols(cols))[1]
 
 
 def test_field_spec_validation():

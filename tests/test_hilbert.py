@@ -13,26 +13,27 @@ from hypothesis import strategies as st
 from starconfig import hilbert, matroid, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
-                               ExactMatrix, exact_dtype)
+                               ExactMatrix, InternalInvariantError,
+                               exact_dtype)
 from starconfig.hilbert import (DensePoly, GradedIdealEngine,
                                 PersistentHF, WindowError, _echelon_int,
                                 _echelon_mod_p, _interpolate,
                                 _linear_multiplication_rows, _mult_map,
                                 _sub_mul_mod_p, afold_generators,
-                                colon_dim_from_engine, colon_dim_reference,
-                                colon_dims, colon_graded_dim,
-                                conjecture_report,
-                                deleted_generators, deleted_ideal_engine,
+                                colon_dim_from_engine, colon_dims,
+                                conjecture_report, deleted_generators,
                                 default_windows, fit_graded_quotient,
-                                fit_hilbert_polynomial, graded_dim_ideal,
-                                ideal_engine, macaulay_bound,
+                                fit_hilbert_polynomial, ideal_engine,
+                                macaulay_bound,
                                 monomial_index, monomials, mu_oracle,
                                 render_conjecture_matrix, ring_dim)
 from starconfig.matroid import VectorMatroid
-from starconfig.star import (degree_from_tutte, height_of_ideal, mu_of_ideal)
+from starconfig.star import degree_from_tutte, full_profile, mu_of_ideal
 from starconfig.tutte import tutte_subset_sum, whitney_shift
 
-from conftest import FIELDS, random_code, random_code_any
+from conftest import FIELDS, deleted_engine, random_code, random_code_any
+from crosscheck import (_generator_multiples, colon_dim_reference,
+                        graded_dim_ideal, poly_from_dict)
 
 P_BELOW = (1 << 31) - 1   # largest prime below 2^31
 P_ABOVE = (1 << 31) + 11  # smallest prime above it
@@ -52,7 +53,7 @@ def echelon_oracle(rows, spec):
         for piv, basis_row in out:
             c = v[piv]
             if c != zero:  # basis_row is zero before piv
-                v[piv:] = [spec.sub(x, spec.mul(c, y))
+                v[piv:] = [spec.add(x, spec.neg(spec.mul(c, y)))
                            for x, y in zip(v[piv:], basis_row[piv:])]
         piv = next((i for i, x in enumerate(v) if x != zero), None)
         if piv is not None:
@@ -216,10 +217,10 @@ def test_afold_generators_e0(e0):
 def test_dense_poly_validation():
     with pytest.raises(ExactArithError):
         DensePoly(GF(2), 2, 2, (1, 0))  # needs length 3
-    p = DensePoly.from_dict(GF(3), 2, 2, {(2, 0): 4, (1, 1): 0})
+    p = poly_from_dict(GF(3), 2, 2, {(2, 0): 4, (1, 1): 0})
     assert p.coeffs == (1, 0, 0)
     assert not p.is_zero()
-    assert DensePoly.from_dict(QQ, 2, 1, {}).is_zero()
+    assert poly_from_dict(QQ, 2, 1, {}).is_zero()
 
 
 def test_graded_dims_e0(e0):
@@ -282,7 +283,7 @@ def test_numpy_engine_at_prime_below_2_31(rng):
         fast = GradedIdealEngine(spec, code.k, gens)
         slow = ideal_engine(lifted, a)
         for t in range(a + 3):
-            rows = hilbert._generator_multiples(spec, code.k, gens, t)
+            rows = _generator_multiples(spec, code.k, gens, t)
             want = echelon_oracle(rows, spec)
             basis = fast.basis(t)
             assert_rref(basis, P_BELOW)
@@ -290,7 +291,7 @@ def test_numpy_engine_at_prime_below_2_31(rng):
             assert len(echelon_oracle(basis.tolist() + want, spec)) \
                 == len(want)
             assert fast.ideal_dim(t) <= slow.ideal_dim(t) == len(
-                echelon_oracle(hilbert._generator_multiples(
+                echelon_oracle(_generator_multiples(
                     QQ, code.k, slow.by_degree[a], t), QQ))
     full = [[rng.randrange(P_BELOW) for _ in range(6)] for _ in range(4)]
     rows = full + [[(x + y) % P_BELOW for x, y in zip(*full[:2])]]
@@ -433,7 +434,8 @@ def test_full_degree_needs_no_elimination(b3, monkeypatch, numpy_kernel):
         assert engine.quotient_dim(t) == 0
         assert (engine.basis(t) == np.eye(ring_dim(3, t), dtype=int)).all()
     col = code.matrix.column(3)
-    extra = _linear_multiplication_rows(code.spec, 3, col, full - 1)
+    extra = _linear_multiplication_rows(code.spec, 3, col, full - 1,
+                                        range(ring_dim(3, full - 1)))
     assert engine.rank_with_extra_rows(full, extra) == ring_dim(3, full)
     assert colon_dim_from_engine(engine, col, full) == ring_dim(3, full)
     assert calls == []
@@ -466,8 +468,8 @@ def test_mixed_degree_ideal_persists_from_its_largest_degree():
     # already, so persistence from the smallest generator degree is wrong
     want = [1, 2, 2, 2, 2, 1, 0, 0, 0, 0]
     for spec in (GF(5), QQ):  # the mod-p and the integer kernel
-        gens = [DensePoly.from_dict(spec, 2, 2, {(2, 0): 1}),
-                DensePoly.from_dict(spec, 2, 5, {(0, 5): 1})]
+        gens = [poly_from_dict(spec, 2, 2, {(2, 0): 1}),
+                poly_from_dict(spec, 2, 5, {(0, 5): 1})]
         engine = GradedIdealEngine(spec, 2, gens)
         assert engine.max_degree == 5
         assert [engine.quotient_dim(t) for t in range(10)] == want
@@ -618,16 +620,16 @@ def test_fit_b3_a9(b3):
     assert fit.poly == (Fraction(-27), Fraction(9))  # 9t - 27
     assert fit.implied_height == 1
     assert fit.degree_invariant == 9
-    assert fit.hp_at(10) == 63
+    assert sum(c * 10**i for i, c in enumerate(fit.poly)) == 63
 
 
 def test_oracle_matches_tutte_examples(e0, b3):
     for code in (e0, b3):
         coeffs = whitney_shift(tutte_subset_sum(code.matroid), code.k)
         h = weight_hierarchy(code)
-        for a in range(1, code.n + 1):
+        for a, p in enumerate(full_profile(code, coeffs, h), 1):
             fit = fit_hilbert_polynomial(code, a)
-            assert fit.implied_height == height_of_ideal(code, h, a)
+            assert fit.implied_height == p.height
             assert fit.degree_invariant == \
                 degree_from_tutte(code, coeffs, h, a)
             assert mu_oracle(code, a) == mu_of_ideal(code, coeffs, a)
@@ -642,7 +644,7 @@ def test_power_of_variable_ideal_degree():
     # <x1..xc>^i has height c and degree C(c+i-1, c)
     spec = GF(5)
     k, c, i = 3, 2, 2
-    gens = [DensePoly.from_dict(spec, k, i, {m: 1})
+    gens = [poly_from_dict(spec, k, i, {m: 1})
             for m in monomials(c, i)
             for m in [tuple(m) + (0,) * (k - c)]]
     engine = GradedIdealEngine(spec, k, gens)
@@ -660,13 +662,10 @@ def test_window_error():
 
 def test_colon_e0_example(e0):
     # I_3 : (x1+x2) = <x1 x2>, whose degree-t piece has dimension t-1
-    assert colon_graded_dim(e0, 2, 3, 1) == 0
+    engine, col = ideal_engine(e0, 3), e0.matrix.column(2)
+    assert colon_dim_from_engine(engine, col, 1) == 0
     for t in range(2, 6):
-        assert colon_graded_dim(e0, 2, 3, t) == t - 1
-    with pytest.raises(ExactArithError):
-        colon_graded_dim(e0, 2, 1, 2)   # a must be >= 2
-    with pytest.raises(ExactArithError):
-        colon_graded_dim(e0, 5, 3, 2)   # column out of range
+        assert colon_dim_from_engine(engine, col, t) == t - 1
 
 
 def test_colon_equals_deleted_at_generation_degree(rng):
@@ -674,9 +673,11 @@ def test_colon_equals_deleted_at_generation_degree(rng):
     for _ in range(6):
         code = random_code_any(rng, max_k=3, max_n=5)
         for a in range(2, code.n + 1):
+            engine = ideal_engine(code, a)
             for ell in range(code.n):
-                lhs = colon_graded_dim(code, ell, a, a - 1)
-                rhs = deleted_ideal_engine(code, ell, a - 1).ideal_dim(a - 1)
+                lhs = colon_dim_from_engine(engine, code.matrix.column(ell),
+                                            a - 1)
+                rhs = deleted_engine(code, ell, a - 1).ideal_dim(a - 1)
                 assert lhs == rhs
 
 
@@ -688,9 +689,11 @@ def test_colon_coloop_full_equality():
     ell = 3
     assert code.matroid.is_coloop(ell)
     for a in range(2, code.n + 1):
-        deleted = deleted_ideal_engine(code, ell, a - 1)
+        engine = ideal_engine(code, a)
+        deleted = deleted_engine(code, ell, a - 1)
         for t in range(a - 1, a + 4):
-            assert colon_graded_dim(code, ell, a, t) == deleted.ideal_dim(t)
+            assert colon_dim_from_engine(engine, code.matrix.column(ell),
+                                         t) == deleted.ideal_dim(t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -704,7 +707,6 @@ def test_deleted_generators_picked_from_afold_list(seed, spec):
         for ell in range(code.n):
             rest = [code.matrix.column(j) for j in range(code.n) if j != ell]
             picked = deleted_generators(code, ell, a, gens)
-            assert picked == deleted_generators(code, ell, a)
             if a < code.n:
                 assert picked == hilbert._afold_from_columns(
                     spec, code.k, rest, a)
@@ -778,11 +780,28 @@ def test_conjecture_report_degree_hypothesis(b3):
         assert cell["degrees_equal"] is True
 
 
+@pytest.mark.parametrize("hypothesis, raises", [
+    ("j>=2 (proved)", True),
+    ("deleted column is a coloop (proved separately)", True),
+    ("j=1 with shifted top coefficient (open)", False),
+])
+def test_unequal_degrees_fail_only_under_a_proved_hypothesis(hypothesis,
+                                                             raises):
+    cell = {"ell": 1, "coloop": False, "cells": {2: "=", 3: "!="},
+            "colon_degree": "4", "deleted_degree": "5",
+            "degrees_equal": False, "degree_hypothesis": hypothesis}
+    if raises:
+        with pytest.raises(InternalInvariantError,
+                           match="^a=3, ell=1: colon degree 4 != deleted"):
+            hilbert._check_proved(3, cell)
+    else:
+        hilbert._check_proved(3, cell)  # t = 3 >= a is an open cell
+
+
 def test_afold_products_are_capped_before_expanding(b3, monkeypatch):
     # b3 has n = 9: C(9, 2) = 36 products fit a cap of 36, C(9, 3) = 84 do
-    # not, and neither do the C(8, 3) = 56 that avoid one column; a capped
-    # call expands none of its products (conjecture_report runs a = 2 in
-    # full before a = 3 is capped)
+    # not; a capped call expands none of its products (conjecture_report
+    # runs a = 2 in full before a = 3 is capped)
     expanded = []
     product_coeffs = hilbert._product_coeffs
 
@@ -795,7 +814,6 @@ def test_afold_products_are_capped_before_expanding(b3, monkeypatch):
     assert len(afold_generators(b3, 2)) == 36 and len(expanded) == 36
     expanded.clear()
     for capped, count in ((lambda: afold_generators(b3, 3), 84),
-                          (lambda: deleted_generators(b3, 0, 3), 56),
                           (lambda: fit_hilbert_polynomial(b3, 6), 84),
                           (lambda: conjecture_report(b3, b3.n + 2), 84)):
         with pytest.raises(CapExceeded, match=f"^{count} "):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starconfig.codes import (LinearCode, WeightHierarchy, ghw_from_tutte,
-                              minimal_support_subcode_count, weight_hierarchy)
+                              weight_hierarchy)
 from starconfig.fields import GF, ExactArithError, ExactMatrix
 from starconfig.star import (binomial_identity_check, degree_from_primes,
-                             degree_from_tutte, full_profile, height_of_ideal,
+                             degree_from_tutte, full_profile,
                              minimal_primes_low_height, mu_of_ideal)
 from starconfig.tutte import (tutte_deletion_contraction, tutte_subset_sum,
                               whitney_shift)
@@ -29,19 +29,23 @@ def invariants(code):
     return coeffs, weight_hierarchy(code)
 
 
+def heights(code):
+    """k - r for each a = 1..n, as full_profile reports it."""
+    return [p.height for p in full_profile(code, *invariants(code))]
+
+
 def test_heights_e0(e0):
+    assert heights(e0) == [2, 2, 1]
+    # a outside (d_0, d_k] lies in no height interval
     _, h = invariants(e0)
-    assert [height_of_ideal(e0, h, a) for a in (1, 2, 3)] == [2, 2, 1]
     with pytest.raises(ExactArithError):
-        height_of_ideal(e0, h, 0)
+        h.interval_index(0)
     with pytest.raises(ExactArithError):
-        height_of_ideal(e0, h, 4)
+        h.interval_index(4)
 
 
 def test_heights_b3(b3):
-    _, h = invariants(b3)
-    heights = [height_of_ideal(b3, h, a) for a in range(1, 10)]
-    assert heights == [3, 3, 3, 3, 3, 2, 2, 2, 1]
+    assert heights(b3) == [3, 3, 3, 3, 3, 2, 2, 2, 1]
 
 
 def test_degrees_e0(e0):
@@ -116,8 +120,8 @@ def test_identity_code_profiles():
     code = LinearCode(ExactMatrix.from_rows(GF(3), rows))
     coeffs, h = invariants(code)
     assert h.d == (0, 1, 2, 3, 4)
+    assert heights(code) == [k - a + 1 for a in range(1, k + 1)]
     for a in range(1, k + 1):
-        assert height_of_ideal(code, h, a) == k - a + 1
         assert degree_from_tutte(code, coeffs, h, a) == comb(k, a - 1)
         # squarefree monomials of degree a generate the a-fold product
         assert mu_of_ideal(code, coeffs, a) == comb(k, a)
@@ -149,7 +153,8 @@ def test_primes_monotone_within_interval(rng):
 
 
 def test_prime_count_at_interval_start(rng):
-    # at a = d_r + 1 the primes are exactly the minimal-support subcodes
+    # at a = d_r + 1 the primes are exactly the minimal-support subcodes,
+    # and there are c_{r, p_r} of those
     for _ in range(10):
         code = random_code_any(rng, max_k=3, max_n=7)
         coeffs, h = invariants(code)
@@ -158,8 +163,7 @@ def test_prime_count_at_interval_start(rng):
             if a > code.n:
                 continue
             primes = minimal_primes_low_height(code, h, a)
-            assert len(primes) == minimal_support_subcode_count(
-                code, coeffs, r)
+            assert len(primes) == coeffs.coeff(r, coeffs.p[r])
 
 
 def test_binomial_identity():
