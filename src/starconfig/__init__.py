@@ -11,7 +11,7 @@ from .codes import (LinearCode, WeightHierarchy, ghw_bruteforce,
 from .star import (IdealProfile, MinimalPrime, binomial_identity_check,
                    degree_from_primes, degree_from_tutte, full_profile,
                    minimal_primes_low_height, mu_of_ideal)
-from .hilbert import (DensePoly, FittedHP, afold_generators,
+from .hilbert import (FittedHP, afold_generators,
                       conjecture_report, fit_hilbert_polynomial, mu_oracle)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from .codes import (LinearCode, weight_hierarchy, ghw_bruteforce,
                     ghw_from_dual_rank, ghw_from_tutte, wei_duality_check)
 from .fields import (GF, QQ, CapExceeded, ExactArithError, ExactMatrix,
-                     InternalInvariantError)
+                     InternalInvariantError, parse_int)
 from .hilbert import (WindowError, check_product_cap, conjecture_report,
                       fit_hilbert_polynomial, ideal_engine, mu_oracle,
                       render_conjecture_matrix)
@@ -60,15 +60,17 @@ def parse_input(text: str) -> LinearCode:
         <k rows of n whitespace-separated entries; rationals as a/b>
         labels <n names>            (optional, at most once)
 
-    A '#' starts a comment that runs to the end of its line, on any line,
-    so labels cannot contain '#'.  Every fault in the text, including a
-    LinearCode check, raises InputError; a CapExceeded passes through.
+    Every number is an ASCII decimal integer, [+-]?[0-9]+, and an entry
+    may also be a ratio a/b of two.  A '#' starts a comment that runs to
+    the end of its line, on any line, so labels cannot contain '#'.  Every
+    fault in the text, including a LinearCode check, raises InputError; a
+    CapExceeded passes through.
     """
     try:
         return _parse_lines(text)
     except (InputError, CapExceeded):
         raise
-    except ValueError as exc:  # int(), a scalar token or a LinearCode check
+    except ValueError as exc:  # a number token or a LinearCode check
         raise InputError(str(exc)) from exc
 
 
@@ -83,13 +85,13 @@ def _parse_lines(text: str) -> LinearCode:
     if field_parts[1:] == ["q"]:
         spec = QQ
     elif len(field_parts) == 3 and field_parts[1] == "gf":
-        spec = GF(int(field_parts[2]))
+        spec = GF(parse_int(field_parts[2]))
     else:
         raise InputError(f"bad field line {lines[0]!r}")
     size_parts = lines[1].split()
     if size_parts[0] != "size" or len(size_parts) != 3:
         raise InputError("second line must be 'size <k> <n>'")
-    k, n = int(size_parts[1]), int(size_parts[2])
+    k, n = parse_int(size_parts[1]), parse_int(size_parts[2])
     if k < 1 or n < 1:
         raise InputError(f"size {k} {n}: k and n must be at least 1")
     if len(lines) < 2 + k:
@@ -577,6 +579,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    if args.input or args.example:
+        raise InputError("identity takes no input file or --example")
     failures = []
     cap = 14
     total = 0

@@ -17,6 +17,7 @@ primitive, and both numpy kernels choose their dtype by exact_dtype.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,18 @@ class CapExceeded(ExactArithError):
 
 class InternalInvariantError(RuntimeError):
     """Two provably-equal quantities disagreed; a bug, never user error."""
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(token: str) -> int:
+    """token as an ASCII decimal integer, [+-]?[0-9]+.  Anything else is an
+    ExactArithError, also what int() would take: '1_1', a full-width or an
+    Arabic-Indic digit, surrounding whitespace."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ExactArithError(f"bad integer {token!r}")
+    return int(token)
 
 
 def is_prime(p: int) -> bool:
@@ -120,15 +133,13 @@ class FieldSpec:
         return Fraction(x)
 
     def parse(self, token: str):
-        """Parse an integer or 'a/b' token."""
+        """Parse an integer or 'a/b' token, a and b as parse_int reads
+        them."""
         token = token.strip()
+        num, slash, den = token.partition("/")
         try:
-            if "/" in token:
-                num, den = token.split("/")
-                val = Fraction(int(num), int(den))
-            else:
-                val = Fraction(int(token))
-        except (ValueError, ZeroDivisionError) as exc:
+            val = Fraction(parse_int(num), parse_int(den) if slash else 1)
+        except (ExactArithError, ZeroDivisionError) as exc:
             raise ExactArithError(f"bad scalar token {token!r}") from exc
         return self.coerce(val)
 
@@ -136,9 +147,6 @@ class FieldSpec:
         return str(x)
 
     # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.modulus if self.kind == "gf" else a + b
 
     def mul(self, a, b):
         return (a * b) % self.modulus if self.kind == "gf" else a * b

@@ -1,9 +1,9 @@
 """Independent Hilbert-function verification engine.
 
-Builds the actual a-fold product generators as dense polynomials, computes
-graded dimensions by exact linear algebra, fits the Hilbert polynomial via
-finite differences and interpolation, and recovers degree / height / mu
-with zero reliance on the Tutte route.
+Builds the actual a-fold product generators as rows of coefficients,
+computes graded dimensions by exact linear algebra, fits the Hilbert
+polynomial via finite differences and interpolation, and recovers degree /
+height / mu with zero reliance on the Tutte route.
 
 Monomials of a fixed total degree are indexed in graded lexicographic
 order.  Each degree's basis is kept as a numpy array of rows sorted by
@@ -12,10 +12,12 @@ reduced row echelon form (RREF) mod p, eliminated in numpy in the dtype
 that fields.exact_dtype gives: int64 while no sum of products can
 overflow, Python ints (dtype object) past that, so every prime is exact.
 Over the rationals the rows are primitive integer echelon rows (dtype
-object), eliminated by a fraction-free pure-Python kernel.  Fractions
-appear in the rational generators and colon rows, whose denominators are
-cleared as a row enters the kernel, and in the fitted Hilbert
-polynomial, never in elimination.
+object), eliminated by a fraction-free pure-Python kernel.  Only the
+dimensions of these spaces are read, and scaling a linear form by a
+nonzero constant changes none of them, so over Q each form is scaled to a
+primitive integer column first (oracle_forms): every generator and colon
+row is a row of ints, and Fractions appear only in the fitted Hilbert
+polynomial.
 
 The engine eliminates only what a cached basis does not already settle.
 The x_0 multiples of a degree's basis are the next degree's starting
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -109,43 +111,29 @@ def _mult_map(k: int, d: int, var: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DensePoly:
-    """Homogeneous polynomial as a coefficient vector over the graded-lex
-    monomial basis of its degree."""
-
-    spec: FieldSpec
-    k: int
-    degree: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != ring_dim(self.k, self.degree):
-            raise ExactArithError("coefficient vector has wrong length")
-
-    def is_zero(self) -> bool:
-        zero = self.spec.zero
-        return all(c == zero for c in self.coeffs)
+def _row_dtype(spec: FieldSpec):
+    """dtype of the oracle's rows: exact_dtype(p, 1) over GF(p), Python
+    ints (dtype object) over Q."""
+    return object if spec.kind == "q" else exact_dtype(spec.modulus, 1)
 
 
-def _product_coeffs(spec: FieldSpec, k: int, columns) -> list:
-    """Graded-lex coefficient vector of a product of linear forms.
+def oracle_forms(code: LinearCode) -> list:
+    """The code's linear forms as the oracle expands them: the columns as
+    they are over GF(p), over Q each column scaled to a primitive integer
+    column, which spans the same line."""
+    columns = code.matrix.columns()
+    if code.spec.kind == "q":
+        return [primitive(col) for col in columns]
+    return columns
+
+
+def _product_coeffs(p, k: int, columns) -> list:
+    """Graded-lex coefficient vector of a product of linear forms, given
+    by columns of ints; reduced mod p after each factor unless p is None.
 
     Each factor sum_i c_i x_i maps the degree-d vector v to the one of
-    degree d+1 with v[m] c_i added at x_i m.  All arithmetic is on plain
-    ints: reduced mod p after each factor over GF(p); over Q each column
-    is scaled by the lcm of its denominators, and the product divided by
-    the product of the scales at the end, as Fractions.
+    degree d+1 with v[m] c_i added at x_i m.
     """
-    p = spec.modulus if spec.kind == "gf" else None
-    scale = 1
-    if p is None:
-        scaled = []
-        for col in columns:
-            den = lcm(*(x.denominator for x in col))
-            scaled.append([x.numerator * (den // x.denominator) for x in col])
-            scale *= den
-        columns = scaled
     vec = [1]
     for d, col in enumerate(columns):
         nxt = [0] * ring_dim(k, d + 1)
@@ -157,17 +145,16 @@ def _product_coeffs(spec: FieldSpec, k: int, columns) -> list:
                 if x:
                     nxt[dst] += x * ci
         vec = nxt if p is None else [x % p for x in nxt]
-    return [Fraction(x, scale) for x in vec] if p is None else vec
+    return vec
 
 
-def afold_generators(code: LinearCode, a: int) -> list:
-    """All C(n, a) expanded a-fold products of the code's linear forms;
-    CapExceeded, before any is expanded, when there are more than
-    PRODUCT_CAP."""
+def afold_generators(code: LinearCode, a: int) -> np.ndarray:
+    """All C(n, a) expanded a-fold products of the code's oracle_forms, one
+    row each, in the order of combinations; CapExceeded, before any is
+    expanded, when there are more than PRODUCT_CAP."""
     if not 1 <= a <= code.n:
         raise ExactArithError(f"a={a} out of range 1..{code.n}")
-    return _afold_from_columns(code.spec, code.k,
-                               code.matrix.columns(), a)
+    return _afold_from_columns(code.spec, code.k, oracle_forms(code), a)
 
 
 def check_product_cap(n: int, a: int):
@@ -179,11 +166,13 @@ def check_product_cap(n: int, a: int):
                           f"product cap {PRODUCT_CAP}")
 
 
-def _afold_from_columns(spec, k, columns, a) -> list:
+def _afold_from_columns(spec, k, columns, a) -> np.ndarray:
     check_product_cap(len(columns), a)
-    return [DensePoly(spec, k, a, tuple(_product_coeffs(
-                spec, k, [columns[j] for j in subset])))
+    p = spec.modulus if spec.kind == "gf" else None
+    rows = [_product_coeffs(p, k, [columns[j] for j in subset])
             for subset in combinations(range(len(columns)), a)]
+    return np.array(rows, dtype=_row_dtype(spec)).reshape(
+        len(rows), ring_dim(k, a))
 
 
 # -- exact rank engines ------------------------------------------------------
@@ -251,7 +240,7 @@ def _echelon_int(rows, basis=None) -> list:
     and join it, so the dict is extended in place and its rows are reused,
     never copied or changed.  The result then spans the basis rows too.
 
-    A row v (ints or Fractions) enters as a primitive integer vector and is
+    A row v enters as a primitive integer vector (fields.primitive) and is
     reduced at its leading entry piv, against the basis row b with that
     pivot, until its leading entry is no pivot; v is zero before piv, so a
     step touches v[piv:] only.  The step is fraction-free, after Bareiss
@@ -373,19 +362,30 @@ class GradedIdealEngine:
     over any field: the dimensions do not change under field extension.
     """
 
-    def __init__(self, spec: FieldSpec, k: int, gens):
+    def __init__(self, spec: FieldSpec, k: int, gens: dict):
+        """gens maps a degree to its generators: an array, or a list, of
+        rows of ring_dim(k, degree) coefficients each, ints over Q and
+        residues over GF(p).  They are reduced mod p and their zero rows
+        dropped here, once; a row of another width is an ExactArithError."""
         self.spec = spec
         self.k = k
+        self._dtype = _row_dtype(spec)
         self.by_degree = {}
-        for g in gens:
-            if g.k != k:
-                raise ExactArithError("generator in wrong ring")
-            if not g.is_zero():
-                self.by_degree.setdefault(g.degree, []).append(g)
+        for degree, rows in gens.items():
+            rows = np.asarray(rows, dtype=self._dtype)
+            width = ring_dim(k, degree)
+            if rows.shape[1:] != (width,):
+                raise ExactArithError(
+                    f"degree-{degree} generators in {k} variables need "
+                    f"{width} coefficients, got an array of shape "
+                    f"{rows.shape}")
+            if spec.kind == "gf":
+                rows = rows % spec.modulus
+            rows = rows[(rows != 0).any(axis=1)]
+            if len(rows):
+                self.by_degree[degree] = rows
         self.min_degree = min(self.by_degree, default=None)
         self.max_degree = max(self.by_degree, default=None)
-        self._dtype = (object if spec.kind == "q"
-                       else exact_dtype(spec.modulus, 1))
         self._basis = {}   # t -> basis rows, an array sorted by pivot
         self._pivots = {}  # t -> their pivot columns, an int array
         self._hilbert = PersistentHF(self.max_degree or 1)
@@ -407,11 +407,10 @@ class GradedIdealEngine:
         rows[:, :prev.shape[1]] = prev
         pivots = self._pivots[t - 1]
         blocks = [self._shift(prev, t, var) for var in range(1, self.k)]
-        gens = [g.coeffs for g in self.by_degree.get(t, [])]
-        blocks.append(np.array(gens, dtype=self._dtype).reshape(-1, width))
+        if t in self.by_degree:
+            blocks.append(self.by_degree[t])
         if self.spec.kind == "gf":
             p = self.spec.modulus
-            blocks[-1] %= p
             # Block by block, each block is reduced against every pivot
             # found so far by one product.  Stacked, the later blocks would
             # be cleared of the earlier blocks' pivots one outer product at
@@ -642,7 +641,8 @@ def default_windows(a: int, k: int):
 
 
 def ideal_engine(code: LinearCode, a: int) -> GradedIdealEngine:
-    return GradedIdealEngine(code.spec, code.k, afold_generators(code, a))
+    return GradedIdealEngine(code.spec, code.k,
+                             {a: afold_generators(code, a)})
 
 
 def fit_hilbert_polynomial(code: LinearCode, a: int, engine=None) -> FittedHP:
@@ -670,16 +670,14 @@ def mu_oracle(code: LinearCode, a: int, engine=None) -> int:
 
 # -- colon ideals ------------------------------------------------------------
 
-def _linear_multiplication_rows(spec, k, col, t, sources):
+def _linear_multiplication_rows(k, col, t, sources):
     """Rows of multiplication by the linear form of column col, mapping
     the degree-t monomials whose indices are in sources into degree t+1."""
     width = ring_dim(k, t + 1)
     rows = []
-    zero = spec.zero
-    terms = [(_mult_map(k, t, var), c) for var, c in enumerate(col[:k])
-             if c != zero]
+    terms = [(_mult_map(k, t, var), c) for var, c in enumerate(col[:k]) if c]
     for src in sources:
-        row = [zero] * width
+        row = [0] * width
         for targets, c in terms:  # x_var * m differ for distinct var
             row[targets[src]] = c
         rows.append(row)
@@ -694,7 +692,7 @@ def colon_dim_from_engine(engine: GradedIdealEngine, col, t: int) -> int:
     the degree-t basis span R_t modulo I_t, so only their images can add
     to the rank.
     """
-    extra = _linear_multiplication_rows(engine.spec, engine.k, col, t,
+    extra = _linear_multiplication_rows(engine.k, col, t,
                                         engine.free_monomials(t))
     joint = engine.rank_with_extra_rows(t + 1, extra)
     image_mod_ideal = joint - engine.ideal_dim(t + 1)
@@ -725,12 +723,14 @@ def colon_dims(engine: GradedIdealEngine, col):
 
 
 def deleted_generators(code: LinearCode, ell_index: int, a: int,
-                       gens) -> list:
+                       gens: np.ndarray) -> np.ndarray:
     """The a-fold products of the code's columns other than ell_index, in
     the order of combinations of those columns, picked out of gens, which
     must be afold_generators(code, a), in that order."""
-    return [g for subset, g in zip(combinations(range(code.n), a), gens)
-            if ell_index not in subset]
+    keep = np.fromiter((ell_index not in subset
+                        for subset in combinations(range(code.n), a)),
+                       dtype=bool, count=len(gens))
+    return gens[keep]
 
 
 # -- conjecture diagnostics --------------------------------------------------
@@ -787,11 +787,12 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
         "t_max": t_max,
         "entries": [],
     }
+    forms = oracle_forms(code)
     gens = afold_generators(code, 1)
     for a in range(2, code.n + 1):
         # each deleted engine for a picks its products out of prev_gens
         prev_gens, gens = gens, afold_generators(code, a)
-        engine = GradedIdealEngine(code.spec, code.k, gens)
+        engine = GradedIdealEngine(code.spec, code.k, {a: gens})
         entry = {"a": a, "columns": []}
         try:
             fit = fit_hilbert_polynomial(code, a, engine=engine)
@@ -813,10 +814,9 @@ def conjecture_report(code: LinearCode, t_max: int) -> dict:
                 cell["automatic"] = True
             else:
                 cell["automatic"] = False
-                deleted = GradedIdealEngine(
-                    code.spec, code.k,
-                    deleted_generators(code, ell, a - 1, prev_gens))
-                colon_dim = colon_dims(engine, code.matrix.column(ell))
+                deleted = GradedIdealEngine(code.spec, code.k, {
+                    a - 1: deleted_generators(code, ell, a - 1, prev_gens)})
+                colon_dim = colon_dims(engine, forms[ell])
                 cells = {}
                 for t in range(a - 1, t_max + 1):
                     lhs = colon_dim(t)

@@ -1,7 +1,7 @@
 """Column matroid of an exact matrix: rank, flats and minors.
 
 Subsets of the ground set [n] are bitmasks (element i occupies bit i).
-Point queries, rank and is_coloop, run one elimination each through
+Point queries of rank run one elimination each through
 fields.rref_join.  Exhaustive questions go through rank_size_counts, the
 number of subsets of each rank and size, and flats_of_rank.  Both come
 from one span-join pass over GF(p), run on first use, which keys every
@@ -152,15 +152,11 @@ class VectorMatroid:
         masks = self._flat_masks[self._flat_ranks == s]
         return [Flat(int(mask), s) for mask in masks]
 
-    # -- loops and coloops ---------------------------------------------------
+    # -- loops ---------------------------------------------------------------
 
     def is_loop(self, i: int) -> bool:
         zero = self.spec.zero
         return all(x == zero for x in self._columns[i])
-
-    def is_coloop(self, i: int) -> bool:
-        full = (1 << self.n) - 1
-        return self.rank(full ^ (1 << i)) == self.full_rank - 1
 
     # -- minors --------------------------------------------------------------
 

@@ -83,14 +83,6 @@ class BivarPoly:
         poly.terms = out
         return poly
 
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivarPoly(out)
-
     def scale(self, c: int) -> "BivarPoly":
         return BivarPoly({key: c * v for key, v in self.terms.items()})
 

@@ -13,6 +13,8 @@ from starconfig.hilbert import (GradedIdealEngine, afold_generators,
 from starconfig.matroid import VectorMatroid, iter_bits
 from starconfig.tutte import BivarPoly
 
+from crosscheck import field_add, is_coloop, poly_mul
+
 FIELDS = [GF(2), GF(3), GF(5)]
 
 
@@ -38,8 +40,8 @@ def random_code(rng: random.Random, k: int, n: int, spec) -> LinearCode:
 def deleted_engine(code: LinearCode, ell: int, a: int) -> GradedIdealEngine:
     """Engine of the a-fold ideal of the code's columns other than ell, in
     the code's ring, as conjecture_report builds it."""
-    return GradedIdealEngine(code.spec, code.k, deleted_generators(
-        code, ell, a, afold_generators(code, a)))
+    return GradedIdealEngine(code.spec, code.k, {a: deleted_generators(
+        code, ell, a, afold_generators(code, a))})
 
 
 def random_code_any(rng: random.Random, max_k=4, max_n=9,
@@ -102,7 +104,7 @@ def _eliminate(rows: list, spec):
         for i in range(n_rows):
             if i != r and rows[i][c] != zero:
                 f = rows[i][c]
-                rows[i] = [spec.add(x, spec.neg(spec.mul(f, y)))
+                rows[i] = [field_add(spec, x, spec.neg(spec.mul(f, y)))
                            for x, y in zip(rows[i], rows[r])]
         piv_cols.append(c)
         r += 1
@@ -217,7 +219,7 @@ def _stripped(m):
     """(m', c, l): m with its l loops deleted and its c coloops
     contracted, from the last element down."""
     loops = [i for i in range(m.n) if m.is_loop(i)]
-    coloops = [i for i in range(m.n) if m.is_coloop(i)]
+    coloops = [i for i in range(m.n) if is_coloop(m, i)]
     for i in sorted(loops + coloops, reverse=True):
         m = m.delete(i) if i in loops else m.contract(i)
     return m, len(coloops), len(loops)
@@ -248,20 +250,20 @@ def _dc(m, memo: dict, cache) -> BivarPoly:
         parallels = [j for j in range(con.n) if con.is_loop(j)]
         deleted = m.delete(0)
         series = [] if parallels else [
-            j for j in range(deleted.n) if deleted.is_coloop(j)]
+            j for j in range(deleted.n) if is_coloop(deleted, j)]
         if series:
             # m \ S is m \ e with those coloops contracted
             t_rest = _dc(_stripped(deleted)[0], memo, cache)
             x_sum = BivarPoly({(i, 0): 1 for i in range(1, len(series) + 1)})
             if m.rank(1 | sum(1 << j + 1 for j in series)) == len(series):
                 # S is a circuit: T(m) = (y + x + ... + x^(|S|-1)) T(m \ S)
-                poly = t_rest * (BivarPoly({(0, 1): 1}) + x_sum)
+                poly = poly_mul(t_rest, BivarPoly({(0, 1): 1}) + x_sum)
             else:
                 # T(m) = T(m / S) + (1 + x + ... + x^(|S|-1)) T(m \ S)
                 for j in reversed(series):
                     con = con.contract(j)
-                poly = t_rest * (BivarPoly.one() + x_sum) + _dc(con, memo,
-                                                                cache)
+                poly = poly_mul(t_rest, BivarPoly.one() + x_sum) + _dc(
+                    con, memo, cache)
         else:
             rest = _without(m, [0] + [j + 1 for j in parallels])
             y_sum = BivarPoly({(0, j): 1
@@ -272,12 +274,12 @@ def _dc(m, memo: dict, cache) -> BivarPoly:
             else:
                 # T(m) = (x + y + ... + y^(|P|-1)) T(N)
                 t_rest, lead = BivarPoly.zero(), BivarPoly({(1, 0): 1})
-            poly = t_rest + _dc(_without(con, parallels), memo, cache) * (
-                lead + y_sum)
+            poly = t_rest + poly_mul(
+                _dc(_without(con, parallels), memo, cache), lead + y_sum)
         memo[key] = poly
         if cache is not None:
             cache.put(json.dumps(key), poly.to_json())
-    return poly * factor
+    return poly_mul(poly, factor)
 
 
 def oracle_dc(m, memo: dict | None = None, cache=None) -> BivarPoly:

@@ -26,12 +26,12 @@ from starconfig.codes import (LinearCode, dual_generator_matrix,
                               wei_duality_check)
 from starconfig.fields import (GF, QQ, ExactArithError, ExactMatrix,
                                kernel_basis)
-from starconfig.hilbert import (DensePoly, GradedIdealEngine,
+from starconfig.hilbert import (GradedIdealEngine,
                                 _linear_multiplication_rows,
                                 afold_generators, colon_dim_from_engine,
                                 default_windows, fit_hilbert_polynomial,
                                 monomial_index, monomials, mu_oracle,
-                                ring_dim)
+                                oracle_forms, ring_dim)
 from starconfig.matroid import Flat, VectorMatroid, bits_of
 from starconfig.star import full_profile
 from starconfig.tutte import (BivarPoly, canonical_matrix_key,
@@ -40,25 +40,26 @@ from starconfig.tutte import (BivarPoly, canonical_matrix_key,
 
 
 # -- graded pieces and colons from scratch -----------------------------------
+#
+# Generators are given as GradedIdealEngine takes them: a dict degree ->
+# rows of ring_dim(k, degree) coefficients.
 
-def poly_from_dict(spec, k, degree, table) -> DensePoly:
-    """The DensePoly with the given exponent-tuple -> coefficient table."""
+def poly_from_dict(spec, k, degree, table) -> list:
+    """The coefficient row of the degree-`degree` form with the given
+    exponent-tuple -> coefficient table, each coefficient coerced."""
     idx = monomial_index(k, degree)
-    coeffs = [spec.zero] * ring_dim(k, degree)
+    row = [spec.zero] * ring_dim(k, degree)
     for exps, c in table.items():
-        coeffs[idx[exps]] = spec.coerce(c)
-    return DensePoly(spec, k, degree, tuple(coeffs))
+        row[idx[exps]] = spec.coerce(c)
+    return row
 
 
-def graded_dim_ideal(gens, t: int) -> int:
+def graded_dim_ideal(spec, k, gens, t: int) -> int:
     """dim of the degree-t piece of the ideal spanned by the given
     homogeneous generators (monomial multiples, exact rank).
 
     Reference implementation; agrees with GradedIdealEngine by tests.
     """
-    if not gens:
-        return 0
-    spec, k = gens[0].spec, gens[0].k
     return len(_echelon_from_scratch(spec, _generator_multiples(spec, k, gens,
                                                                t)))
 
@@ -68,16 +69,17 @@ def _generator_multiples(spec, k, gens, t) -> list:
     generators."""
     idx = monomial_index(k, t)
     rows = []
-    for g in gens:
-        if t < g.degree:
+    for degree, gen_rows in gens.items():
+        if t < degree:
             continue
-        terms = [(exps, c) for exps, c in zip(monomials(k, g.degree), g.coeffs)
-                 if c != spec.zero]
-        for mono in monomials(k, t - g.degree):
-            row = [spec.zero] * ring_dim(k, t)
-            for exps, c in terms:
-                row[idx[tuple(e + m for e, m in zip(exps, mono))]] = c
-            rows.append(row)
+        for g in gen_rows:
+            terms = [(exps, c) for exps, c in zip(monomials(k, degree), g)
+                     if c]
+            for mono in monomials(k, t - degree):
+                row = [0] * ring_dim(k, t)
+                for exps, c in terms:
+                    row[idx[tuple(e + m for e, m in zip(exps, mono))]] = c
+                rows.append(row)
     return rows
 
 
@@ -99,10 +101,32 @@ def colon_dim_reference(spec, k, gens, col, t: int) -> int:
     """
     ideal = _echelon_from_scratch(
         spec, _generator_multiples(spec, k, gens, t + 1))
-    image = _linear_multiplication_rows(spec, k, col, t,
-                                        range(ring_dim(k, t)))
+    image = _linear_multiplication_rows(k, col, t, range(ring_dim(k, t)))
     added = len(_echelon_from_scratch(spec, ideal + image)) - len(ideal)
     return ring_dim(k, t) - added
+
+
+# -- arithmetic only the tests use -------------------------------------------
+
+def field_add(spec, x, y):
+    """x + y in the field of spec."""
+    return (x + y) % spec.modulus if spec.kind == "gf" else x + y
+
+
+def poly_mul(f: BivarPoly, g: BivarPoly) -> BivarPoly:
+    """The product of two polynomials in x and y."""
+    out = {}
+    for (i1, j1), c1 in f.terms.items():
+        for (i2, j2), c2 in g.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return BivarPoly(out)
+
+
+def is_coloop(m: VectorMatroid, i: int) -> bool:
+    """Whether element i is a coloop of m: deleting it lowers the rank."""
+    full = (1 << m.n) - 1
+    return m.rank(full ^ (1 << i)) == m.full_rank - 1
 
 
 # -- flats <-> subcodes ------------------------------------------------------
@@ -161,7 +185,7 @@ def subcode_from_flat(code: LinearCode, f: Flat) -> Subcode:
             col = code.matrix.column(j)
             acc = spec.zero
             for vi, gij in zip(v, col):
-                acc = spec.add(acc, spec.mul(vi, gij))
+                acc = field_add(spec, acc, spec.mul(vi, gij))
             w.append(acc)
             if acc != spec.zero:
                 support |= 1 << j
@@ -274,7 +298,7 @@ def check_code(code: LinearCode, hilbert: bool) -> list:
     profiles = full_profile(code, shifted, hierarchy)  # cross-checks degrees
     if hilbert:
         for p in profiles:
-            gens = afold_generators(code, p.a)
+            gens = {p.a: afold_generators(code, p.a)}
             engine = GradedIdealEngine(code.spec, code.k, gens)
             fit = fit_hilbert_polynomial(code, p.a, engine=engine)
             if fit.degree_invariant != p.degree:
@@ -290,7 +314,8 @@ def check_code(code: LinearCode, hilbert: bool) -> list:
             lo, his = default_windows(p.a, code.k)
             for t in range(lo, his[0] + 1):
                 got = engine.quotient_dim(t)
-                want = ring_dim(code.k, t) - graded_dim_ideal(gens, t)
+                want = ring_dim(code.k, t) - graded_dim_ideal(
+                    code.spec, code.k, gens, t)
                 if got != want:
                     failures.append(f"a={p.a}, t={t}: quotient dimension "
                                     f"{got} != from scratch {want}")
@@ -304,18 +329,18 @@ def without_loops_and_coloops(m: VectorMatroid) -> VectorMatroid:
     for i in reversed(range(m.n)):
         if m.is_loop(i):
             m = m.delete(i)
-        elif m.is_coloop(i):
+        elif is_coloop(m, i):
             m = m.contract(i)
     return m
 
 
 def check_colons(code: LinearCode) -> list:
     failures = []
+    forms = oracle_forms(code)
     for a in range(2, code.n + 1):
-        gens = afold_generators(code, a)
+        gens = {a: afold_generators(code, a)}
         engine = GradedIdealEngine(code.spec, code.k, gens)
-        for ell in range(code.n):
-            col = code.matrix.column(ell)
+        for ell, col in enumerate(forms):
             for t in range(a - 1, a + 2):
                 got = colon_dim_from_engine(engine, col, t)
                 want = colon_dim_reference(code.spec, code.k, gens, col, t)

@@ -27,7 +27,7 @@ from starconfig.tutte import (BivarPoly, tutte_deletion_contraction,
                               tutte_subset_sum, whitney_shift)
 
 from conftest import deleted_engine, random_code
-from crosscheck import poly_from_dict
+from crosscheck import is_coloop, poly_from_dict
 
 SEED = 0xACCE97
 FIELDS = [GF(2), GF(3), GF(5)]
@@ -206,7 +206,7 @@ def test_criterion_8_proved_colon_slices(codes50):
     code = LinearCode(ExactMatrix.from_rows(
         GF(3), [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
     ell = 3
-    ok &= code.matroid.is_coloop(ell)
+    ok &= is_coloop(code.matroid, ell)
     for a in range(2, code.n + 1):
         engine = ideal_engine(code, a)
         deleted = deleted_engine(code, ell, a - 1)
@@ -223,10 +223,9 @@ def test_criterion_8_proved_colon_slices(codes50):
 def _linear_prime_power_engine(spec, k, forms, power):
     """Engine for (the power of) the ideal generated by the given
     independent linear forms (each a length-k coefficient vector)."""
-    gens = []
-    for combo in combinations_with_replacement(forms, power):
-        gens += _afold_from_columns(spec, k, list(combo), power)
-    return GradedIdealEngine(spec, k, gens)
+    gens = [_afold_from_columns(spec, k, list(combo), power)
+            for combo in combinations_with_replacement(forms, power)]
+    return GradedIdealEngine(spec, k, {power: np.concatenate(gens)})
 
 
 def _intersect_row_spaces(mats, p):
@@ -250,9 +249,9 @@ def test_criterion_9_prime_power_degrees():
     for k in range(2, 6):
         for c in range(1, min(3, k - 1) + 1):
             for i in range(1, 5):
-                gens = [poly_from_dict(spec, k, i, {m: 1})
-                        for mono in monomials(c, i)
-                        for m in [tuple(mono) + (0,) * (k - c)]]
+                gens = {i: [poly_from_dict(spec, k, i, {m: 1})
+                            for mono in monomials(c, i)
+                            for m in [tuple(mono) + (0,) * (k - c)]]}
                 engine = GradedIdealEngine(spec, k, gens)
                 lo, his = default_windows(i, k)
                 fit = fit_graded_quotient(k, engine.quotient_dim, i, lo, his)

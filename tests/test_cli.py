@@ -71,7 +71,16 @@ def test_parse_input_errors():
                 "field gf 2\nsize 1 2\n1 x\n",
                 "field gf 2\nsize 2 2\n1 1\n1 1\n",
                 "field gf 2\nsize 1 2\n1 0\n",
-                "field gf 2\nsize 1 2\n1 1\nlabels a#1 b#2\n"):
+                "field gf 2\nsize 1 2\n1 1\nlabels a#1 b#2\n",
+                # only ASCII decimal integers, though int() takes more
+                "field gf 1_1\nsize 1 1\n1\n",
+                "field gf 2\nsize 1 ２\n1 1\n",
+                "field gf 2\nsize 0_1 1\n1\n",
+                "field gf 3\nsize 1 1\n2_0\n",
+                "field q\nsize 1 1\n３\n",
+                "field q\nsize 1 1\n٣\n",
+                "field q\nsize 1 1\n1/2_0\n",
+                "field gf 5\nsize 1 1\n٣/1\n"):
         with pytest.raises(InputError):
             parse_input(bad)
 
@@ -241,6 +250,33 @@ def test_verify_over_q_matches_recorded_output(capsys, tmp_path):
     assert doc == recorded["verify"]
 
 
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+def test_scaling_columns_over_q_changes_no_output(capsys, tmp_path, command):
+    # the Hilbert oracle reads only dimensions, and a form scaled by a
+    # nonzero rational, negative or not an integer, spans the same line
+    rng = random.Random(27)
+    for _ in range(3):
+        k = rng.randint(2, 3)
+        code = random_code(rng, k, rng.randint(k + 1, 5), QQ)
+        factors = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                            rng.randint(1, 9)) for _ in range(code.n)]
+        factors[0] = Fraction(-3, 2)
+        labels = " ".join(f"c{j}" for j in range(1, code.n + 1))
+        docs = []
+        for scale in ([1] * code.n, factors):
+            rows = "\n".join(" ".join(str(x * c) for x, c in zip(row, scale))
+                             for row in code.matrix.entries)
+            path = write_input(tmp_path, f"field q\nsize {code.k} {code.n}\n"
+                               f"{rows}\nlabels {labels}\n")
+            rc, out, err = run_cli(capsys, command, path, "--json",
+                                   "--no-cache")
+            assert rc == 0 and err == ""
+            doc = json.loads(out)
+            doc.pop("timings", None)
+            docs.append(json.dumps(doc))
+        assert docs[0] == docs[1]
+
+
 def test_conjecture_json(capsys):
     rc, out, _ = run_cli(capsys, "conjecture", "--example", "e0", "--json")
     assert rc == 0
@@ -298,6 +334,16 @@ def test_identity_command(capsys):
     doc = json.loads(out)
     assert doc["failures"] == []
     assert doc["checked"] > 0
+
+
+@pytest.mark.parametrize("argv", [["one.txt", "--example", "b3"],
+                                  ["--example", "e0"], ["one.txt"]],
+                         ids=["file-and-example", "example", "file"])
+def test_identity_takes_no_input(capsys, argv):
+    # identity used to ignore what it was given, and exit 0
+    rc, out, err = run_cli(capsys, "identity", *argv)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == "error: identity takes no input file or --example\n"
 
 
 def test_input_file_with_example_is_input_error(capsys, tmp_path):
@@ -999,6 +1045,8 @@ def test_json_output_is_json_dumps_with_indent_2(capsys, tmp_path,
                                                  command):
     sources = [["--example", "e0"], ["--example", "b3"],
                [write_input(tmp_path, QUOTED_LABELS)]]
+    if command == "identity":  # it takes no input
+        sources = [[]]
     for source in sources:
         rc, out, err = run_cli(capsys, command, *source, "--json",
                                "--no-cache")

@@ -10,7 +10,7 @@ from starconfig.fields import (GF, QQ, ExactArithError, ExactMatrix,
                                FieldSpec, is_prime, primitive, rref)
 
 from conftest import random_matrix
-from crosscheck import left_kernel_basis
+from crosscheck import field_add, left_kernel_basis
 
 
 def column_rank(m: ExactMatrix, cols) -> int:
@@ -46,7 +46,7 @@ def test_is_prime_small():
 def test_gf_arithmetic_canonical():
     f5 = GF(5)
     assert f5.coerce(-1) == 4
-    assert f5.add(3, 4) == 2
+    assert field_add(f5, 3, 4) == 2
     assert f5.mul(f5.inv(3), 3) == 1
     assert f5.parse("7") == 2
     assert f5.parse("1/2") == f5.div(1, 2)
@@ -173,7 +173,7 @@ def test_kernel_dimension_law(rng):
                 col = m.column(j)
                 acc = spec.zero
                 for vi, gij in zip(v, col):
-                    acc = spec.add(acc, spec.mul(vi, gij))
+                    acc = field_add(spec, acc, spec.mul(vi, gij))
                 assert acc == spec.zero
 
 

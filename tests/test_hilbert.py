@@ -14,8 +14,8 @@ from starconfig import hilbert, matroid, tutte
 from starconfig.codes import LinearCode, weight_hierarchy
 from starconfig.fields import (GF, QQ, CapExceeded, ExactArithError,
                                ExactMatrix, InternalInvariantError,
-                               exact_dtype)
-from starconfig.hilbert import (DensePoly, GradedIdealEngine,
+                               exact_dtype, primitive)
+from starconfig.hilbert import (GradedIdealEngine,
                                 PersistentHF, WindowError, _echelon_int,
                                 _echelon_mod_p, _interpolate,
                                 _linear_multiplication_rows, _mult_map,
@@ -26,14 +26,16 @@ from starconfig.hilbert import (DensePoly, GradedIdealEngine,
                                 fit_hilbert_polynomial, ideal_engine,
                                 macaulay_bound,
                                 monomial_index, monomials, mu_oracle,
-                                render_conjecture_matrix, ring_dim)
+                                oracle_forms, render_conjecture_matrix,
+                                ring_dim)
 from starconfig.matroid import VectorMatroid
 from starconfig.star import degree_from_tutte, full_profile, mu_of_ideal
 from starconfig.tutte import tutte_subset_sum, whitney_shift
 
 from conftest import FIELDS, deleted_engine, random_code, random_code_any
 from crosscheck import (_generator_multiples, colon_dim_reference,
-                        graded_dim_ideal, poly_from_dict)
+                        field_add, graded_dim_ideal, is_coloop,
+                        poly_from_dict)
 
 P_BELOW = (1 << 31) - 1   # largest prime below 2^31
 P_ABOVE = (1 << 31) + 11  # smallest prime above it
@@ -53,7 +55,7 @@ def echelon_oracle(rows, spec):
         for piv, basis_row in out:
             c = v[piv]
             if c != zero:  # basis_row is zero before piv
-                v[piv:] = [spec.add(x, spec.neg(spec.mul(c, y)))
+                v[piv:] = [field_add(spec, x, spec.neg(spec.mul(c, y)))
                            for x, y in zip(v[piv:], basis_row[piv:])]
         piv = next((i for i, x in enumerate(v) if x != zero), None)
         if piv is not None:
@@ -76,8 +78,7 @@ def patch_oracle_kernels(patch, spec):
 
 def product_oracle(spec, k, columns) -> dict:
     """The exponent-tuple -> coefficient table of the nonzero terms of a
-    product of linear forms, on FieldSpec arithmetic, as the products were
-    expanded before they moved to native ints and Fractions."""
+    product of linear forms, on FieldSpec arithmetic."""
     acc = {(0,) * k: spec.one}
     zero = spec.zero
     for col in columns:
@@ -91,7 +92,7 @@ def product_oracle(spec, k, columns) -> dict:
                 bumped[i] += 1
                 key = tuple(bumped)
                 prev = nxt.get(key, zero)
-                val = spec.add(prev, spec.mul(c, ci))
+                val = field_add(spec, prev, spec.mul(c, ci))
                 if val == zero:
                     nxt.pop(key, None)
                 else:
@@ -190,47 +191,80 @@ def column_lists(draw):
 @given(column_lists())
 def test_afold_product_matches_fieldspec_oracle(case):
     # the one a-fold product of a columns, coefficient by coefficient, each
-    # of the field's own type
+    # a Python int; over Q the columns are first made primitive integer
+    # columns, as oracle_forms makes them
     spec, k, columns = case
+    if spec.kind == "q":
+        columns = [primitive(col) for col in columns]
     a = len(columns)
     gens = hilbert._afold_from_columns(spec, k, columns, a)
-    assert len(gens) == 1
-    want = product_oracle(spec, k, columns)
-    got = {m: c for m, c in zip(monomials(k, a), gens[0].coeffs) if c}
+    assert gens.shape == (1, ring_dim(k, a))
+    want = product_oracle(spec, k, [tuple(map(spec.coerce, col))
+                                    for col in columns])
+    row = gens[0].tolist()
+    got = {m: c for m, c in zip(monomials(k, a), row) if c}
     assert got == want
-    assert {type(c) for c in gens[0].coeffs} == {type(spec.one)}
+    assert {type(c) for c in row} == {int}
 
 
 def test_afold_generators_e0(e0):
     gens1 = afold_generators(e0, 1)
-    assert [g.coeffs for g in gens1] == [(1, 0), (0, 1), (1, 1)]
+    assert gens1.tolist() == [[1, 0], [0, 1], [1, 1]]
     gens3 = afold_generators(e0, 3)
-    assert len(gens3) == 1
     # x1 * x2 * (x1 + x2) = x1^2 x2 + x1 x2^2 over GF(2)
-    assert gens3[0].coeffs == (0, 1, 1, 0)
+    assert gens3.tolist() == [[0, 1, 1, 0]]
     with pytest.raises(ExactArithError):
         afold_generators(e0, 0)
     with pytest.raises(ExactArithError):
         afold_generators(e0, 4)
 
 
-def test_dense_poly_validation():
-    with pytest.raises(ExactArithError):
-        DensePoly(GF(2), 2, 2, (1, 0))  # needs length 3
+def test_afold_generators_over_q_are_python_ints(rng):
+    # each form is scaled to a primitive integer column first, so no
+    # Fraction reaches a generator, whatever the code's entries are
+    for _ in range(4):
+        code = random_code(rng, 3, rng.randint(3, 5), QQ)
+        scaled = LinearCode(ExactMatrix.from_rows(QQ, [
+            [x * Fraction((-1) ** j * (2 * j + 1), j + 2)
+             for j, x in enumerate(row)]
+            for row in code.matrix.entries]))
+        for j, form in enumerate(oracle_forms(scaled)):
+            assert {type(x) for x in form} == {int} and gcd(*form) == 1
+            col = scaled.matrix.column(j)
+            i = next(i for i, x in enumerate(form) if x)
+            assert [col[i] / form[i] * x for x in form] == list(col)
+        for a in range(1, scaled.n + 1):
+            gens = afold_generators(scaled, a)
+            assert gens.shape == (comb(scaled.n, a), ring_dim(3, a))
+            assert {type(x) for x in gens.flat} == {int}
+
+
+def test_generator_row_validation():
+    # in 2 variables a degree-2 row has 3 coefficients and a degree-1 row
+    # 2; a block of the wrong shape is refused even when its entries would
+    # fill rows of the right width (2 x 3 read as 3 x 2)
+    for spec in (GF(2), QQ):
+        for gens in ({2: [[1, 0]]}, {2: [1, 0, 0]},
+                     {1: np.ones((2, 3), dtype=int)}):
+            with pytest.raises(ExactArithError, match="coefficients"):
+                GradedIdealEngine(spec, 2, gens)
+    # rows are reduced mod p and zero rows dropped, once
+    engine = GradedIdealEngine(GF(3), 2, {2: [[3, 0, 6], [4, 0, -3]],
+                                          1: [[0, 3]]})
+    assert engine.by_degree[2].tolist() == [[1, 0, 0]]
+    assert engine.min_degree == engine.max_degree == 2
     p = poly_from_dict(GF(3), 2, 2, {(2, 0): 4, (1, 1): 0})
-    assert p.coeffs == (1, 0, 0)
-    assert not p.is_zero()
-    assert poly_from_dict(QQ, 2, 1, {}).is_zero()
+    assert p == [1, 0, 0]
+    assert not any(poly_from_dict(QQ, 2, 1, {}))
 
 
 def test_graded_dims_e0(e0):
-    gens = afold_generators(e0, 2)
-    assert graded_dim_ideal(gens, 0) == 0
-    assert graded_dim_ideal(gens, 1) == 0
-    assert graded_dim_ideal(gens, 2) == 3  # all of R_2
+    gens = {2: afold_generators(e0, 2)}
+    want = [graded_dim_ideal(e0.spec, e0.k, gens, t) for t in range(6)]
+    assert want[:3] == [0, 0, 3]  # all of R_2
     engine = GradedIdealEngine(e0.spec, e0.k, gens)
     for t in range(6):
-        assert engine.ideal_dim(t) == graded_dim_ideal(gens, t)
+        assert engine.ideal_dim(t) == want[t]
         assert engine.quotient_dim(t) == ring_dim(2, t) - engine.ideal_dim(t)
 
 
@@ -246,10 +280,11 @@ def test_engine_matches_reference_random(rng):
         for _ in range(6):
             code = random_code_any(rng, max_k=3, max_n=5, fields=fields)
             a = rng.randint(1, code.n)
-            gens = afold_generators(code, a)
+            gens = {a: afold_generators(code, a)}
             engine = GradedIdealEngine(code.spec, code.k, gens)
             for t in range(a + 3):
-                assert engine.ideal_dim(t) == graded_dim_ideal(gens, t)
+                assert engine.ideal_dim(t) == graded_dim_ideal(
+                    code.spec, code.k, gens, t)
 
 
 @pytest.mark.parametrize("spec", [QQ, GF(P_ABOVE)], ids=["Q", "GF(2^31+11)"])
@@ -261,10 +296,11 @@ def test_engine_matches_fieldspec_oracle(rng, monkeypatch, spec):
         k = rng.randint(2, 3)
         code = random_code(rng, k, rng.randint(k, 5), spec)
         a = rng.randint(1, code.n)
-        gens = afold_generators(code, a)
+        gens = {a: afold_generators(code, a)}
         with monkeypatch.context() as patch:
             patch_oracle_kernels(patch, spec)
-            want = [graded_dim_ideal(gens, t) for t in range(a + 3)]
+            want = [graded_dim_ideal(spec, code.k, gens, t)
+                    for t in range(a + 3)]
         engine = GradedIdealEngine(code.spec, code.k, gens)
         assert [engine.ideal_dim(t) for t in range(a + 3)] == want
 
@@ -279,7 +315,7 @@ def test_numpy_engine_at_prime_below_2_31(rng):
         code = random_code(rng, 3, rng.randint(3, 5), spec)
         lifted = LinearCode(ExactMatrix.from_rows(QQ, code.matrix.entries))
         a = rng.randint(1, code.n)
-        gens = afold_generators(code, a)
+        gens = {a: afold_generators(code, a)}
         fast = GradedIdealEngine(spec, code.k, gens)
         slow = ideal_engine(lifted, a)
         for t in range(a + 3):
@@ -292,7 +328,7 @@ def test_numpy_engine_at_prime_below_2_31(rng):
                 == len(want)
             assert fast.ideal_dim(t) <= slow.ideal_dim(t) == len(
                 echelon_oracle(_generator_multiples(
-                    QQ, code.k, slow.by_degree[a], t), QQ))
+                    QQ, code.k, slow.by_degree, t), QQ))
     full = [[rng.randrange(P_BELOW) for _ in range(6)] for _ in range(4)]
     rows = full + [[(x + y) % P_BELOW for x, y in zip(*full[:2])]]
     assert len(_echelon_mod_p(np.array(rows, dtype=np.int64), P_BELOW)) \
@@ -384,9 +420,9 @@ def test_engine_and_colon_match_from_scratch_oracle(code, data):
     spec, k = code.spec, code.k
     p = spec.modulus
     ell = data.draw(st.integers(0, code.n - 1))
-    col = code.matrix.column(ell)
+    col = oracle_forms(code)[ell]
     for a in range(1, code.n + 1):
-        gens = afold_generators(code, a)
+        gens = {a: afold_generators(code, a)}
         engine = GradedIdealEngine(spec, k, gens)
         ts = range(a - 1, a + k + 4)
         dims = [engine.ideal_dim(t) for t in ts]
@@ -397,7 +433,7 @@ def test_engine_and_colon_match_from_scratch_oracle(code, data):
                 assert engine._pivots[t].tolist() == pivots
         with pytest.MonkeyPatch.context() as patch:
             patch_oracle_kernels(patch, spec)
-            assert dims == [graded_dim_ideal(gens, t) for t in ts]
+            assert dims == [graded_dim_ideal(spec, k, gens, t) for t in ts]
             assert colons == [colon_dim_reference(spec, k, gens, col, t)
                               for t in ts]
 
@@ -433,8 +469,8 @@ def test_full_degree_needs_no_elimination(b3, monkeypatch, numpy_kernel):
     for t in range(full + 1, full + 4):
         assert engine.quotient_dim(t) == 0
         assert (engine.basis(t) == np.eye(ring_dim(3, t), dtype=int)).all()
-    col = code.matrix.column(3)
-    extra = _linear_multiplication_rows(code.spec, 3, col, full - 1,
+    col = oracle_forms(code)[3]
+    extra = _linear_multiplication_rows(3, col, full - 1,
                                         range(ring_dim(3, full - 1)))
     assert engine.rank_with_extra_rows(full, extra) == ring_dim(3, full)
     assert colon_dim_from_engine(engine, col, full) == ring_dim(3, full)
@@ -468,8 +504,8 @@ def test_mixed_degree_ideal_persists_from_its_largest_degree():
     # already, so persistence from the smallest generator degree is wrong
     want = [1, 2, 2, 2, 2, 1, 0, 0, 0, 0]
     for spec in (GF(5), QQ):  # the mod-p and the integer kernel
-        gens = [poly_from_dict(spec, 2, 2, {(2, 0): 1}),
-                poly_from_dict(spec, 2, 5, {(0, 5): 1})]
+        gens = {2: [poly_from_dict(spec, 2, 2, {(2, 0): 1})],
+                5: [poly_from_dict(spec, 2, 5, {(0, 5): 1})]}
         engine = GradedIdealEngine(spec, 2, gens)
         assert engine.max_degree == 5
         assert [engine.quotient_dim(t) for t in range(10)] == want
@@ -490,15 +526,15 @@ def test_settled_dims_match_from_scratch(rng, spec):
         k = rng.randint(2, 3)
         code = random_code(rng, k, rng.randint(k + 1, 5), spec)
         for a in range(1, code.n + 1):
-            gens = afold_generators(code, a)
+            gens = {a: afold_generators(code, a)}
             engine = GradedIdealEngine(spec, k, gens)
             ts = range(a + k + 5)
             got = [engine.ideal_dim(t) for t in ts]
-            assert got == [graded_dim_ideal(gens, t) for t in ts]
+            assert got == [graded_dim_ideal(spec, k, gens, t) for t in ts]
             if engine._hilbert.settled is not None:
                 settled += engine._hilbert.settled < a + k + 4
             if a >= 2:
-                col = code.matrix.column(rng.randrange(code.n))
+                col = oracle_forms(code)[rng.randrange(code.n)]
                 colon_dim = colon_dims(engine, col)
                 assert [colon_dim(t) for t in range(a - 1, a + k + 4)] == [
                     colon_dim_reference(spec, k, gens, col, t)
@@ -518,7 +554,7 @@ def test_no_degree_past_the_settled_one_is_eliminated(rng, monkeypatch):
                     engine.quotient_dim(t)
                 settled = engine._hilbert.settled
                 assert settled is not None and max(engine._basis) <= settled
-                col = code.matrix.column(0)
+                col = oracle_forms(code)[0]
                 colon_dim = colon_dims(engine, col)
                 colon_calls = []
 
@@ -644,9 +680,9 @@ def test_power_of_variable_ideal_degree():
     # <x1..xc>^i has height c and degree C(c+i-1, c)
     spec = GF(5)
     k, c, i = 3, 2, 2
-    gens = [poly_from_dict(spec, k, i, {m: 1})
-            for m in monomials(c, i)
-            for m in [tuple(m) + (0,) * (k - c)]]
+    gens = {i: [poly_from_dict(spec, k, i, {m: 1})
+                for m in monomials(c, i)
+                for m in [tuple(m) + (0,) * (k - c)]]}
     engine = GradedIdealEngine(spec, k, gens)
     lo, his = default_windows(i, k)
     fit = fit_graded_quotient(k, engine.quotient_dim, i, lo, his)
@@ -687,7 +723,7 @@ def test_colon_coloop_full_equality():
     code = LinearCode(ExactMatrix.from_rows(
         GF(3), [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
     ell = 3
-    assert code.matroid.is_coloop(ell)
+    assert is_coloop(code.matroid, ell)
     for a in range(2, code.n + 1):
         engine = ideal_engine(code, a)
         deleted = deleted_engine(code, ell, a - 1)
@@ -702,16 +738,18 @@ def test_deleted_generators_picked_from_afold_list(seed, spec):
     rng = random.Random(seed)
     k = rng.randint(1, 3)
     code = random_code(rng, k, rng.randint(k, 6), spec)
+    forms = oracle_forms(code)
     for a in range(1, code.n + 1):
         gens = afold_generators(code, a)
         for ell in range(code.n):
-            rest = [code.matrix.column(j) for j in range(code.n) if j != ell]
+            rest = [forms[j] for j in range(code.n) if j != ell]
             picked = deleted_generators(code, ell, a, gens)
+            assert picked.dtype == gens.dtype
             if a < code.n:
-                assert picked == hilbert._afold_from_columns(
-                    spec, code.k, rest, a)
+                assert picked.tolist() == hilbert._afold_from_columns(
+                    spec, code.k, rest, a).tolist()
             else:
-                assert picked == []
+                assert picked.shape == (0, ring_dim(code.k, a))
 
 
 def test_conjecture_report_expands_each_afold_list_once(b3, monkeypatch):
@@ -805,9 +843,9 @@ def test_afold_products_are_capped_before_expanding(b3, monkeypatch):
     expanded = []
     product_coeffs = hilbert._product_coeffs
 
-    def counted(spec, k, columns):
+    def counted(p, k, columns):
         expanded.append(len(columns))
-        return product_coeffs(spec, k, columns)
+        return product_coeffs(p, k, columns)
 
     monkeypatch.setattr(hilbert, "_product_coeffs", counted)
     monkeypatch.setattr(hilbert, "PRODUCT_CAP", 36)
@@ -846,8 +884,6 @@ def test_conjecture_report_computes_each_value_once(monkeypatch):
                         counted("subset_sum", tutte.tutte_subset_sum))
     monkeypatch.setattr(VectorMatroid, "delete",
                         counted("delete", VectorMatroid.delete))
-    monkeypatch.setattr(VectorMatroid, "is_coloop",
-                        counted("is_coloop", VectorMatroid.is_coloop))
     monkeypatch.setattr(matroid, "_span_join",
                         counted("pass", matroid._span_join))
     monkeypatch.setattr(hilbert, "colon_dim_from_engine", counted_colon_dim)
@@ -907,7 +943,7 @@ def test_degree_hypothesis_matches_the_tutte_rule():
                 j = entry["a"] - hierarchy.d[r]
                 for cell in entry["columns"]:
                     ell = cell["ell"] - 1
-                    assert cell["coloop"] is code.matroid.is_coloop(ell)
+                    assert cell["coloop"] is is_coloop(code.matroid, ell)
                     if "degree_hypothesis" in cell:
                         expected = tutte_degree_hypothesis(code, ell, r, j)
                         assert cell["degree_hypothesis"] == expected
