@@ -30,8 +30,9 @@ independent computation routes agree:
   * the mu coefficient formula vs the generator-span rank,
   * each quotient dimension of R / I_a across the default fit window
     [a-1, a+k+3], from the engine, which derives the degrees past Gotzmann
-    persistence from Macaulay's bound, vs a from-scratch elimination of
-    the generator multiples,
+    persistence from Macaulay's bound and, over Q, those past a
+    regularity certificate from the k degrees before them, vs a
+    from-scratch elimination of the generator multiples,
   * each colon dimension dim (I_a : ell)_t, a >= 2 and t = a-1 .. a+1, from
     the cached-basis engine vs a from-scratch elimination of the degree-(t+1)
     generator multiples and the multiplication rows.

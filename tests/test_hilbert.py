@@ -26,8 +26,8 @@ from starconfig.hilbert import (GradedIdealEngine,
                                 fit_hilbert_polynomial, ideal_engine,
                                 macaulay_bound,
                                 monomial_index, monomials, mu_oracle,
-                                oracle_forms, render_conjecture_matrix,
-                                ring_dim)
+                                oracle_forms, regularity_certificate,
+                                render_conjecture_matrix, ring_dim)
 from starconfig.matroid import VectorMatroid
 from starconfig.star import degree_from_tutte, full_profile, mu_of_ideal
 from starconfig.tutte import tutte_subset_sum, whitney_shift
@@ -247,6 +247,12 @@ def test_generator_row_validation():
         for gens in ({2: [[1, 0]]}, {2: [1, 0, 0]},
                      {1: np.ones((2, 3), dtype=int)}):
             with pytest.raises(ExactArithError, match="coefficients"):
+                GradedIdealEngine(spec, 2, gens)
+    # rows of unequal lengths name the shape over every field, as numpy's
+    # own ValueError did not over GF(p)
+    for spec in (GF(5), QQ):
+        for gens in ({2: [[1, 0, 0], [1, 0]]}, {2: [[1, 0], [1, 0, 0]]}):
+            with pytest.raises(ExactArithError, match="shape"):
                 GradedIdealEngine(spec, 2, gens)
     # rows are reduced mod p and zero rows dropped, once
     engine = GradedIdealEngine(GF(3), 2, {2: [[3, 0, 6], [4, 0, -3]],
@@ -511,7 +517,29 @@ def test_mixed_degree_ideal_persists_from_its_largest_degree():
         assert [engine.quotient_dim(t) for t in range(10)] == want
         assert engine._hilbert.settled == 7
         exact = GradedIdealEngine(spec, 2, gens)
-        assert PersistentHF(2)(5, exact._eliminated_quotient_dim) == 2
+        assert PersistentHF(2, 2)(5, exact._eliminated_quotient_dim) == 2
+
+
+def test_certified_degrees_follow_the_hilbert_polynomial():
+    # once certify(2) holds, H is a polynomial of degree <= k-1 from 2 on,
+    # read off the k degrees before each; none of these values meets
+    # Macaulay's bound, so Gotzmann never settles them first
+    for k, poly in ((2, lambda t: 9), (3, lambda t: t + 8),
+                    (4, lambda t: t * t + 9)):
+        calls, tried = [], []
+        hf = PersistentHF(2, k)
+
+        def exact(t):
+            calls.append(t)
+            return poly(t)
+
+        def certify(m):
+            tried.append(m)
+            return True
+        assert [hf(t, exact, certify) for t in range(2, 14)] == [
+            poly(t) for t in range(2, 14)]
+        assert hf.certified and tried == [2]
+        assert hf.settled == max(calls) == 2 + k - 1
 
 
 SETTLED_FIELDS = [GF(2), GF(3), GF(5), GF(P_ABOVE), GF(P_61), QQ]
@@ -543,6 +571,9 @@ def test_settled_dims_match_from_scratch(rng, spec):
 
 
 def test_no_degree_past_the_settled_one_is_eliminated(rng, monkeypatch):
+    # settled is the last eliminated degree, whether Gotzmann persistence
+    # or, over Q, the regularity certificate settled the engine
+    certified = Counter()
     for fields in (FIELDS, [QQ]):
         for _ in range(4):
             code = random_code(rng, 3, rng.randint(4, 5),
@@ -554,6 +585,7 @@ def test_no_degree_past_the_settled_one_is_eliminated(rng, monkeypatch):
                     engine.quotient_dim(t)
                 settled = engine._hilbert.settled
                 assert settled is not None and max(engine._basis) <= settled
+                certified[code.spec.kind, engine._hilbert.certified] += 1
                 col = oracle_forms(code)[0]
                 colon_dim = colon_dims(engine, col)
                 colon_calls = []
@@ -575,6 +607,120 @@ def test_no_degree_past_the_settled_one_is_eliminated(rng, monkeypatch):
                         engine.quotient_dim(t)
                         colon_dim(t)
                 assert calls == []
+    # both routes ran over Q, and only Gotzmann over GF(p)
+    assert certified["q", True] and certified["q", False]
+    assert not certified["gf", True]
+
+
+# Ideals generated in degree 2 that are not 2-regular: complete
+# intersections of quadrics, with reg = 2 + 2 - 1 and 2 + 2 + 2 - 2.
+PLANTED_NOT_REGULAR = [
+    (2, {2: [poly_from_dict(QQ, 2, 2, {(2, 0): 1}),
+             poly_from_dict(QQ, 2, 2, {(0, 2): 1})]}),
+    (3, {2: [poly_from_dict(QQ, 3, 2, {(2, 0, 0): 1}),
+             poly_from_dict(QQ, 3, 2, {(0, 2, 0): 1}),
+             poly_from_dict(QQ, 3, 2, {(0, 0, 2): 1})]}),
+]
+
+
+def _check_certified_codes(rng) -> int:
+    """Every engine of seeded Q codes with k = 2..4, against from-scratch
+    elimination over [a-1, a+k+5]; returns how many the regularity
+    certificate settled."""
+    certified = 0
+    for k, n in ((2, 4), (3, 4), (3, 5), (4, 4)):
+        code = random_code(rng, k, n, QQ)
+        for a in range(1, n + 1):
+            gens = {a: afold_generators(code, a)}
+            engine = GradedIdealEngine(QQ, k, gens)
+            ts = range(a - 1, a + k + 6)
+            assert [engine.ideal_dim(t) for t in ts] == [
+                graded_dim_ideal(QQ, k, gens, t) for t in ts]
+            certified += engine._hilbert.certified
+    return certified
+
+
+def _check_planted_not_regular():
+    """The planted ideals are never certified, and their dimensions match
+    from-scratch elimination."""
+    for k, gens in PLANTED_NOT_REGULAR:
+        engine = GradedIdealEngine(QQ, k, gens)
+        assert regularity_certificate(engine, 2) is None
+        ts = range(1, 2 + k + 6)
+        assert [engine.ideal_dim(t) for t in ts] == [
+            graded_dim_ideal(QQ, k, gens, t) for t in ts]
+        assert not engine._hilbert.certified
+
+
+def test_restriction_is_the_quotient_by_the_form(rng):
+    # R/(J + (h)) and the restricted engine's quotient agree in degrees m
+    # and m+1, the two the certificate reads.  The product of the forms
+    # the certificate tries vanishes modulo each of them, and modulo no
+    # form that differs from them, such as x_0 - x_1 - x_2
+    ideals = [(k, gens) for k, gens in PLANTED_NOT_REGULAR]
+    for k in (2, 3):
+        forms = [hilbert.certificate_form(k, c)
+                 for c in hilbert.CERTIFICATE_STEPS]
+        ideals.append((k, {3: hilbert._afold_from_columns(QQ, k, forms, 3)}))
+    for k in (2, 3, 3):
+        code = random_code(rng, k, k + 2, QQ)
+        a = rng.randint(2, code.n - 1)
+        ideals.append((k, {a: afold_generators(code, a)}))
+    for k, gens in ideals:
+        engine = GradedIdealEngine(QQ, k, gens)
+        m = engine.max_degree
+        for c in hilbert.CERTIFICATE_STEPS:
+            with_h = {**gens, 1: [hilbert.certificate_form(k, c)]}
+            restricted = engine.restricted(c, m)
+            assert restricted.k == k - 1
+            for t in (m, m + 1):
+                assert restricted.quotient_dim(t) == ring_dim(k, t) - (
+                    graded_dim_ideal(QQ, k, with_h, t))
+
+
+def test_regularity_certificate_settles_q_engines(rng):
+    assert _check_certified_codes(rng)
+
+
+def test_planted_not_regular_ideals_are_never_certified(monkeypatch):
+    tried = []
+
+    def recorded(engine, m):
+        tried.append(m)
+        return regularity_certificate(engine, m)
+    monkeypatch.setattr(hilbert, "regularity_certificate", recorded)
+    _check_planted_not_regular()
+    assert tried == [2, 2]  # each engine tried the certificate once
+
+
+def test_certificate_without_the_colon_check_is_caught(rng, monkeypatch):
+    # (J : h)_m = J_m holds whenever the colon is read as J_m
+    monkeypatch.setattr(hilbert, "colon_dim_from_engine",
+                        lambda engine, col, t: len(engine.basis(t)))
+    k, gens = PLANTED_NOT_REGULAR[0]
+    assert regularity_certificate(GradedIdealEngine(QQ, k, gens), 2) == 1
+    with pytest.raises(AssertionError):
+        _check_planted_not_regular()
+
+
+@pytest.mark.parametrize("spec", [GF(2), GF(5), GF(7)],
+                         ids=["GF(2)", "GF(5)", "GF(7)"])
+def test_no_certificate_is_tried_over_gf(rng, monkeypatch, spec):
+    tried = []
+    monkeypatch.setattr(hilbert, "regularity_certificate",
+                        lambda engine, m: tried.append(m))
+    for _ in range(3):
+        k = rng.randint(2, 3)
+        code = random_code(rng, k, k + 1, spec)
+        for a in range(1, code.n + 1):
+            engine = ideal_engine(code, a)
+            for t in range(a - 1, a + k + 6):
+                engine.quotient_dim(t)
+    for k, gens in PLANTED_NOT_REGULAR:
+        engine = GradedIdealEngine(spec, k, gens)
+        for t in range(1, 2 + k + 6):
+            engine.quotient_dim(t)
+    assert tried == []
 
 
 def test_engine_is_freed_without_the_cycle_collector(b3):
