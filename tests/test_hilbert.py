@@ -645,7 +645,7 @@ def _check_planted_not_regular():
     from-scratch elimination."""
     for k, gens in PLANTED_NOT_REGULAR:
         engine = GradedIdealEngine(QQ, k, gens)
-        assert regularity_certificate(engine, 2) is None
+        assert not regularity_certificate(engine, 2)
         ts = range(1, 2 + k + 6)
         assert [engine.ideal_dim(t) for t in ts] == [
             graded_dim_ideal(QQ, k, gens, t) for t in ts]
@@ -671,7 +671,7 @@ def test_restriction_is_the_quotient_by_the_form(rng):
         m = engine.max_degree
         for c in hilbert.CERTIFICATE_STEPS:
             with_h = {**gens, 1: [hilbert.certificate_form(k, c)]}
-            restricted = engine.restricted(c, m)
+            restricted = hilbert._restricted(engine, c, m)
             assert restricted.k == k - 1
             for t in (m, m + 1):
                 assert restricted.quotient_dim(t) == ring_dim(k, t) - (
@@ -680,6 +680,35 @@ def test_restriction_is_the_quotient_by_the_form(rng):
 
 def test_regularity_certificate_settles_q_engines(rng):
     assert _check_certified_codes(rng)
+
+
+# Star configurations where the first form is a zero divisor: the lines
+# x_2 = 0 and x_0 + x_1 = 0 meet at (1, -1, 0), where x_0 + x_1 + x_2
+# vanishes, and x_2 = 0 and x_0 + 2 x_1 = 0 meet at (2, -1, 0), where
+# x_0 + 2 x_1 + 4 x_2 vanishes.  Each needs the c it is listed with.
+LATER_FORM_CODES = [
+    (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+    (3, [[1, 0, 0], [0, 0, 1], [1, 1, 0], [1, 2, 0]]),
+]
+
+
+@pytest.mark.parametrize("c, columns", LATER_FORM_CODES,
+                         ids=["c=2", "c=3"])
+def test_a_later_form_certifies_where_the_first_fails(monkeypatch, c,
+                                                      columns):
+    gens = {3: hilbert._afold_from_columns(QQ, 3, columns, 3)}
+    ts = range(2, 3 + 3 + 6)
+    want = [graded_dim_ideal(QQ, 3, gens, t) for t in ts]
+    steps = hilbert.CERTIFICATE_STEPS
+    assert steps.index(c) > 0
+    for tried, certified in ((steps[:steps.index(c)], False),
+                             (steps, True)):
+        monkeypatch.setattr(hilbert, "CERTIFICATE_STEPS", tried)
+        engine = GradedIdealEngine(QQ, 3, gens)
+        assert regularity_certificate(engine, 3) is certified
+        engine = GradedIdealEngine(QQ, 3, gens)
+        assert [engine.ideal_dim(t) for t in ts] == want
+        assert engine._hilbert.certified is certified
 
 
 def test_planted_not_regular_ideals_are_never_certified(monkeypatch):
@@ -698,7 +727,7 @@ def test_certificate_without_the_colon_check_is_caught(rng, monkeypatch):
     monkeypatch.setattr(hilbert, "colon_dim_from_engine",
                         lambda engine, col, t: len(engine.basis(t)))
     k, gens = PLANTED_NOT_REGULAR[0]
-    assert regularity_certificate(GradedIdealEngine(QQ, k, gens), 2) == 1
+    assert regularity_certificate(GradedIdealEngine(QQ, k, gens), 2)
     with pytest.raises(AssertionError):
         _check_planted_not_regular()
 
